@@ -14,6 +14,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+from .wire import MAX_MESSAGE_BYTES
+
 CHANNEL_CAPACITY = 1024
 
 # Flow handle states.
@@ -114,6 +116,7 @@ class Channel:
         self._tx_cond = threading.Condition()
         self.stats = ChannelStats()
         self.touched_by = set()
+        self._engine = None  # set by Engine.add_channel; woken on app input
 
     # Application side.
 
@@ -123,7 +126,7 @@ class Channel:
             raise FlowError("flow not established yet")
         if flow.state != ESTABLISHED:
             raise FlowError("flow is %s" % flow.state)
-        if not 1 <= len(payload) <= 8 * 1024 * 1024:
+        if not 1 <= len(payload) <= MAX_MESSAGE_BYTES:
             raise ValueError("payload must be 1 byte .. 8 MiB")
         with self._tx_cond:
             while len(self._tx) >= self.capacity:
@@ -135,6 +138,8 @@ class Channel:
             self.stats.tx_enqueued += 1
             if len(self._tx) > self.stats.tx_highwater:
                 self.stats.tx_highwater = len(self._tx)
+        if self._engine is not None:
+            self._engine.notify_app_tx()
         return True
 
     def recv(self, block=False, timeout=None):
@@ -182,14 +187,15 @@ class Channel:
 
     def _push_control(self, request):
         self._control.append(request)
+        if self._engine is not None:
+            self._engine.notify_control()
 
     def _pop_control(self):
-        out = list(self._control)
-        self._control.clear()
+        control = self._control
+        out = []
+        while control:
+            out.append(control.popleft())
         return out
-
-    def control_pending(self):
-        return len(self._control)
 
     def tx_pending(self):
         return len(self._tx)

@@ -8,6 +8,8 @@ docs/bench.md.
 
 from dataclasses import dataclass
 
+from .wire import MAX_MESSAGE_BYTES
+
 
 class ConfigError(Exception):
     def __init__(self, message, line=None):
@@ -167,7 +169,7 @@ def parse_scenario(text, source="<memory>"):
                                     "polling"):
         raise ConfigError("unknown mode %r" % workload["mode"],
                           wl["mode"][1])
-    if "msg_size" in workload and not 1 <= workload["msg_size"] <= 8 * 1024 * 1024:
+    if "msg_size" in workload and not 1 <= workload["msg_size"] <= MAX_MESSAGE_BYTES:
         raise ConfigError("msg_size must be within [1, 8 MiB]",
                           wl["msg_size"][1])
 

@@ -3,8 +3,11 @@
 The deterministic driver single-threads everything: engines and poll-style
 apps run in fixed order at the current virtual time, then the clock jumps
 straight to the next interesting instant (a fabric delivery, an engine
-timer, a control-grid tick). All timing is virtual, so runs are exactly
-reproducible and machine independent.
+timer, a control-grid tick). An engine's answer to "are you due?" is
+cached and recomputed only after it runs or is woken (see the wake contract
+in engine.py), so an idle engine costs a pass a few attribute reads. All
+timing is virtual, so runs are exactly reproducible and machine
+independent.
 
 The threaded runtime wraps the same engine loop for live operation: one
 thread per engine plus a fabric pump, with the clock tied to wall time.
@@ -29,6 +32,7 @@ class Sim:
         self.tick_us = tick_us
         self.stacks = []
         self.apps = []
+        self._engines = []
 
     @property
     def now(self):
@@ -40,6 +44,7 @@ class Sim:
         kwargs.setdefault("tick_us", self.tick_us)
         stack = Stack(nic, ip, **kwargs).init()
         self.stacks.append(stack)
+        self._engines.extend(stack.engines)
         return stack
 
     def add_app(self, app):
@@ -47,16 +52,12 @@ class Sim:
         self.apps.append(app)
         return app
 
-    def _engines(self):
-        for stack in self.stacks:
-            yield from stack.engines
-
     def step(self):
         """One scheduling pass; advances time only when nothing is runnable.
         Returns False when the whole simulation is idle."""
         now = self.clock.now
         work = 0
-        for eng in self._engines():
+        for eng in self._engines:
             if eng.due(now):
                 work += eng.run_iteration(now)
         for app in self.apps:
@@ -64,10 +65,10 @@ class Sim:
         work += self.fabric.collect_tx()
         if work:
             return True
-        nexts = [self.fabric.next_event_time()]
-        nexts.extend(eng.next_due(now) for eng in self._engines())
-        nexts.extend(app.next_wake(now) for app in self.apps
-                     if hasattr(app, "next_wake"))
+        nexts = [eng.next_due(now) for eng in self._engines]
+        nexts.append(self.fabric.next_event_time())
+        nexts += [app.next_wake(now) for app in self.apps
+                  if hasattr(app, "next_wake")]
         future = [t for t in nexts if t is not None and t > now]
         if not future:
             return False

@@ -8,6 +8,24 @@ and (on a 50 microsecond grid) picks up new connect/listen requests.
 Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
 replicated.
+
+Wake contract. The deterministic driver asks every engine, on every pass,
+whether it is due; the answer is a cached next-due time, recomputed only
+when the engine's `wake` flag is set and then cleared by that recompute.
+The engine sets the flag itself after each iteration. Everything else
+that gives an engine work from outside its own iteration must set it:
+
+* the NIC, for each frame delivered into the engine's RX ring;
+* a channel, when the application queues a message (Channel.send) or a
+  connect request;
+* submit(), for listen and close requests;
+* arm_timer() and emit(), when called from outside the engine.
+
+A new producer of engine work must set the flag too, or the engine sleeps
+through the work. Control requests are observed at the first recompute
+after they arrive, even while the engine is tick-throttled, and that
+instant fixes their 50 us grid gate. The threaded runtime's engine threads
+poll their queues directly; the flags only steer the deterministic driver.
 """
 
 import heapq
@@ -122,30 +140,42 @@ class Engine:
         self.stats = EngineStats()
         self._timers = []
         self._timer_seq = 0
+        self._control_waiting = False  # a control request may be queued
         self._control_gate = None  # next 50 us grid point once requests wait
+        self._app_tx = False  # a channel may hold messages to transmit
         self._next_allowed = 0
+        self._due_at = None  # earliest pending work, valid while not `wake`
+        self.wake = True
+        nic._set_owner(engine_id, self)
+
+    # Producers from outside the engine's iteration (see the wake contract).
+
+    def add_channel(self, channel):
+        """Serve a newly attached channel; it wakes this engine from then on."""
+        self.channels.append(channel)
+        channel._engine = self
+
+    def submit(self, request):
+        """Queue a listen or close request for the next 50 us grid point."""
+        self.control_inbox.append(request)
+        self.notify_control()
+
+    def notify_control(self):
+        """A connect, listen or close request was queued."""
+        self._control_waiting = True
+        self.wake = True
+
+    def notify_app_tx(self):
+        """A channel queued a message for transmission."""
+        self._app_tx = True
+        self.wake = True
 
     # Scheduling interface used by the deterministic driver.
-
-    def _immediate_work(self, now):
-        if self.tx_backlog or self.nic.rx_pending(self.engine_id):
-            return True
-        if any(ch.tx_pending() for ch in self.channels):
-            return True
-        due = self._next_timer_due()
-        if due is not None and due <= now:
-            return True
-        gate = self._control_time(now)
-        return gate is not None and now >= gate
-
-    def _control_pending(self):
-        return bool(self.control_inbox) or any(
-            ch.control_pending() for ch in self.channels)
 
     def _control_time(self, now):
         """Connect/listen requests are serviced only on the 50 us grid; the
         first grid point after a request is observed becomes its gate."""
-        if not self._control_pending():
+        if not self._control_waiting:
             self._control_gate = None
             return None
         if self._control_gate is None:
@@ -162,28 +192,41 @@ class Engine:
             return due
         return None
 
+    def _refresh(self, now):
+        """Recompute the earliest pending work: `now` if frames or messages
+        wait, else the first live timer or control gate."""
+        self.wake = False
+        due = self._next_timer_due()
+        gate = self._control_time(now)
+        if gate is not None and (due is None or gate < due):
+            due = gate
+        if ((self._app_tx or self.tx_backlog
+             or self.nic.rx_pending(self.engine_id))
+                and (due is None or now < due)):
+            due = now
+        self._due_at = due
+
     def due(self, now):
-        return now >= self._next_allowed and self._immediate_work(now)
+        """Whether the engine has work at `now` and is not tick-throttled."""
+        if self.wake:
+            self._refresh(now)
+        due = self._due_at
+        return due is not None and due <= now and now >= self._next_allowed
 
     def next_due(self, now):
-        """Earliest future time this engine will have something to do."""
-        candidates = []
-        if self._immediate_work(now):
-            candidates.append(now)
-        t = self._next_timer_due()
-        if t is not None:
-            candidates.append(t)
-        gate = self._control_time(now)
-        if gate is not None:
-            candidates.append(gate)
-        if not candidates:
+        """Earliest time this engine will have something to do."""
+        if self.wake:
+            self._refresh(now)
+        due = self._due_at
+        if due is None:
             return None
-        return max(min(candidates), self._next_allowed)
+        return max(due, self._next_allowed)
 
     def arm_timer(self, due, fn):
         timer = Timer(due, fn)
         self._timer_seq += 1
         heapq.heappush(self._timers, (due, self._timer_seq, timer))
+        self.wake = True
         return timer
 
     # The run-to-completion loop body.
@@ -204,10 +247,13 @@ class Engine:
             self._dispatch(frame, now)
             work += 1
 
+        app_tx = False
         for ch in self.channels:
             for handle, payload in ch._pop_tx(CHANNEL_MSG_BURST, self.engine_id):
                 self._app_send(handle, payload, now)
                 work += 1
+            app_tx = app_tx or ch.tx_pending() > 0  # beyond one burst
+        self._app_tx = app_tx
 
         while True:
             due = self._next_timer_due()
@@ -226,12 +272,14 @@ class Engine:
             self._control_gate = None
 
         self._next_allowed = now + self.tick_us if work else now
+        self.wake = True
         return work
 
     def emit(self, frame):
         self.stats.frames_tx += 1
         if self.tx_backlog or self.nic.tx_burst(self.engine_id, [frame]) != 1:
             self.tx_backlog.append(frame)
+            self.wake = True
 
     # RX dispatch.
 
@@ -318,8 +366,15 @@ class Engine:
     # Control plane (connect/listen/close), serviced on the 50 us grid.
 
     def _drain_control(self):
-        requests = list(self.control_inbox)
-        self.control_inbox.clear()
+        """Every queued request, the engine's own inbox first. The flag is
+        cleared before the queues are popped, so a request that another
+        thread queues meanwhile is either taken now or flags the next
+        round; popleft never drops one."""
+        self._control_waiting = False
+        requests = []
+        inbox = self.control_inbox
+        while inbox:
+            requests.append(inbox.popleft())
         for ch in self.channels:
             requests.extend(ch._pop_control())
         return requests
@@ -351,7 +406,6 @@ class Engine:
         flow = transport.Flow(self, hs.handle, hs.ports, hs.remote_ip,
                               tx_udp, rx_udp, hs.handle.channel)
         flow.touched_by.add(self.engine_id)
-        flow.last_activity = 0
         self.flows[hs.key()] = flow
         hs.handle.remote_engine = remote_engine
         hs.handle.attempts = hs.attempt

@@ -1,11 +1,18 @@
 """Deterministic simulated network connecting the hosts' NICs.
 
-The fabric stands in for the cloud datapath: it hashes every delivered
-frame's UDP four-tuple with a genuine Toeplitz key (never revealed to the
-stack), walks a fixed 128-entry indirection table to pick the destination
-RX queue, and injects configurable loss, adjacent-pair reordering, and
-delay, all on a virtual microsecond clock. A full run is a pure function
-of (configs, seeds, input schedule).
+The fabric stands in for the cloud datapath: it hashes every frame's UDP
+four-tuple with a genuine Toeplitz key (never revealed to the stack), walks
+a fixed 128-entry indirection table to pick the destination RX queue, and
+injects configurable loss, adjacent-pair reordering, and delay, all on a
+virtual microsecond clock. A full run is a pure function of (configs,
+seeds, input schedule).
+
+Each frame's header is read once, in send(), straight from the raw bytes:
+the Ethernet type, IP version/IHL and protocol bytes are checked, the
+destination host is found by its 4-byte address, and the 12 bytes
+src_ip | dst_ip | src_port | dst_port at offset 26 are hashed through the
+hasher's precomputed 12 x 256 table. The event keeps the host and queue,
+so delivery decodes nothing.
 """
 
 import heapq
@@ -15,9 +22,17 @@ from random import Random
 from .nic import Nic, NicConfig
 from .toeplitz import ToeplitzHasher, KEY_LEN
 from .toeplitz import toeplitz_hash as _toeplitz_hash
-from .wire import extract_four_tuple, pack_ip
+from .wire import (ETH_HEADER_LEN, IP_HEADER_LEN, IP_PROTO_UDP,
+                   UDP_HEADER_LEN, extract_four_tuple, pack_ip)
 
 INDIRECTION_ENTRIES = 128
+# Raw header offsets: Ethernet type at 12, then IPv4 version/IHL at 14,
+# protocol at 23, and the hashed 12 bytes src ip | dst ip | both UDP ports.
+_MIN_UDP_FRAME = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
+_IPV4_IHL5 = b"\x08\x00\x45"
+_PROTO_AT = ETH_HEADER_LEN + 9
+_TUPLE_AT = ETH_HEADER_LEN + 12
+_DST_IP_AT = _TUPLE_AT + 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,22 +100,23 @@ class FabricStats:
 
 
 class _Host:
-    __slots__ = ("ip", "nic", "table")
+    __slots__ = ("nic", "table", "delivered")
 
-    def __init__(self, ip, nic, table):
-        self.ip = ip
+    def __init__(self, nic, table, delivered):
         self.nic = nic
         self.table = table
+        self.delivered = delivered  # per-queue delivery counts
 
 
 class _Event:
-    __slots__ = ("due", "order", "frame", "dst_ip", "done")
+    __slots__ = ("due", "order", "frame", "host", "queue", "done")
 
-    def __init__(self, due, order, frame, dst_ip):
+    def __init__(self, due, order, frame, host, queue):
         self.due = due
         self.order = order  # delivery tie-break; swapped on reorder
         self.frame = frame
-        self.dst_ip = dst_ip
+        self.host = host
+        self.queue = queue
         self.done = False
 
 
@@ -114,7 +130,8 @@ class Fabric:
             key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
         self._rss_key = key
         self._hasher = ToeplitzHasher(key)
-        self._hosts = {}
+        self._hosts = {}  # 4-byte IPv4 address -> _Host
+        self._tx_rings = []  # (host ip, TX ring) in host, then queue order
         self._heap = []
         self._seq = 0
         self._push_id = 0
@@ -129,12 +146,14 @@ class Fabric:
 
     def add_host(self, ip, num_queues):
         """Register a host; returns the NIC it must do all its I/O through."""
-        if ip in self._hosts:
+        addr = pack_ip(ip)
+        if addr in self._hosts:
             raise ValueError("host %s already registered" % ip)
         nic = Nic(NicConfig(num_queues=num_queues, local_ip=ip))
         table = [i % num_queues for i in range(INDIRECTION_ENTRIES)]
-        self._hosts[ip] = _Host(ip, nic, table)
-        self.per_queue_delivered[ip] = [0] * num_queues
+        delivered = self.per_queue_delivered[ip] = [0] * num_queues
+        self._hosts[addr] = _Host(nic, table, delivered)
+        self._tx_rings.extend((ip, ring) for ring in nic._tx)
         return nic
 
     def steer(self, dst_ip, frame):
@@ -143,17 +162,22 @@ class Fabric:
         Unparseable frames fall back to queue 0. Tests use this as the
         steering oracle; stack modules never call it (audited).
         """
-        host = self._hosts[dst_ip]
-        four = extract_four_tuple(frame)
-        if four is None:
+        host = self._hosts[pack_ip(dst_ip)]
+        if extract_four_tuple(frame) is None:
             return 0
-        return self._steer_tuple(host, four)
+        return self._queue(host, frame)
 
-    def _steer_tuple(self, host, four):
-        src_ip, dst_ip, sp, dp = four
-        data = (pack_ip(src_ip) + pack_ip(dst_ip)
-                + sp.to_bytes(2, "big") + dp.to_bytes(2, "big"))
-        h = self._hasher.hash_bytes(data)
+    def _route(self, frame):
+        """Destination host of an IPv4/UDP frame, or None if the frame is
+        short, not IPv4 without options, not UDP, or for no known host."""
+        if (len(frame) < _MIN_UDP_FRAME
+                or frame[12:15] != _IPV4_IHL5
+                or frame[_PROTO_AT] != IP_PROTO_UDP):
+            return None
+        return self._hosts.get(frame[_DST_IP_AT:_DST_IP_AT + 4])
+
+    def _queue(self, host, frame):
+        h = self._hasher.hash_bytes(frame[_TUPLE_AT:_TUPLE_AT + 12])
         if self._cfg.hash_byteswap:
             h = int.from_bytes(h.to_bytes(4, "big"), "little")
         return host.table[h % INDIRECTION_ENTRIES]
@@ -162,8 +186,8 @@ class Fabric:
         """Accept a frame from a host at the current virtual time."""
         cfg = self._cfg
         self.stats.sent += 1
-        four = extract_four_tuple(frame)
-        if four is None or four[1] not in self._hosts:
+        host = self._route(frame)
+        if host is None:
             self.stats.dropped_unroutable += 1
             return
         if self._tap is not None and self._tap(frame):
@@ -176,7 +200,8 @@ class Fabric:
         if cfg.delay_jitter_us:
             delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
         self._seq += 1
-        event = _Event(self.clock.now + max(0, delay), self._seq, frame, four[1])
+        event = _Event(self.clock.now + max(0, delay), self._seq, frame, host,
+                       self._queue(host, frame))
         if cfg.reorder_probability:
             prev = self._last_pending
             if (prev is not None and not prev.done
@@ -194,14 +219,14 @@ class Fabric:
         heapq.heappush(self._heap, (event.due, event.order, self._push_id, event))
 
     def collect_tx(self):
-        """Drain every host's TX rings into the delivery schedule."""
+        """Move every frame waiting in a TX ring into the delivery schedule,
+        host by host and queue by queue. Popping one frame at a time loses
+        nothing that an engine thread appends meanwhile."""
         moved = 0
-        for host in self._hosts.values():
-            nic = host.nic
-            for q in range(nic.num_queues()):
-                for frame in nic._drain_tx(q):
-                    self.send(host.ip, frame)
-                    moved += 1
+        for ip, ring in self._tx_rings:
+            while ring:
+                self.send(ip, ring.popleft())
+                moved += 1
         return moved
 
     def next_event_time(self):
@@ -238,12 +263,10 @@ class Fabric:
         return self.advance_to(self.clock.now + delta)
 
     def _deliver(self, event):
-        host = self._hosts[event.dst_ip]
-        four = extract_four_tuple(event.frame)
-        queue = 0 if four is None else self._steer_tuple(host, four)
-        if host.nic._deliver(queue, event.frame):
+        host = event.host
+        if host.nic._deliver(event.queue, event.frame):
             self.stats.delivered += 1
-            self.per_queue_delivered[host.ip][queue] += 1
+            host.delivered[event.queue] += 1
         else:
             self.stats.dropped_ring_full += 1
 

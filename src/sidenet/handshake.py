@@ -65,13 +65,18 @@ def _check_args(n, p):
         raise ValueError("target probability must be in (0, 1)")
 
 
-def naive_batch_size(n, p=DEFAULT_TARGET_P):
+def _naive_count(joint, p):
     """SYN count so that SYN and reflected SYN-ACK both land correctly with
-    probability >= p when both hosts run n engines."""
-    _check_args(n, p)
-    if n == 1:
+    probability >= p, when one random pair does so with odds 1 in `joint`."""
+    if joint == 1:
         return 1
-    return math.ceil(math.log(1.0 - p) / math.log(1.0 - 1.0 / (n * n)))
+    return math.ceil(math.log(1.0 - p) / math.log(1.0 - 1.0 / joint))
+
+
+def naive_batch_size(n, p=DEFAULT_TARGET_P):
+    """Naive SYN count when both hosts run n engines."""
+    _check_args(n, p)
+    return _naive_count(n * n, p)
 
 
 def optimized_batch_exact(n, p=DEFAULT_TARGET_P):
@@ -100,10 +105,7 @@ def _spray_count(mode, n_remote, n_local, p):
     """SYN batch for one connection attempt against possibly asymmetric hosts."""
     if mode == MODE_OPTIMIZED:
         return optimized_batch_size(n_remote, p)
-    joint = n_remote * n_local
-    if joint == 1:
-        return 1
-    return math.ceil(math.log(1.0 - p) / math.log(1.0 - 1.0 / joint))
+    return _naive_count(n_remote * n_local, p)
 
 
 def draw_udp_pairs(rng, count, used):
@@ -237,13 +239,11 @@ class ServerHandshake:
         self.sprayed = set()
         self.last_client_attempt = 0
         self.retry_timer = None
-        self.last_activity = 0
 
     def key(self):
         return (self.remote_ip, self.ports.remote, self.ports.local)
 
     def on_syn(self, eng, now, pkt):
-        self.last_activity = now
         pair = UdpPorts(pkt.udp_src, pkt.udp_dst)
         if self.mode == MODE_NAIVE:
             # Reply to every correctly-landed SYN: the chance that any one

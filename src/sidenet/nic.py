@@ -52,6 +52,7 @@ class Nic:
 
     Each queue id is owned by exactly one engine thread; the fabric is the
     single party on the other side of every ring, so each ring is SPSC.
+    The fabric pops the TX rings (`_tx`) directly.
     """
 
     def __init__(self, config):
@@ -59,6 +60,7 @@ class Nic:
         n = config.num_queues
         self._rx = [deque() for _ in range(n)]
         self._tx = [deque() for _ in range(n)]
+        self._owners = [None] * n  # engine woken by each RX delivery
         self.queue_stats = [QueueStats() for _ in range(n)]
 
     def num_queues(self):
@@ -102,6 +104,12 @@ class Nic:
         self._check_queue(queue)
         return len(self._rx[queue])
 
+    def _set_owner(self, queue, engine):
+        """Called by the engine that owns a queue: each frame delivered to
+        the queue's RX ring then sets that engine's `wake` flag."""
+        self._check_queue(queue)
+        self._owners[queue] = engine
+
     # Fabric-side entry points; not part of the stack-facing surface.
 
     def _deliver(self, queue, frame):
@@ -111,10 +119,7 @@ class Nic:
             return False
         ring.append(frame)
         self.queue_stats[queue].rx_delivered += 1
+        owner = self._owners[queue]
+        if owner is not None:
+            owner.wake = True
         return True
-
-    def _drain_tx(self, queue):
-        ring = self._tx[queue]
-        out = list(ring)
-        ring.clear()
-        return out

@@ -71,7 +71,7 @@ class Stack:
             self._attach_count += 1
             self._app_count += 1
             channel = Channel(engine_id, self._app_count)
-        self.engines[engine_id].channels.append(channel)
+        self.engines[engine_id].add_channel(channel)
         return channel
 
     def listen(self, channel, port):
@@ -87,7 +87,7 @@ class Stack:
         # Replicate to every engine: sprayed SYNs may land on any queue, and
         # each engine decides for itself whether it is the target.
         for eng in self.engines:
-            eng.control_inbox.append(("listen", listener))
+            eng.submit(("listen", listener))
         return listener
 
     bind = listen
@@ -135,7 +135,7 @@ class Stack:
 
     def close(self, flow):
         key = (flow.remote_ip, flow.remote_port, flow.local_port)
-        self.engines[flow.owner_engine].control_inbox.append(("close", key))
+        self.engines[flow.owner_engine].submit(("close", key))
 
     def stats_rows(self):
         """One mapping per engine (NIC queue), for the bench CSV export."""
@@ -145,8 +145,6 @@ class Stack:
             row = {"host": self.local_ip, "engine": eng.engine_id}
             row.update(vars(eng.stats))
             row["flows"] = len(eng.flows)
-            row["retransmits"] = sum(
-                f.stats.retransmits for f in eng.flows.values())
             row["queue_delivered"] = qstats.rx_delivered
             row["queue_ring_drops"] = qstats.rx_overflow_drops
             row["channel_rx_highwater"] = max(

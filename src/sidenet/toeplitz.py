@@ -32,38 +32,33 @@ def toeplitz_hash(key, data):
 
 
 class ToeplitzHasher:
-    """Memoizing hasher for the fixed-layout 12-byte IPv4/UDP input.
+    """Table-driven hasher for the fixed-layout 12-byte IPv4/UDP input.
 
-    Per-frame hashing is the fabric's hottest path; contributions of each
-    (byte position, byte value) pair are cached as they are first seen.
+    The hash is linear over XOR, so it splits into one 256-entry table per
+    input byte: row[pos][value] is the hash of `value` alone at byte `pos`.
+    Each row is built by doubling, one XOR per entry, so all 12 x 256
+    entries take well under a millisecond. toeplitz_hash above stays as the
+    bit-serial reference.
     """
 
     def __init__(self, key):
         if len(key) != KEY_LEN:
             raise ValueError("key must be %d bytes" % KEY_LEN)
-        self._key_int = int.from_bytes(key, "big")
-        self._top = KEY_LEN * 8 - 32
-        self._memo = [dict() for _ in range(12)]
-
-    def _contribution(self, pos, value):
-        h = 0
-        base = pos * 8
-        for b in range(8):
-            if value & (0x80 >> b):
-                h ^= (self._key_int >> (self._top - (base + b))) & 0xFFFFFFFF
-        return h
+        key_int = int.from_bytes(key, "big")
+        top = KEY_LEN * 8 - 32
+        self._rows = []
+        for pos in range(12):
+            row = [0]
+            for bit in range(pos * 8 + 7, pos * 8 - 1, -1):  # LSB first
+                window = (key_int >> (top - bit)) & 0xFFFFFFFF
+                row += [h ^ window for h in row]
+            self._rows.append(row)
 
     def hash_bytes(self, data):
         if len(data) != 12:
             raise ValueError("expected 12-byte four-tuple input")
-        result = 0
-        for pos, value in enumerate(data):
-            if not value:
-                continue
-            memo = self._memo[pos]
-            h = memo.get(value)
-            if h is None:
-                h = self._contribution(pos, value)
-                memo[value] = h
-            result ^= h
-        return result
+        r = self._rows
+        return (r[0][data[0]] ^ r[1][data[1]] ^ r[2][data[2]]
+                ^ r[3][data[3]] ^ r[4][data[4]] ^ r[5][data[5]]
+                ^ r[6][data[6]] ^ r[7][data[7]] ^ r[8][data[8]]
+                ^ r[9][data[9]] ^ r[10][data[10]] ^ r[11][data[11]])

@@ -97,7 +97,6 @@ class Flow:
         self.sack_enabled = sack_enabled
         self.stats = FlowStats()
         self.touched_by = set()
-        self.last_activity = 0
 
         # Sender state.
         self.next_tx_seq = 0
@@ -183,7 +182,6 @@ class Flow:
         """Cumulative + selective ack processing, fast retransmit, window
         advance."""
         self.touched_by.add(self.eng.engine_id)
-        self.last_activity = now
         ack = pkt.ack
         if ack > self.next_tx_seq:
             self.stats.protocol_errors += 1
@@ -243,6 +241,7 @@ class Flow:
         self.eng.emit(entry.frame)
         self.stats.frags_sent_total += 1
         self.stats.retransmits += 1
+        self.eng.stats.retransmits += 1
 
     def on_rto(self, now):
         if not self.unacked:
@@ -272,7 +271,6 @@ class Flow:
 
     def on_data(self, pkt, now):
         self.touched_by.add(self.eng.engine_id)
-        self.last_activity = now
         seq = pkt.seq
         if seq < self.rx_next or seq in self.rx_seen:
             self.stats.rx_duplicates += 1

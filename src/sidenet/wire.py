@@ -8,6 +8,7 @@ end to end. Layouts are bit-exact and documented in docs/wire.md.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 MTU = 1514
 ETH_HEADER_LEN = 14
@@ -52,7 +53,11 @@ _ACK_PAYLOAD = struct.Struct(">HH")  # successful SYN-ACK udp src/dst
 _SACK_RANGE = struct.Struct(">II")
 
 
+@lru_cache(maxsize=256)
 def pack_ip(dotted):
+    """4-byte network-order form of a dotted quad. A run uses a handful of
+    host addresses, so the bounded cache turns every frame build into
+    lookups instead of string parsing."""
     a, b, c, d = (int(x) for x in dotted.split("."))
     return bytes((a, b, c, d))
 

@@ -1,7 +1,9 @@
 """Scenario configs, CSV output, determinism, CLI behavior."""
 
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,31 @@ def test_cli_entry_point_runs_as_module():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "47,13,25" in proc.stdout
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# SHA-256 of the results and stats CSVs of `sidenet run` at each scenario's
+# pinned seed. A change that must not alter behaviour leaves these alone; a
+# protocol change updates them and says why in CHANGES.md.
+PINNED_CSV_SHA256 = {
+    "echo": (
+        "48373f2b508caf5bbe688d903ed4d36064d55ffd577e7529cce2e6a67426c16b",
+        "bfbf1781ec6f77c4398980ad8b7a0767def5a44061207f44aa8ca78b0c1727b2"),
+    "echo_lossy": (
+        "b5c85d44fbae1f0eb4cc2e355bc647e04d4d4afded5e1ca0b248dc95e355a90e",
+        "ac8d0996d4264093483b149eb8894d59e829e156af505514f09267a9184e01bd"),
+    "conn_setup_8x8": (
+        "56b84b455cfe1c91913c82801e2d578fe4519dffaee39c7656c1ffe1b124fd62",
+        "9faf0d93f62a174282b7cad6350425a061ba593ed49ad05ad01701ae60dfd543"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
+def test_scenario_csvs_replay_pinned_bytes(name, tmp_path):
+    out, stats = tmp_path / "out.csv", tmp_path / "stats.csv"
+    assert cli.main(["run", str(SCENARIOS / ("%s.cfg" % name)),
+                     "--out", str(out), "--stats", str(stats)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, stats))
+    assert digests == PINNED_CSV_SHA256[name]

@@ -5,6 +5,7 @@ import pytest
 from conftest import PollApp, connect_established, make_pair
 
 from sidenet import wire
+from sidenet.channel import CLOSED
 from sidenet.driver import Sim
 from sidenet.engine import CONTROL_INTERVAL_US, EnginePolicy, pick_engine
 from sidenet.fabric import FabricConfig
@@ -202,3 +203,140 @@ def test_whole_run_shared_nothing_audit():
             for ch in eng.channels:
                 assert ch.touched_by <= {eng.engine_id}
     assert len(seen_flows) == 20  # ten flows, one state per side, never shared
+
+
+def test_closed_flow_retransmits_still_counted():
+    """Retransmits are counted per engine, so they outlive the flow."""
+    sim, client, server, cch, sch = make_pair(seed=13, engines=1)
+    handle = connect_established(sim, client, cch)
+    dropped = []
+
+    def drop_first_data(frame):
+        if not dropped and wire.parse_frame(frame).pkt_type == wire.PKT_DATA:
+            dropped.append(frame)
+            return True
+        return False
+
+    sim.fabric._tap = drop_first_data
+    cch.send(handle, b"lost once")
+    assert sim.run_until(lambda: sch.rx_pending() > 0, max_us=1_000_000)
+    eng = client.engines[0]
+    (flow,) = eng.flows.values()
+    assert flow.stats.retransmits == 1
+    client.close(handle)
+    assert sim.run_until(lambda: handle.state == CLOSED, max_us=1_000_000)
+    assert not eng.flows
+    assert client.stats_rows()[0]["retransmits"] == 1
+
+
+def _idle_pair_at(offset):
+    """An established 1x1 pair run until idle, then to the first instant
+    that is `offset` past a 50 us grid point."""
+    sim, client, server, cch, sch = make_pair(seed=12, engines=1)
+    handle = connect_established(sim, client, cch)
+    assert sim.drain()
+    sim.run_for((offset - sim.now) % CONTROL_INTERVAL_US or CONTROL_INTERVAL_US)
+    assert sim.now % CONTROL_INTERVAL_US == offset
+    return sim, client, server, cch, sch, handle
+
+
+def _next_grid(t):
+    return (t // CONTROL_INTERVAL_US + 1) * CONTROL_INTERVAL_US
+
+
+def _first_emitted(sim, pkt_type):
+    """Record the virtual instant at which the first frame of a type enters
+    the fabric."""
+    seen = []
+
+    def tap(frame):
+        if not seen and wire.parse_frame(frame).pkt_type == pkt_type:
+            seen.append(sim.now)
+        return False
+
+    sim.fabric._tap = tap
+    return seen
+
+
+def _first_true(sim, cond):
+    """Record the first virtual instant at which cond() holds after the
+    engines have run."""
+    seen = []
+
+    def watch(sim_):
+        if not seen and cond():
+            seen.append(sim_.now)
+
+    sim.add_app(PollApp(watch))
+    return seen
+
+
+def _wake_by_channel_send(sim, client, server, cch, sch, handle):
+    seen = _first_emitted(sim, wire.PKT_DATA)
+    cch.send(handle, b"wake")
+    return seen, sim.now
+
+
+def _wake_by_listen(sim, client, server, cch, sch, handle):
+    eng = server.engines[0]
+    seen = _first_true(sim, lambda: 81 in eng.listeners)
+    server.listen(server.attach(), 81)
+    return seen, _next_grid(sim.now)
+
+
+def _wake_by_close(sim, client, server, cch, sch, handle):
+    seen = _first_emitted(sim, wire.PKT_FIN)
+    client.close(handle)
+    return seen, _next_grid(sim.now)
+
+
+def _wake_by_delivery(sim, client, server, cch, sch, handle):
+    eng = server.engines[0]
+    seen = _first_true(sim, lambda: eng.stats.rx_unknown_flow > 0)
+    stray = wire.build_frame("10.0.0.1", "10.0.0.2", 1, 2, wire.PKT_DATA,
+                             1, 2, payload=b"x", msg_len=1)
+    sim.fabric.send("10.0.0.1", stray)
+    return seen, sim.now + 20  # the pair's base delay
+
+
+def _wake_by_timer(sim, client, server, cch, sch, handle):
+    seen = []
+    due = sim.now + 777
+    client.engines[0].arm_timer(due, seen.append)
+    return seen, due
+
+
+@pytest.mark.parametrize("produce", [
+    _wake_by_channel_send, _wake_by_listen, _wake_by_close,
+    _wake_by_delivery, _wake_by_timer])
+def test_idle_engine_is_woken_by_each_producer(produce):
+    """Each producer of engine work sets the engine's wake flag, so work
+    that arrives while the whole sim is idle runs at its exact instant:
+    at once for messages and frames, on the next 50 us grid point after
+    submission for control requests, at the due time for timers."""
+    sim, *pair = _idle_pair_at(offset=17)
+    seen, expected = produce(sim, *pair)
+    assert sim.run_until(lambda: seen, max_us=1_000_000)
+    assert seen == [expected]
+
+
+def test_connect_gate_fixed_when_first_observed_while_throttled():
+    """A connect queued right after its engine ran is observed while the
+    engine is tick-throttled. Its gate is the grid point after that
+    instant, 3 us later, so the SYNs leave when the 5 us throttle ends
+    rather than on the grid point after it."""
+    sim, client, server, cch, sch, handle = _idle_pair_at(offset=47)
+    t0 = sim.now
+    eng = client.engines[0]
+    assert _next_grid(t0) < t0 + eng.tick_us
+    syn_at = _first_emitted(sim, wire.PKT_SYN)
+    connects = []
+
+    def connect_after_engine_ran(sim_):
+        if not connects:  # apps step after the engines in each pass
+            connects.append(client.connect(cch, "10.0.0.2", 80))
+
+    cch.send(handle, b"run the engine now")
+    sim.add_app(PollApp(connect_after_engine_ran))
+    assert sim.run_until(lambda: syn_at, max_us=1_000_000)
+    assert syn_at == [t0 + eng.tick_us]

@@ -105,11 +105,32 @@ def test_advance_rejects_negative_delta():
         fab.advance(-1)
 
 
+def _patched(frame, offset, value):
+    return frame[:offset] + bytes([value]) + frame[offset + 1:]
+
+
 def test_unknown_destination_counts_unroutable():
-    fab, _, _ = two_host_fabric(rng_seed=10)
-    fab.send("10.0.0.1", data_frame(dst="10.9.9.9"))
-    fab.send("10.0.0.1", b"\x00" * 20)
-    assert fab.stats.dropped_unroutable == 2
+    """Every frame the fabric cannot route is counted once and never
+    delivered: short, non-IPv4, IP options (IHL != 5), non-UDP, or for an
+    unregistered host."""
+    fab, nic_a, nic_b = two_host_fabric(rng_seed=10)
+    good = data_frame()
+    bad = [
+        b"\x00" * 20,
+        good[:wire.ETH_HEADER_LEN + wire.IP_HEADER_LEN + wire.UDP_HEADER_LEN - 1],
+        _patched(good, 12, 0x86),  # ethertype 0x8600, not IPv4
+        _patched(good, 14, 0x46),  # IHL 6
+        _patched(good, 23, 6),  # TCP
+        data_frame(dst="10.9.9.9"),
+    ]
+    for frame in bad:
+        fab.send("10.0.0.1", frame)
+    fab.send("10.0.0.1", good)
+    fab.advance(1000)
+    assert fab.stats.dropped_unroutable == len(bad)
+    assert fab.stats.delivered == 1
+    assert sum(nic_b.rx_pending(q) for q in range(4)) == 1
+    assert nic_a.rx_pending(0) == 0
     assert fab.conservation_ok()
 
 

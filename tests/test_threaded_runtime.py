@@ -1,0 +1,102 @@
+"""Cross-thread handoffs in the threaded runtime lose nothing."""
+
+import sys
+import threading
+import time
+from contextlib import contextmanager
+
+from sidenet.channel import CLOSED, ESTABLISHED
+from sidenet.driver import ThreadedRuntime
+from sidenet.fabric import FabricConfig
+from sidenet.nic import Nic, NicConfig
+from sidenet.stack import Stack
+
+FLOWS = 100
+MESSAGES_PER_FLOW = 20
+
+
+def _wait_for(cond, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while not cond():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@contextmanager
+def _preempt_often():
+    """A 1 us switch interval preempts threads between almost any two
+    bytecodes; the old interval is restored afterwards."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_stress_every_frame_and_control_request_is_handed_over():
+    """1x1 engines plus the fabric pump (3 threads), preempted often. Every
+    frame a NIC accepted must reach the fabric, and every connect and close
+    request must be serviced."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=5, base_delay_us=50), seed=5)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    cch = client.attach()
+    with _preempt_often():
+        rt.start()
+        try:
+            handles = [client.connect(cch, "10.0.0.2", 80)
+                       for _ in range(FLOWS)]
+            assert _wait_for(
+                lambda: all(h.state == ESTABLISHED for h in handles), 60)
+            for h in handles:
+                for i in range(MESSAGES_PER_FLOW):
+                    cch.send(h, b"%d" % i)
+            total = FLOWS * MESSAGES_PER_FLOW
+            for n in range(total):
+                assert sch.recv(block=True, timeout=60) is not None, (n, total)
+            for h in handles:
+                client.close(h)
+            assert _wait_for(lambda: all(h.state == CLOSED for h in handles),
+                             60)
+        finally:
+            rt.stop()
+    assert not client.engines[0].flows and not server.engines[0].flows
+    rt.fabric.collect_tx()  # frames queued after the pump stopped
+    accepted = sum(q.tx_frames for stack in (client, server)
+                   for q in stack.nic.queue_stats)
+    assert rt.fabric.stats.sent == accepted
+    assert rt.fabric.conservation_ok()
+
+
+def test_stress_control_queues_hand_over_every_request():
+    """An application thread queues requests on both control queues while
+    the engine side drains them as fast as it can: each request comes out
+    exactly once, in order per queue."""
+    nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
+    stack = Stack(nic, "10.0.0.1").init()
+    eng = stack.engines[0]
+    ch = stack.attach()
+    count = 20_000
+    got = []
+
+    def produce():
+        for i in range(count):
+            ch._push_control(("channel", i))
+            eng.submit(("inbox", i))
+
+    with _preempt_often():
+        producer = threading.Thread(target=produce)
+        producer.start()
+        deadline = time.monotonic() + 60
+        while producer.is_alive() and time.monotonic() < deadline:
+            got.extend(eng._drain_control())
+        producer.join(timeout=1)
+    assert not producer.is_alive()
+    got.extend(eng._drain_control())
+    for queue in ("channel", "inbox"):
+        assert [i for q, i in got if q == queue] == list(range(count))

@@ -5,9 +5,11 @@ against the published Microsoft RSS verification vectors before the package
 implementation existed; the frozen values in this file came out of it.
 """
 
-import random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sidenet.fabric import FourTuple, toeplitz_hash
+from sidenet import wire
+from sidenet.fabric import Fabric, FabricConfig, FourTuple, toeplitz_hash
 from sidenet.toeplitz import ToeplitzHasher
 
 
@@ -63,8 +65,10 @@ def test_reference_matches_published_vectors():
 
 
 def test_implementation_matches_published_vectors():
+    hasher = ToeplitzHasher(MS_KEY)
     for src, sp, dst, dp, want in MS_VECTORS:
         assert toeplitz_hash(MS_KEY, FourTuple(src, dst, sp, dp)) == want
+        assert hasher.hash_bytes(FourTuple(src, dst, sp, dp).pack()) == want
 
 
 def test_frozen_synthetic_vectors():
@@ -80,14 +84,34 @@ def test_all_zero_key_hashes_to_zero():
     assert toeplitz_hash(bytes(40), FourTuple("1.2.3.4", "5.6.7.8", 9, 10)) == 0
 
 
-def test_memoized_hasher_agrees_with_reference():
-    rng = random.Random(7)
-    for _ in range(40):
-        key = rng.randbytes(40)
-        hasher = ToeplitzHasher(key)
-        for _ in range(25):
-            data = rng.randbytes(12)
-            assert hasher.hash_bytes(data) == reference_hash(key, data)
+@settings(max_examples=300, deadline=None)
+@given(key=st.binary(min_size=40, max_size=40),
+       data=st.binary(min_size=12, max_size=12))
+def test_table_hasher_agrees_with_reference(key, data):
+    assert ToeplitzHasher(key).hash_bytes(data) == reference_hash(key, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(min_size=40, max_size=40),
+       src=st.binary(min_size=4, max_size=4),
+       ports=st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+       byteswap=st.booleans())
+def test_fabric_steering_agrees_with_reference(key, src, ports, byteswap):
+    """With one queue per indirection entry, the queue a frame steers and
+    is delivered to is its reference hash (byte-swapped if configured)
+    mod 128."""
+    fab = Fabric(FabricConfig(rss_key=key, hash_byteswap=byteswap))
+    nic = fab.add_host("10.0.0.2", 128)
+    src_ip = wire.unpack_ip(src)
+    frame = wire.build_frame(src_ip, "10.0.0.2", ports[0], ports[1],
+                             wire.PKT_DATA, 1, 2)
+    want = reference_hash(key, FourTuple(src_ip, "10.0.0.2", *ports).pack())
+    if byteswap:
+        want = int.from_bytes(want.to_bytes(4, "big"), "little")
+    assert fab.steer("10.0.0.2", frame) == want % 128
+    fab.send(src_ip, frame)
+    fab.advance(FabricConfig.base_delay_us)
+    assert nic.rx_pending(want % 128) == 1
 
 
 def test_hasher_rejects_bad_shapes():

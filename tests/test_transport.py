@@ -7,7 +7,7 @@ import pytest
 
 from sidenet import wire
 from sidenet.channel import Channel, ESTABLISHED, RESET, FlowHandle
-from sidenet.engine import Timer
+from sidenet.engine import EngineStats, Timer
 from sidenet.handshake import FlowPorts, UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
@@ -15,11 +15,12 @@ from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
 
 
 class StubEngine:
-    """Just enough engine surface for a Flow: emit, timers, drop."""
+    """Just enough engine surface for a Flow: emit, timers, drop, stats."""
 
     def __init__(self, ip):
         self.engine_id = 0
         self.local_ip = ip
+        self.stats = EngineStats()
         self.outbox = []
         self.timers = []
         self.dropped = []
