@@ -14,6 +14,7 @@ import io
 import threading
 import time
 
+from .channel import CONNECTING
 from .driver import Sim, ThreadedRuntime
 from .engine import EnginePolicy
 from .fabric import FabricConfig
@@ -134,6 +135,22 @@ class EchoClientApp:
         return work
 
 
+def _connect(sim, stack, channel, remote_ip, port, what, count=1, mode=None,
+             max_us=60_000_000, need_established=True):
+    """Open `count` flows and run until none is connecting. Raises
+    BenchError if one is still connecting after `max_us`, or, with
+    `need_established`, if one failed."""
+    handles = [stack.connect(channel, remote_ip, port, mode=mode)
+               for _ in range(count)]
+    if not sim.run_until(lambda: all(h.state != CONNECTING for h in handles),
+                         max_us=max_us):
+        raise BenchError("%s neither established nor failed" % what)
+    failed = [h for h in handles if not h.is_established]
+    if need_established and failed:
+        raise BenchError("%s failed to establish: %s" % (what, failed[0].error))
+    return handles
+
+
 def _fabric_config(params, seed):
     return FabricConfig(
         loss_probability=params.get("loss", 0.0),
@@ -158,10 +175,8 @@ def run_echo(hosts, fabric_params, workload, seed):
     sch = server.attach()
     server.listen(sch, 80)
     cch = client.attach()
-    handle = client.connect(cch, hosts["server"]["ip"], 80, mode=mode)
-    if not sim.run_until(lambda: handle.state != "connecting",
-                         max_us=60_000_000) or not handle.is_established:
-        raise BenchError("echo flow failed to establish: %s" % handle.error)
+    (handle,) = _connect(sim, client, cch, hosts["server"]["ip"], 80,
+                         "echo flow", mode=mode)
 
     sim.add_app(EchoServerApp(server, sch))
     app = sim.add_app(EchoClientApp(client, cch, handle, msg_size, inflight,
@@ -172,10 +187,8 @@ def run_echo(hosts, fabric_params, workload, seed):
     sim.drain(max_us=10_000_000)
     check_conservation(sim, [client, server])
 
-    retransmits = sum(f.stats.retransmits
-                      for st in (client, server)
-                      for eng in st.engines
-                      for f in eng.flows.values())
+    retransmits = sum(eng.stats.retransmits
+                      for st in (client, server) for eng in st.engines)
     row = {
         "scenario": "echo", "seed": seed, "msg_size": msg_size,
         "inflight": inflight, "messages": count,
@@ -205,11 +218,9 @@ def run_conn_setup(hosts, fabric_params, workload, seed):
         cch = client_chs[(trial * 7 + 3) % n_client]
         server.listen(sch, port)
         submitted = sim.now
-        handle = client.connect(cch, hosts["server"]["ip"], port, mode=mode)
-        ok = sim.run_until(lambda: handle.state != "connecting",
-                           max_us=30_000_000)
-        if not ok:
-            raise BenchError("trial %d neither established nor failed" % trial)
+        (handle,) = _connect(sim, client, cch, hosts["server"]["ip"], port,
+                             "trial %d" % trial, mode=mode, max_us=30_000_000,
+                             need_established=False)
         rows.append({
             "scenario": "conn_setup", "seed": seed, "trial": trial,
             "mode": mode, "established": int(handle.is_established),
@@ -322,18 +333,11 @@ def _isolation_variant(variant, hosts, fabric_params, workload, seed):
     bulk_load = []
     if variant != "baseline":
         for i, cch in enumerate(bulk_cch):
-            handles = [bulk_client.connect(cch, SERVER_IP, 9000 + i)
-                       for _ in range(bulk_flows)]
-            ok = sim.run_until(
-                lambda: all(h.state != "connecting" for h in handles),
-                max_us=60_000_000)
-            if not ok or not all(h.is_established for h in handles):
-                raise BenchError("bulk flow failed to establish")
+            handles = _connect(sim, bulk_client, cch, SERVER_IP, 9000 + i,
+                               "bulk flow", count=bulk_flows)
             bulk_load.append(BulkLoadApp(cch, handles, bulk_inflight, bulk_msg))
-    probe_handle = probe_client.connect(probe_cch, SERVER_IP, 8000)
-    if not sim.run_until(lambda: probe_handle.state != "connecting",
-                         max_us=60_000_000) or not probe_handle.is_established:
-        raise BenchError("probe flow failed to establish")
+    (probe_handle,) = _connect(sim, probe_client, probe_cch, SERVER_IP, 8000,
+                               "probe flow")
 
     for ch in bulk_sch + [probe_sch]:
         sim.add_app(EchoServerApp(server, ch))

@@ -103,7 +103,8 @@ class Message:
 
 class Channel:
     """Bounded bidirectional SPSC message queues between one app thread and
-    one engine, with control requests carried out of band."""
+    one engine. Messages only: connect, listen and close requests go to the
+    engine's control inbox (Engine.submit), not through the channel."""
 
     def __init__(self, owner_engine, app_id, capacity=CHANNEL_CAPACITY):
         self.owner_engine = owner_engine
@@ -111,11 +112,9 @@ class Channel:
         self.capacity = capacity
         self._rx = deque()
         self._tx = deque()
-        self._control = deque()
         self._rx_cond = threading.Condition()
         self._tx_cond = threading.Condition()
         self.stats = ChannelStats()
-        self.touched_by = set()
         self._engine = None  # set by Engine.add_channel; woken on app input
 
     # Application side.
@@ -164,8 +163,7 @@ class Channel:
 
     # Engine side.
 
-    def _push_rx(self, msg, engine_id):
-        self.touched_by.add(engine_id)
+    def _push_rx(self, msg):
         with self._rx_cond:
             self._rx.append(msg)
             self.stats.rx_enqueued += 1
@@ -174,8 +172,7 @@ class Channel:
             self.stats.wakeups += 1
             self._rx_cond.notify()
 
-    def _pop_tx(self, max_msgs, engine_id):
-        self.touched_by.add(engine_id)
+    def _pop_tx(self, max_msgs):
         out = []
         with self._tx_cond:
             while self._tx and len(out) < max_msgs:
@@ -183,18 +180,6 @@ class Channel:
                 self.stats.tx_dequeued += 1
             if out:
                 self._tx_cond.notify()
-        return out
-
-    def _push_control(self, request):
-        self._control.append(request)
-        if self._engine is not None:
-            self._engine.notify_control()
-
-    def _pop_control(self):
-        control = self._control
-        out = []
-        while control:
-            out.append(control.popleft())
         return out
 
     def tx_pending(self):

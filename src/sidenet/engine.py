@@ -3,7 +3,8 @@
 Each engine owns exactly one NIC queue pair and every flow whose packets
 steer there; engines never exchange state. One iteration drains a bounded
 burst from the RX ring, services its channels' TX queues, fires due timers,
-and (on a 50 microsecond grid) picks up new connect/listen requests.
+and (on a 50 microsecond grid) carries out the connect, listen and close
+requests queued on its control inbox.
 
 Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
@@ -16,9 +17,9 @@ The engine sets the flag itself after each iteration. Everything else
 that gives an engine work from outside its own iteration must set it:
 
 * the NIC, for each frame delivered into the engine's RX ring;
-* a channel, when the application queues a message (Channel.send) or a
-  connect request;
-* submit(), for listen and close requests;
+* a channel, when the application queues a message (Channel.send);
+* submit(), for every control request: connect, listen and close all
+  arrive on the engine's one control inbox;
 * arm_timer() and emit(), when called from outside the engine.
 
 A new producer of engine work must set the flag too, or the engine sleeps
@@ -140,7 +141,6 @@ class Engine:
         self.stats = EngineStats()
         self._timers = []
         self._timer_seq = 0
-        self._control_waiting = False  # a control request may be queued
         self._control_gate = None  # next 50 us grid point once requests wait
         self._app_tx = False  # a channel may hold messages to transmit
         self._next_allowed = 0
@@ -156,13 +156,9 @@ class Engine:
         channel._engine = self
 
     def submit(self, request):
-        """Queue a listen or close request for the next 50 us grid point."""
+        """Queue a connect, listen or close request for the next 50 us grid
+        point."""
         self.control_inbox.append(request)
-        self.notify_control()
-
-    def notify_control(self):
-        """A connect, listen or close request was queued."""
-        self._control_waiting = True
         self.wake = True
 
     def notify_app_tx(self):
@@ -173,9 +169,9 @@ class Engine:
     # Scheduling interface used by the deterministic driver.
 
     def _control_time(self, now):
-        """Connect/listen requests are serviced only on the 50 us grid; the
-        first grid point after a request is observed becomes its gate."""
-        if not self._control_waiting:
+        """Control requests are serviced only on the 50 us grid; the first
+        grid point after a request is observed becomes its gate."""
+        if not self.control_inbox:
             self._control_gate = None
             return None
         if self._control_gate is None:
@@ -249,7 +245,7 @@ class Engine:
 
         app_tx = False
         for ch in self.channels:
-            for handle, payload in ch._pop_tx(CHANNEL_MSG_BURST, self.engine_id):
+            for handle, payload in ch._pop_tx(CHANNEL_MSG_BURST):
                 self._app_send(handle, payload, now)
                 work += 1
             app_tx = app_tx or ch.tx_pending() > 0  # beyond one burst
@@ -366,17 +362,13 @@ class Engine:
     # Control plane (connect/listen/close), serviced on the 50 us grid.
 
     def _drain_control(self):
-        """Every queued request, the engine's own inbox first. The flag is
-        cleared before the queues are popped, so a request that another
-        thread queues meanwhile is either taken now or flags the next
-        round; popleft never drops one."""
-        self._control_waiting = False
+        """Every queued request, in submission order. A request that another
+        thread queues meanwhile is either taken now or keeps the inbox
+        non-empty for the next gate; popleft never drops one."""
         requests = []
         inbox = self.control_inbox
         while inbox:
             requests.append(inbox.popleft())
-        for ch in self.channels:
-            requests.extend(ch._pop_control())
         return requests
 
     def _process_control(self, request, now):
@@ -393,8 +385,6 @@ class Engine:
         elif op == "listen":
             listener = request[1]
             self.listeners[listener.port] = listener
-        elif op == "unlisten":
-            self.listeners.pop(request[1], None)
         elif op == "close":
             flow = self.flows.get(request[1])
             if flow is not None:
@@ -405,7 +395,6 @@ class Engine:
     def establish_client_flow(self, hs, tx_udp, rx_udp, remote_engine):
         flow = transport.Flow(self, hs.handle, hs.ports, hs.remote_ip,
                               tx_udp, rx_udp, hs.handle.channel)
-        flow.touched_by.add(self.engine_id)
         self.flows[hs.key()] = flow
         hs.handle.remote_engine = remote_engine
         hs.handle.attempts = hs.attempt
@@ -419,7 +408,6 @@ class Engine:
         handle._settle(ESTABLISHED)
         flow = transport.Flow(self, handle, hs.ports, hs.remote_ip,
                               tx_udp, rx_udp, hs.listener.channel)
-        flow.touched_by.add(self.engine_id)
         self.flows[hs.key()] = flow
         return flow
 

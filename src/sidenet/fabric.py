@@ -100,12 +100,11 @@ class FabricStats:
 
 
 class _Host:
-    __slots__ = ("nic", "table", "delivered")
+    __slots__ = ("nic", "table")
 
-    def __init__(self, nic, table, delivered):
+    def __init__(self, nic, table):
         self.nic = nic
         self.table = table
-        self.delivered = delivered  # per-queue delivery counts
 
 
 class _Event:
@@ -138,7 +137,6 @@ class Fabric:
         self._last_pending = None
         self._tap = None  # test hook: callable(frame) -> True to force-drop
         self.stats = FabricStats()
-        self.per_queue_delivered = {}
 
     @property
     def now(self):
@@ -151,8 +149,7 @@ class Fabric:
             raise ValueError("host %s already registered" % ip)
         nic = Nic(NicConfig(num_queues=num_queues, local_ip=ip))
         table = [i % num_queues for i in range(INDIRECTION_ENTRIES)]
-        delivered = self.per_queue_delivered[ip] = [0] * num_queues
-        self._hosts[addr] = _Host(nic, table, delivered)
+        self._hosts[addr] = _Host(nic, table)
         self._tx_rings.extend((ip, ring) for ring in nic._tx)
         return nic
 
@@ -263,10 +260,8 @@ class Fabric:
         return self.advance_to(self.clock.now + delta)
 
     def _deliver(self, event):
-        host = event.host
-        if host.nic._deliver(event.queue, event.frame):
+        if event.host.nic._deliver(event.queue, event.frame):
             self.stats.delivered += 1
-            host.delivered[event.queue] += 1
         else:
             self.stats.dropped_ring_full += 1
 

@@ -136,24 +136,19 @@ class ClientHandshake:
         self.phase = HS_SYN_SENT
         self.attempt = 1
         self.batch_size = 0
-        self.batch_log = []
         self.sprayed = set()
         self.retry_timer = None
-        self.established_attempt = 0
-        self.started_at = None
         self._winning_synack = None
 
     def key(self):
         return (self.remote_ip, self.ports.remote, self.ports.local)
 
     def start(self, eng, now):
-        self.started_at = now
         self.batch_size = _spray_count(self.mode, self.remote_engines,
                                        self.local_engines, self.p)
         self._spray(eng, now)
 
     def _spray(self, eng, now):
-        self.batch_log.append(self.batch_size)
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(self.local_engines, eng.engine_id)
         for pair in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
@@ -200,7 +195,6 @@ class ClientHandshake:
             return
         tx_src, tx_dst, remote_engine = accepted
         self.phase = HS_ESTABLISHED
-        self.established_attempt = self.attempt
         if self.retry_timer is not None:
             self.retry_timer.cancel()
         self._winning_synack = pkt

@@ -11,7 +11,7 @@ flow-to-queue hashing.
 from collections import deque
 from dataclasses import dataclass
 
-from .wire import MTU, mac_for_ip
+from .wire import MTU
 
 QUEUE_DEPTH = 256
 MIN_FRAME_LEN = 14  # bare Ethernet header
@@ -23,7 +23,6 @@ class NicConfig:
 
     num_queues: int
     local_ip: str
-    local_mac: bytes = b""
     queue_depth: int = QUEUE_DEPTH
     mtu: int = MTU
     host_cores: int = 0  # 0 means "same as num_queues"
@@ -36,8 +35,6 @@ class NicConfig:
         cores = self.host_cores or self.num_queues
         if not 1 <= self.num_queues <= cores:
             raise ValueError("num_queues must be in [1, %d]" % cores)
-        if not self.local_mac:
-            self.local_mac = mac_for_ip(self.local_ip)
 
 
 @dataclass

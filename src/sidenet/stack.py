@@ -37,7 +37,6 @@ class Stack:
         self.default_p = default_p
         self.engines = []
         self._attach_count = 0
-        self._app_count = 0
         self._listen_ports = {}
         self._next_flow_port = EPHEMERAL_FLOW_PORT_BASE
         self._lock = threading.Lock()
@@ -69,8 +68,7 @@ class Stack:
         with self._lock:
             engine_id = pick_engine(policy, len(self.engines), self._attach_count)
             self._attach_count += 1
-            self._app_count += 1
-            channel = Channel(engine_id, self._app_count)
+            channel = Channel(engine_id, self._attach_count)
         self.engines[engine_id].add_channel(channel)
         return channel
 
@@ -105,9 +103,9 @@ class Stack:
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,
                             channel)
         ports = handshake.FlowPorts(local=local_port, remote=remote_port)
-        channel._push_control(("connect", handle, ports, remote_ip,
-                               mode or self.default_mode, p or self.default_p,
-                               remote_engines))
+        self.engines[channel.owner_engine].submit(
+            ("connect", handle, ports, remote_ip, mode or self.default_mode,
+             p or self.default_p, remote_engines))
         if blocking:
             handle.wait(timeout)
             if handle.state == FAILED:

@@ -87,7 +87,6 @@ class Flow:
     def __init__(self, eng, handle, flow_ports, remote_ip, tx_udp, rx_udp,
                  channel, sack_enabled=True):
         self.eng = eng
-        self.engine_id = eng.engine_id
         self.handle = handle
         self.ports = flow_ports
         self.remote_ip = remote_ip
@@ -96,7 +95,7 @@ class Flow:
         self.channel = channel
         self.sack_enabled = sack_enabled
         self.stats = FlowStats()
-        self.touched_by = set()
+        self.reap_timer = None  # armed by start_close
 
         # Sender state.
         self.next_tx_seq = 0
@@ -181,7 +180,6 @@ class Flow:
     def on_sack(self, pkt, now):
         """Cumulative + selective ack processing, fast retransmit, window
         advance."""
-        self.touched_by.add(self.eng.engine_id)
         ack = pkt.ack
         if ack > self.next_tx_seq:
             self.stats.protocol_errors += 1
@@ -234,8 +232,8 @@ class Flow:
             return
         entry.retransmits += 1
         if entry.retransmits > MAX_FRAGMENT_RETRANSMITS:
-            self.reset("fragment %d retransmitted %d times without an ack"
-                       % (seq, MAX_FRAGMENT_RETRANSMITS))
+            self._teardown(RESET, "fragment %d retransmitted %d times without "
+                           "an ack" % (seq, MAX_FRAGMENT_RETRANSMITS))
             return
         entry.sent_at = now
         self.eng.emit(entry.frame)
@@ -259,18 +257,9 @@ class Flow:
         self.rto_timer = self.eng.arm_timer(now + self.rto_us,
                                             lambda t: self.on_rto(t))
 
-    def reset(self, reason):
-        self.handle._settle(RESET, reason)
-        if self.rto_timer is not None:
-            self.rto_timer.cancel()
-        if self.ack_timer is not None:
-            self.ack_timer.cancel()
-        self.eng.drop_flow(self)
-
     # Receiving.
 
     def on_data(self, pkt, now):
-        self.touched_by.add(self.eng.engine_id)
         seq = pkt.seq
         if seq < self.rx_next or seq in self.rx_seen:
             self.stats.rx_duplicates += 1
@@ -303,7 +292,7 @@ class Flow:
             payload = self.completed.pop(self.next_deliver_msg_id)
             self.next_deliver_msg_id += 1
             self.stats.msgs_delivered += 1
-            self.channel._push_rx(Message(self.handle, payload), self.engine_id)
+            self.channel._push_rx(Message(self.handle, payload))
 
     def _on_ack_timer(self, now):
         if self.frames_since_ack > 0:
@@ -347,14 +336,10 @@ class Flow:
             self.eng.local_ip, self.remote_ip, self.tx_udp.src,
             self.tx_udp.dst, wire.PKT_FINACK, self.ports.local,
             self.ports.remote))
-        if self.handle.state == ESTABLISHED:
-            self.handle._settle(CLOSED)
-        self.eng.drop_flow(self)
+        self._teardown(CLOSED)
 
     def on_finack(self, pkt, now):
-        if self.handle.state == ESTABLISHED:
-            self.handle._settle(CLOSED)
-        self.eng.drop_flow(self)
+        self._teardown(CLOSED)
 
     def start_close(self, now):
         self.eng.emit(wire.build_frame(
@@ -362,13 +347,20 @@ class Flow:
             self.tx_udp.dst, wire.PKT_FIN, self.ports.local,
             self.ports.remote))
         # Peer or the idle reaper finishes the job if the FIN-ACK is lost.
-        self.eng.arm_timer(now + IDLE_REAP_US, lambda t: self._reap(t))
+        if self.reap_timer is None:
+            self.reap_timer = self.eng.arm_timer(
+                now + IDLE_REAP_US, lambda t: self._teardown(CLOSED))
 
-    def _reap(self, now):
-        if self.key() in self.eng.flows:
-            if self.handle.state == ESTABLISHED:
-                self.handle._settle(CLOSED)
-            self.eng.drop_flow(self)
+    def _teardown(self, state, reason=None):
+        """The one way a flow ends: settle the handle (a reset always, a
+        close only while established), stop every timer the flow armed,
+        and drop it from its engine."""
+        if state == RESET or self.handle.state == ESTABLISHED:
+            self.handle._settle(state, reason)
+        for timer in (self.rto_timer, self.ack_timer, self.reap_timer):
+            if timer is not None:
+                timer.cancel()
+        self.eng.drop_flow(self)
 
     def conservation_ok(self):
         s = self.stats

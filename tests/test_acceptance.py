@@ -247,7 +247,7 @@ def test_criterion_8_blocking_receive():
         t = threading.Thread(target=consumer, daemon=True)
         t.start()
         for i in range(handoffs):
-            ch._push_rx(Message(None, i.to_bytes(4, "big")), engine_id=0)
+            ch._push_rx(Message(None, i.to_bytes(4, "big")))
             roll = rng.random()
             if roll < 0.10:
                 time.sleep(0)

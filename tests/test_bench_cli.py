@@ -203,3 +203,19 @@ def test_scenario_csvs_replay_pinned_bytes(name, tmp_path):
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, stats))
     assert digests == PINNED_CSV_SHA256[name]
+
+
+# SHA-256 of a small isolation run's results CSV (all three variants).
+PINNED_ISOLATION_SHA256 = (
+    "f0aa7cfcbbb3fe17404cd6aad868dc3030869772939a7b4bf7884e288ed41199")
+
+
+def test_small_isolation_replays_pinned_bytes():
+    hosts = {"client": {"ip": "10.0.0.1", "engines": 2},
+             "server": {"ip": "10.0.0.2", "engines": 2}}
+    rows, _, _ = bench.run_isolation(
+        hosts, {"base_delay_us": 20},
+        {"kind": "isolation", "probe_count": 20, "bulk_apps": 1}, seed=4)
+    assert [r["variant"] for r in rows] == ["baseline", "pinned", "unpinned"]
+    digest = hashlib.sha256(bench.write_csv(rows).encode()).hexdigest()
+    assert digest == PINNED_ISOLATION_SHA256

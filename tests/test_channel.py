@@ -124,7 +124,7 @@ def test_blocking_recv_times_out_with_none():
 
 def test_blocking_recv_never_sleeps_with_data_ready():
     ch = Channel(0, 1)
-    ch._push_rx(Message(None, b"ready"), engine_id=0)
+    ch._push_rx(Message(None, b"ready"))
     assert ch.recv(block=True, timeout=5).payload == b"ready"
 
 
@@ -145,7 +145,7 @@ def test_randomized_interleavings_lose_no_wakeups():
     t = threading.Thread(target=consumer)
     t.start()
     for i in range(rounds):
-        ch._push_rx(Message(None, i.to_bytes(4, "big")), engine_id=0)
+        ch._push_rx(Message(None, i.to_bytes(4, "big")))
         if rng.random() < 0.3:
             threading.Event().wait(rng.random() * 0.0005)
     t.join(timeout=30)
@@ -165,7 +165,7 @@ def test_blocked_receiver_spin_counter_stays_zero():
     t = threading.Thread(target=consumer)
     t.start()
     for i in range(20):
-        ch._push_rx(Message(None, b"%d" % i), engine_id=0)
+        ch._push_rx(Message(None, b"%d" % i))
         threading.Event().wait(0.001)
     t.join(timeout=10)
     assert len(seen) == 20 and all(m is not None for m in seen)

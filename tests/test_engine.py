@@ -1,5 +1,7 @@
 """Engine loop contract: iteration order, policies, shared-nothing audit."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import PollApp, connect_established, make_pair
@@ -27,9 +29,32 @@ def test_pending_app_message_is_processed_within_iteration():
     assert eng.stats.frames_tx > 0
 
 
+def _steer(sim, src_ip, dst_ip, udp):
+    """Engine queue the fabric steers src_ip -> dst_ip frames on a UDP pair."""
+    frame = wire.build_frame(src_ip, dst_ip, udp.src, udp.dst, wire.PKT_SACK,
+                             1, 2)
+    return sim.fabric.steer(dst_ip, frame)
+
+
+def _assert_flows_steer_to_owners(sim, *stacks):
+    """Fabric steering oracle: each flow's receive pair steers to the engine
+    holding the flow, and its transmit pair to the engine holding the peer
+    flow on the other host. Returns the number of flows checked."""
+    owners = {(stack.local_ip, key): (eng.engine_id, flow)
+              for stack in stacks for eng in stack.engines
+              for key, flow in eng.flows.items()}
+    for (ip, key), (engine_id, flow) in owners.items():
+        peer_key = (ip, flow.ports.local, flow.ports.remote)
+        peer_engine, _ = owners[(flow.remote_ip, peer_key)]
+        assert _steer(sim, flow.remote_ip, ip, flow.rx_udp) == engine_id, key
+        assert _steer(sim, ip, flow.remote_ip, flow.tx_udp) == peer_engine, key
+    return len(owners)
+
+
 def test_foreign_flow_frame_dropped_without_touching_owner():
     """A frame for another engine's flow (forced past RSS) is dropped and
-    counted; the owning engine's state is untouched."""
+    counted; the owning engine's state is untouched, and the flow's own
+    port pairs steer only to its owners."""
     sim, client, server, cch, sch = make_pair(seed=3, engines=4,
                                               server_engine=2)
     handle = connect_established(sim, client, cch)
@@ -39,6 +64,9 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
     other = server.engines[0]
     flow = owner.flows[key]
     rx_next_before = flow.rx_next
+    rx_seen_before = set(flow.rx_seen)
+    flow_stats_before = replace(flow.stats)
+    owner_stats_before = replace(owner.stats)
     rogue = wire.build_frame(
         "10.0.0.1", "10.0.0.2", 1, 2, wire.PKT_DATA, handle.local_port, 80,
         payload=b"sneak", seq=flow.rx_next, msg_id=0, frag_offset=0,
@@ -47,7 +75,10 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
     other.run_iteration(sim.now)
     assert other.stats.rx_unknown_flow == 1
     assert flow.rx_next == rx_next_before
-    assert flow.touched_by == {2}
+    assert flow.rx_seen == rx_seen_before
+    assert flow.stats == flow_stats_before
+    assert owner.stats == owner_stats_before
+    assert _assert_flows_steer_to_owners(sim, client, server) == 2
 
 
 def test_round_robin_assignment_cycles():
@@ -197,12 +228,14 @@ def test_whole_run_shared_nothing_audit():
     for stack in (client, server):
         for eng in stack.engines:
             for key, flow in eng.flows.items():
-                assert flow.touched_by <= {eng.engine_id}, (key, flow.touched_by)
                 assert (stack.local_ip, key) not in seen_flows
                 seen_flows[(stack.local_ip, key)] = eng.engine_id
-            for ch in eng.channels:
-                assert ch.touched_by <= {eng.engine_id}
+            for ch in eng.channels:  # served by its owner engine alone
+                holders = [e.engine_id for e in stack.engines
+                           if ch in e.channels]
+                assert holders == [ch.owner_engine]
     assert len(seen_flows) == 20  # ten flows, one state per side, never shared
+    assert _assert_flows_steer_to_owners(sim, client, server) == 20
 
 
 def test_closed_flow_retransmits_still_counted():
@@ -227,6 +260,39 @@ def test_closed_flow_retransmits_still_counted():
     assert sim.run_until(lambda: handle.state == CLOSED, max_us=1_000_000)
     assert not eng.flows
     assert client.stats_rows()[0]["retransmits"] == 1
+
+
+def test_fin_close_leaves_nothing_behind():
+    """A FIN/FIN-ACK close ends both flows for good: after the FIN-ACK
+    neither side sends a frame, no frame reaches an unknown flow, no live
+    timer is left on either engine, and the sim drains within 1 ms."""
+    sim, client, server, cch, sch = make_pair(seed=14, engines=1)
+    handle = connect_established(sim, client, cch)
+
+    def echo(sim_):
+        msg = sch.recv()
+        if msg:
+            server.send(sch, msg.flow, msg.payload)
+            return 1
+        return 0
+
+    sim.add_app(PollApp(echo))
+    cch.send(handle, b"ping")
+    assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
+    assert cch.recv().payload == b"ping"
+    sent = []
+    sim.fabric._tap = lambda frame: sent.append(
+        wire.parse_frame(frame).pkt_type) and False
+    client.close(handle)
+    closed_at = sim.now
+    assert sim.drain()
+    assert handle.state == CLOSED
+    assert sent[-1] == wire.PKT_FINACK and sent.count(wire.PKT_FINACK) == 1
+    engines = client.engines + server.engines
+    assert not any(eng.flows for eng in engines)
+    assert [eng.stats.rx_unknown_flow for eng in engines] == [0, 0]
+    assert not [t for eng in engines for _, _, t in eng._timers if t.live]
+    assert sim.now - closed_at <= 1000
 
 
 def _idle_pair_at(offset):

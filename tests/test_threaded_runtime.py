@@ -74,29 +74,35 @@ def test_stress_every_frame_and_control_request_is_handed_over():
 
 
 def test_stress_control_queues_hand_over_every_request():
-    """An application thread queues requests on both control queues while
-    the engine side drains them as fast as it can: each request comes out
-    exactly once, in order per queue."""
+    """Two application threads submit tagged requests to one engine's
+    control inbox while the engine side drains it as fast as it can: each
+    request comes out exactly once, in order per producer. The producers
+    hand over the GIL every 64 requests, so the drain is interrupted at
+    many points, between any two of its steps."""
     nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
-    stack = Stack(nic, "10.0.0.1").init()
-    eng = stack.engines[0]
-    ch = stack.attach()
+    eng = Stack(nic, "10.0.0.1").init().engines[0]
     count = 20_000
     got = []
 
-    def produce():
+    def produce(tag):
         for i in range(count):
-            ch._push_control(("channel", i))
-            eng.submit(("inbox", i))
+            eng.submit((tag, i))
+            if i % 64 == 0:
+                time.sleep(0)
 
     with _preempt_often():
-        producer = threading.Thread(target=produce)
-        producer.start()
+        producers = [threading.Thread(target=produce, args=(tag,))
+                     for tag in ("a", "b")]
+        for t in producers:
+            t.start()
         deadline = time.monotonic() + 60
-        while producer.is_alive() and time.monotonic() < deadline:
+        while (any(t.is_alive() for t in producers)
+               and time.monotonic() < deadline):
             got.extend(eng._drain_control())
-        producer.join(timeout=1)
-    assert not producer.is_alive()
+        for t in producers:
+            t.join(timeout=1)
+    assert not any(t.is_alive() for t in producers)
     got.extend(eng._drain_control())
-    for queue in ("channel", "inbox"):
-        assert [i for q, i in got if q == queue] == list(range(count))
+    assert len(got) == 2 * count
+    for tag in ("a", "b"):
+        assert [i for q, i in got if q == tag] == list(range(count))
