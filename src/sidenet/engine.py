@@ -397,7 +397,6 @@ class Engine:
                               tx_udp, rx_udp, hs.handle.channel)
         self.flows[hs.key()] = flow
         hs.handle.remote_engine = remote_engine
-        hs.handle.attempts = hs.attempt
         hs.handle._settle(ESTABLISHED, attempts=hs.attempt)
         return flow
 

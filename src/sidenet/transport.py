@@ -2,11 +2,13 @@
 
 Messages (1 byte to 8 MiB) are split into fixed 1408-byte fragments that
 carry a per-flow packet sequence number, a message id, and byte placement
-within the message. The receiver acknowledges cumulatively plus up to eight
-selective ranges; holes trigger fast retransmit after three reports, and a
-retransmission timer backs the whole thing up. Completed messages are
-handed to the application whole, in message-id order per flow, never split
-or coalesced.
+within the message, numbered one message after another. The receiver
+consumes fragments in seq order, so messages reach the application whole,
+in send order, never split or coalesced; a fragment that does not continue
+its message resets the flow, and a DATA header no honest sender could emit
+is counted and dropped. Acks are cumulative plus up to eight selective
+ranges; holes trigger fast retransmit after three reports, and a
+retransmission timer backs the whole thing up.
 
 A fixed 64-packet send window stands in for congestion control, which this
 stack deliberately does not have; the window constant is the seam where a
@@ -44,25 +46,6 @@ class _TxEntry:
     fast_done: bool = False  # fast retransmit fired for the current cycle
 
 
-class _RxMessage:
-    __slots__ = ("total_len", "parts", "got")
-
-    def __init__(self, total_len):
-        self.total_len = total_len
-        self.parts = {}
-        self.got = 0
-
-    def add(self, offset, data):
-        if offset in self.parts:
-            return False
-        self.parts[offset] = data
-        self.got += len(data)
-        return self.got >= self.total_len
-
-    def assemble(self):
-        return b"".join(self.parts[off] for off in sorted(self.parts))
-
-
 @dataclass
 class FlowStats:
     msgs_sent: int = 0
@@ -85,7 +68,7 @@ class Flow:
     """
 
     def __init__(self, eng, handle, flow_ports, remote_ip, tx_udp, rx_udp,
-                 channel, sack_enabled=True):
+                 channel):
         self.eng = eng
         self.handle = handle
         self.ports = flow_ports
@@ -93,7 +76,6 @@ class Flow:
         self.tx_udp = tx_udp
         self.rx_udp = rx_udp
         self.channel = channel
-        self.sack_enabled = sack_enabled
         self.stats = FlowStats()
         self.reap_timer = None  # armed by start_close
 
@@ -109,10 +91,10 @@ class Flow:
 
         # Receiver state.
         self.rx_next = 0
-        self.rx_seen = set()  # received seqs >= rx_next
-        self.reassembly = {}
-        self.next_deliver_msg_id = 0
-        self.completed = {}
+        self.rx_buffer = {}  # seq -> ParsedFrame, rx_next <= seq < window end
+        self.rx_msg_id = 0  # message being assembled
+        self.rx_msg_len = 0
+        self.rx_parts = []  # its payloads consumed so far
         self.frames_since_ack = 0
         self.ack_timer = None
 
@@ -184,47 +166,53 @@ class Flow:
         if ack > self.next_tx_seq:
             self.stats.protocol_errors += 1
             return
-        progressed = False
-        for seq in [s for s in self.unacked if s < ack]:
-            entry = self.unacked.pop(seq)
-            self.stats.frags_acked_unique += 1
-            progressed = True
-            if entry.retransmits == 0:  # Karn: never sample retransmissions
-                sample = now - entry.sent_at
-                self.srtt_us = (sample if self.srtt_us == 0
-                                else (7 * self.srtt_us + sample) // 8)
-        if ack > self.acked_upto:
+        progressed = ack > self.acked_upto
+        if progressed:
             self.acked_upto = ack
-            progressed = True
-        ranges = wire.unpack_sack_payload(pkt.payload) if pkt.payload else []
-        for start, end in ranges:
-            for seq in [s for s in self.unacked if start <= s < end]:
+        # Sorted by start, one cursor finds each seq's cover, overlaps too.
+        ranges = sorted(wire.unpack_sack_payload(pkt.payload))
+        highest = max((end for _, end in ranges), default=ack)
+        holes = []
+        i, n = 0, len(ranges)
+        for seq, entry in list(self.unacked.items()):
+            if seq < ack:
                 del self.unacked[seq]
                 self.stats.frags_acked_unique += 1
+                progressed = True
+                if entry.retransmits == 0:  # Karn: never sample retransmits
+                    sample = now - entry.sent_at
+                    self.srtt_us = (sample if self.srtt_us == 0
+                                    else (7 * self.srtt_us + sample) // 8)
+                continue
+            if seq >= highest:
+                break
+            while i < n and ranges[i][1] <= seq:
+                i += 1
+            if i < n and ranges[i][0] <= seq:
+                del self.unacked[seq]
+                self.stats.frags_acked_unique += 1
+            else:
+                holes.append((seq, entry))
         if progressed:
             self.rto_us = RTO_BASE_US
             if self.rto_timer is not None:
                 self.rto_timer.cancel()
             if self.unacked:
                 self._ensure_rto_timer(now)
-        if ranges:
-            # Fast retransmit fires at most once per hole per cycle; a
-            # duplicate-elicited ack storm must not beget more duplicates.
-            # The timeout path re-opens the cycle if the hole persists.
-            # Entries younger than the smoothed RTT are not counted: their
-            # SACK holes are usually just delivery reordering in flight.
-            highest = max(end for _, end in ranges)
-            for seq, entry in list(self.unacked.items()):
-                if seq >= highest or entry.fast_done:
-                    continue
-                if self.srtt_us and now - entry.sent_at < self.srtt_us:
-                    continue
-                if any(start <= seq < end for start, end in ranges):
-                    continue
-                entry.sack_misses += 1
-                if entry.sack_misses >= FAST_RETRANSMIT_DUPS:
-                    entry.fast_done = True
-                    self._retransmit(seq, entry, now)
+        # Fast retransmit fires at most once per hole per cycle; a
+        # duplicate-elicited ack storm must not beget more duplicates. The
+        # timeout path re-opens the cycle if the hole persists. Entries
+        # younger than the smoothed RTT are not counted: their SACK holes
+        # are usually just delivery reordering in flight.
+        for seq, entry in holes:
+            if entry.fast_done:
+                continue
+            if self.srtt_us and now - entry.sent_at < self.srtt_us:
+                continue
+            entry.sack_misses += 1
+            if entry.sack_misses >= FAST_RETRANSMIT_DUPS:
+                entry.fast_done = True
+                self._retransmit(seq, entry, now)
         self.pump(now)
 
     def _retransmit(self, seq, entry, now):
@@ -260,25 +248,25 @@ class Flow:
     # Receiving.
 
     def on_data(self, pkt, now):
+        if self.handle.state != ESTABLISHED:
+            return  # torn down: a dropped flow takes no more data
+        msg_len, off = pkt.msg_len, pkt.frag_offset
+        if (msg_len > wire.MAX_MESSAGE_BYTES or off >= msg_len
+                or off % wire.FRAGMENT_PAYLOAD or len(pkt.payload)
+                != min(wire.FRAGMENT_PAYLOAD, msg_len - off)):
+            self.stats.protocol_errors += 1
+            return
         seq = pkt.seq
-        if seq < self.rx_next or seq in self.rx_seen:
+        if seq < self.rx_next or seq in self.rx_buffer:
             self.stats.rx_duplicates += 1
             self._emit_sack(now)  # re-ack only
             return
         if seq >= self.rx_next + RECEIVE_WINDOW:
             self.stats.rx_out_of_window += 1
             return
-        self.rx_seen.add(seq)
-        while self.rx_next in self.rx_seen:
-            self.rx_seen.discard(self.rx_next)
-            self.rx_next += 1
-        buf = self.reassembly.get(pkt.msg_id)
-        if buf is None:
-            buf = self.reassembly[pkt.msg_id] = _RxMessage(pkt.msg_len)
-        if buf.add(pkt.frag_offset, pkt.payload):
-            del self.reassembly[pkt.msg_id]
-            self.completed[pkt.msg_id] = buf.assemble()
-            self._release(now)
+        self.rx_buffer[seq] = pkt
+        if seq == self.rx_next and not self._consume():
+            return
         self.frames_since_ack += 1
         if self.frames_since_ack >= ACK_EVERY_FRAMES:
             self._emit_sack(now)
@@ -286,13 +274,27 @@ class Flow:
             self.ack_timer = self.eng.arm_timer(
                 now + ACK_DELAY_US, lambda t: self._on_ack_timer(t))
 
-    def _release(self, now):
-        """Hand completed messages to the app strictly in message-id order."""
-        while self.next_deliver_msg_id in self.completed:
-            payload = self.completed.pop(self.next_deliver_msg_id)
-            self.next_deliver_msg_id += 1
-            self.stats.msgs_delivered += 1
-            self.channel._push_rx(Message(self.handle, payload))
+    def _consume(self):
+        """Consume the in-order run at rx_next; False if it reset the flow."""
+        while self.rx_next in self.rx_buffer:
+            pkt = self.rx_buffer.pop(self.rx_next)
+            self.rx_next += 1
+            parts = self.rx_parts
+            if (pkt.msg_id, pkt.frag_offset, pkt.msg_len) != (
+                    self.rx_msg_id, len(parts) * wire.FRAGMENT_PAYLOAD,
+                    self.rx_msg_len if parts else pkt.msg_len):
+                self.stats.protocol_errors += 1
+                self._teardown(RESET, "fragment %d does not continue message "
+                               "%d" % (pkt.seq, self.rx_msg_id))
+                return False
+            self.rx_msg_len = pkt.msg_len
+            parts.append(pkt.payload)
+            if pkt.frag_offset + len(pkt.payload) == pkt.msg_len:
+                self.rx_parts = []
+                self.rx_msg_id += 1
+                self.stats.msgs_delivered += 1
+                self.channel._push_rx(Message(self.handle, b"".join(parts)))
+        return True
 
     def _on_ack_timer(self, now):
         if self.frames_since_ack > 0:
@@ -302,7 +304,7 @@ class Flow:
         self.frames_since_ack = 0
         if self.ack_timer is not None:
             self.ack_timer.cancel()
-        ranges = self._sack_ranges() if self.sack_enabled else []
+        ranges = self._sack_ranges()
         self.eng.emit(wire.build_frame(
             self.eng.local_ip, self.remote_ip, self.tx_udp.src,
             self.tx_udp.dst, wire.PKT_SACK, self.ports.local,
@@ -311,23 +313,20 @@ class Flow:
         self.stats.sacks_sent += 1
 
     def _sack_ranges(self):
-        if not self.rx_seen:
-            return []
+        """Runs of buffered seqs, lowest first, at most SACK_MAX_RANGES."""
         ranges = []
-        start = prev = None
-        for seq in sorted(self.rx_seen):
-            if start is None:
-                start = prev = seq
-                continue
-            if seq == prev + 1:
-                prev = seq
-                continue
-            ranges.append((start, prev + 1))
-            if len(ranges) >= SACK_MAX_RANGES:
-                return ranges
-            start = prev = seq
-        ranges.append((start, prev + 1))
-        return ranges[:SACK_MAX_RANGES]
+        start = end = None
+        for seq in sorted(self.rx_buffer):
+            if seq != end:
+                if start is not None:
+                    ranges.append((start, end))
+                    if len(ranges) == SACK_MAX_RANGES:
+                        return ranges
+                start = seq
+            end = seq + 1
+        if start is not None:
+            ranges.append((start, end))
+        return ranges
 
     # Teardown.
 

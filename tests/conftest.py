@@ -1,8 +1,15 @@
 """Shared builders for simulation-level tests."""
 
+from hypothesis import settings
+
 from sidenet.driver import Sim
 from sidenet.engine import EnginePolicy
 from sidenet.fabric import FabricConfig
+
+# The same examples on every run, and no example database on disk.
+settings.register_profile("sidenet", deadline=None, database=None,
+                          derandomize=True)
+settings.load_profile("sidenet")
 
 ACCEPTANCE_LINES = []
 

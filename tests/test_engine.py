@@ -64,7 +64,7 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
     other = server.engines[0]
     flow = owner.flows[key]
     rx_next_before = flow.rx_next
-    rx_seen_before = set(flow.rx_seen)
+    rx_buffer_before = set(flow.rx_buffer)
     flow_stats_before = replace(flow.stats)
     owner_stats_before = replace(owner.stats)
     rogue = wire.build_frame(
@@ -75,7 +75,7 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
     other.run_iteration(sim.now)
     assert other.stats.rx_unknown_flow == 1
     assert flow.rx_next == rx_next_before
-    assert flow.rx_seen == rx_seen_before
+    assert set(flow.rx_buffer) == rx_buffer_before
     assert flow.stats == flow_stats_before
     assert owner.stats == owner_stats_before
     assert _assert_flows_steer_to_owners(sim, client, server) == 2

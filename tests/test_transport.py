@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidenet import wire
 from sidenet.channel import Channel, ESTABLISHED, RESET, FlowHandle
@@ -47,22 +49,21 @@ class StubEngine:
         return min(live) if live else None
 
 
-def make_flow(ip="10.0.0.1", peer="10.0.0.2", sack=True):
+def make_flow(ip="10.0.0.1", peer="10.0.0.2"):
     eng = StubEngine(ip)
     ch = Channel(0, 1)
     handle = FlowHandle(ip, peer, 7000, 80, ch)
     handle._settle(ESTABLISHED)
     flow = Flow(eng, handle, FlowPorts(local=7000, remote=80), peer,
-                UdpPorts(40001, 40002), UdpPorts(40003, 40004), ch,
-                sack_enabled=sack)
+                UdpPorts(40001, 40002), UdpPorts(40003, 40004), ch)
     return flow, eng, ch
 
 
-def make_pair(loss_seqs=(), sack=True):
+def make_pair(loss_seqs=()):
     """Sender and receiver flows whose emissions are piped to each other,
     minus any sender DATA seqs listed in loss_seqs (dropped once)."""
     tx_flow, tx_eng, _ = make_flow("10.0.0.1", "10.0.0.2")
-    rx_flow, rx_eng, rx_ch = make_flow("10.0.0.2", "10.0.0.1", sack=sack)
+    rx_flow, rx_eng, rx_ch = make_flow("10.0.0.2", "10.0.0.1")
     to_drop = set(loss_seqs)
 
     def shuttle(now):
@@ -84,6 +85,14 @@ def make_pair(loss_seqs=(), sack=True):
             rx_eng.fire_due(now)
 
     return tx_flow, rx_flow, tx_eng, rx_eng, rx_ch, shuttle
+
+
+def data_pkt(seq, msg_id, frag_offset, msg_len, payload):
+    """A DATA frame from the peer of make_flow's flow, parsed."""
+    return wire.parse_frame(wire.build_frame(
+        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_DATA, 80, 7000,
+        payload=payload, seq=seq, msg_id=msg_id, frag_offset=frag_offset,
+        msg_len=msg_len))
 
 
 def emitted_data(eng):
@@ -216,6 +225,23 @@ def test_fast_retransmit_after_three_hole_reports():
     assert emitted_data(eng) == []
 
 
+@settings(max_examples=200)
+@given(ack=st.integers(0, 12), ranges=st.lists(
+    st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=8))
+def test_any_sack_ranges_ack_exactly_the_seqs_they_cover(ack, ranges):
+    # Unsorted, overlapping and empty ranges included.
+    flow, _, _ = make_flow()
+    for _ in range(12):
+        flow.send_message(b"s", now=0)  # seqs 0..11 in flight
+    flow.on_sack(wire.parse_frame(wire.build_frame(
+        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_SACK, 80, 7000,
+        payload=wire.pack_sack_payload(ranges), ack=ack)), now=1)
+    assert list(flow.unacked) == [
+        s for s in range(12)
+        if s >= ack and not any(a <= s < b for a, b in ranges)]
+    assert flow.conservation_ok()
+
+
 def test_ack_beyond_next_seq_is_protocol_error():
     flow, eng, _ = make_flow()
     flow.send_message(b"e", now=0)
@@ -239,13 +265,13 @@ def test_full_cumulative_ack_empties_unacked():
     assert flow.stats.frags_acked_unique == 5
 
 
-def test_single_loss_without_sack_recovers_after_one_rto():
-    tx, rx, tx_eng, rx_eng, rx_ch, shuttle = make_pair(loss_seqs=[1],
-                                                       sack=False)
+def test_tail_loss_recovers_after_one_rto():
+    # The last fragment is lost, so no SACK range ever names the hole.
+    tx, rx, tx_eng, rx_eng, rx_ch, shuttle = make_pair(loss_seqs=[2])
     tx.send_message(b"r" * (wire.FRAGMENT_PAYLOAD * 3), now=0)  # seqs 0,1,2
     shuttle(now=0)
     assert rx_ch.rx_pending() == 0
-    assert rx.rx_next == 1
+    assert rx.rx_next == 2
     # Exactly one RTO at the base interval recovers the hole.
     due = tx_eng.next_timer()
     assert due == RTO_BASE_US
@@ -312,7 +338,15 @@ def test_receive_window_bounds_buffered_seqs():
         msg_len=1, flags=wire.FLAG_LAST_FRAGMENT))
     flow.on_data(far, 0)
     assert flow.stats.rx_out_of_window == 1
-    assert not flow.rx_seen
+    assert not flow.rx_buffer
+
+
+def test_receive_window_edge():
+    flow, _, _ = make_flow()
+    flow.on_data(data_pkt(RECEIVE_WINDOW - 1, 9, 0, 1, b"e"), 0)
+    flow.on_data(data_pkt(RECEIVE_WINDOW, 9, 0, 1, b"e"), 0)
+    assert list(flow.rx_buffer) == [RECEIVE_WINDOW - 1]
+    assert flow.stats.rx_out_of_window == 1
 
 
 def test_sack_ranges_capped_at_eight():
@@ -327,3 +361,139 @@ def test_sack_ranges_capped_at_eight():
     ranges = flow._sack_ranges()
     assert len(ranges) == 8
     assert ranges == [(s, s + 1) for s in range(1, 17, 2)]
+
+
+FP = wire.FRAGMENT_PAYLOAD
+
+
+@pytest.mark.parametrize("off, msg_len, size", [
+    (0, 10, 100),  # payload longer than the message it claims
+    (0, 0, 0),  # empty message
+    (0, wire.MAX_MESSAGE_BYTES + 1, FP),  # over 8 MiB
+    (5, 3000, FP),  # offset off the fragment grid
+    (FP, FP, 0),  # offset at or past the end
+    (0, 3000, FP - 1),  # short non-final fragment
+])
+def test_malformed_data_header_counted_and_dropped(off, msg_len, size):
+    flow, eng, ch = make_flow()
+    flow.on_data(data_pkt(0, 0, off, msg_len, b"p" * size), 0)
+    assert flow.stats.protocol_errors == 1
+    assert ch.rx_pending() == 0
+    assert flow.rx_next == 0 and not flow.rx_buffer
+    assert eng.outbox == [] and eng.next_timer() is None  # not acked
+
+
+def test_fragment_not_continuing_its_message_resets_flow():
+    flow, eng, ch = make_flow()
+    flow.on_data(data_pkt(0, 0, 0, 3000, b"a" * FP), 0)
+    # Well-formed on its own, but msg_len disagrees with its first fragment.
+    flow.on_data(data_pkt(1, 0, FP, 2000,
+                          b"b" * (2000 - FP)), 0)
+    assert flow.stats.protocol_errors == 1
+    assert flow.handle.state == RESET
+    assert eng.dropped == [flow]
+    assert ch.rx_pending() == 0
+
+
+def test_uncompletable_msg_ids_leave_no_state_behind():
+    flow, eng, ch = make_flow()
+    for seq in range(5000):
+        flow.on_data(data_pkt(seq, seq + 1000, 0, 1, b"u"), 0)
+    assert flow.handle.state == RESET
+    assert flow.stats.protocol_errors == 1
+    assert ch.rx_pending() == 0
+    assert not flow.rx_buffer and not flow.rx_parts
+    assert eng.dropped == [flow]
+
+
+@settings(max_examples=100)
+@given(sizes=st.lists(st.integers(1, 20_000), min_size=1, max_size=4),
+       data=st.data())
+def test_any_arrival_order_delivers_each_message_once_in_order(sizes, data):
+    tx, tx_eng, _ = make_flow("10.0.0.2", "10.0.0.1")
+    rx, _, rx_ch = make_flow()
+    messages = [random.Random(i * 31 + n).randbytes(n)
+                for i, n in enumerate(sizes)]
+    for msg in messages:
+        tx.send_message(msg, now=0)
+    frames = [wire.parse_frame(f) for f in tx_eng.outbox]
+    assert len(frames) == tx.next_tx_seq  # all inside the send window
+    order = list(data.draw(st.permutations(frames)))
+    for dup, at in data.draw(st.lists(
+            st.tuples(st.sampled_from(frames),
+                      st.integers(0, len(frames))), max_size=len(frames))):
+        order.insert(at, dup)
+    for pkt in order:
+        rx.on_data(pkt, 0)
+        assert len(rx.rx_buffer) <= RECEIVE_WINDOW
+    delivered = []
+    while rx_ch.rx_pending():
+        delivered.append(rx_ch.recv().payload)
+    assert delivered == messages
+    assert rx.stats.protocol_errors == 0
+    assert rx.handle.state == ESTABLISHED
+
+
+def _valid_header(pkt):
+    return (0 < pkt.msg_len <= wire.MAX_MESSAGE_BYTES
+            and pkt.frag_offset % FP == 0 and pkt.frag_offset < pkt.msg_len
+            and len(pkt.payload) == min(FP, pkt.msg_len - pkt.frag_offset))
+
+
+# Strategies for each DATA header field a hostile stream may corrupt:
+# seq, msg_id, frag_offset, msg_len and payload size.
+_FIELDS = (st.integers(0, 12), st.integers(0, 3),
+           st.one_of(st.sampled_from([0, 1408, 2816]),
+                     st.integers(0, 2**32 - 1)),
+           st.one_of(st.integers(0, 3000), st.integers(0, 2**32 - 1)),
+           st.integers(0, 1500))
+
+
+@st.composite
+def hostile_stream(draw):
+    """Honest fragments of up to three messages with up to two header
+    fields corrupted, plus a few arbitrary frames, in any order."""
+    rows = []
+    sizes = st.one_of(st.sampled_from([1, 1408, 1409, 2816, 3000]),
+                      st.integers(1, 3000))
+    for msg_id, n in enumerate(draw(st.lists(sizes, max_size=3))):
+        for off in range(0, n, FP):
+            rows.append([len(rows), msg_id, off, n, None])
+    if rows:
+        for row, i in draw(st.lists(st.tuples(
+                st.integers(0, len(rows) - 1), st.integers(0, 4)),
+                max_size=2)):
+            rows[row][i] = draw(_FIELDS[i])
+    rows += draw(st.lists(st.tuples(*_FIELDS[:4], st.none() | _FIELDS[4]),
+                          max_size=5))
+    pkts = []
+    # A size of None is the one an honest sender gives that offset and length.
+    for seq, msg_id, off, msg_len, size in draw(st.permutations(rows)):
+        if size is None:
+            size = max(0, min(FP, msg_len - off))
+        pkts.append(data_pkt(seq, msg_id, off, msg_len, bytes([seq]) * size))
+    return pkts
+
+
+@settings(max_examples=500)
+@given(hostile_stream())
+def test_arbitrary_data_headers_never_raise_or_misdeliver(pkts):
+    flow, _, ch = make_flow()
+    first = {}  # seq -> the fragment the receiver keeps for it
+    for pkt in pkts:
+        flow.on_data(pkt, 0)
+        if _valid_header(pkt):
+            first.setdefault(pkt.seq, pkt)
+    seq = 0
+    msg_id = 0
+    while ch.rx_pending():
+        payload = ch.recv().payload
+        got = b""
+        while len(got) < len(payload):
+            pkt = first[seq]
+            seq += 1
+            assert (pkt.msg_id, pkt.frag_offset) == (msg_id, len(got))
+            assert pkt.msg_len == len(payload)
+            got += pkt.payload
+        assert got == payload
+        msg_id += 1
