@@ -187,12 +187,16 @@ def run_echo(hosts, fabric_params, workload, seed):
     sim.drain(max_us=10_000_000)
     check_conservation(sim, [client, server])
 
-    retransmits = sum(eng.stats.retransmits
-                      for st in (client, server) for eng in st.engines)
+    engines = [eng for st in (client, server) for eng in st.engines]
+    flows = [flow for eng in engines for flow in eng.flows.values()]
+    unique = sum(flow.stats.frags_sent_unique for flow in flows)
+    duplicates = sum(flow.stats.rx_duplicates for flow in flows)
     row = {
         "scenario": "echo", "seed": seed, "msg_size": msg_size,
         "inflight": inflight, "messages": count,
-        "completed": len(app.latencies), "retransmits": retransmits,
+        "completed": len(app.latencies),
+        "retransmits": sum(eng.stats.retransmits for eng in engines),
+        "spurious_ratio": round(duplicates / unique, 4) if unique else 0.0,
         "setup_attempts": handle.attempts, "virtual_us": sim.now,
     }
     row.update(latency_fields(app.latencies))

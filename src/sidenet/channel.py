@@ -146,7 +146,19 @@ class Channel:
 
         Non-blocking calls count an empty poll when they come back empty;
         a blocking call parks until the engine's wakeup signal.
+
+        An empty non-blocking poll takes no lock. The queue has one producer
+        (the engine) and one consumer (the application thread), and len() of
+        a deque is atomic under the GIL, so finding it empty without the
+        lock is no weaker than finding it empty under it: a message pushed
+        just after is seen by the next poll either way. The blocking path
+        keeps the lock, because it must recheck the queue and park atomically
+        with respect to _push_rx's notify, or it could sleep through a
+        wakeup.
         """
+        if not block and not self._rx:
+            self.stats.empty_polls += 1
+            return None
         with self._rx_cond:
             if not self._rx and not block:
                 self.stats.empty_polls += 1

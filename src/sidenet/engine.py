@@ -319,6 +319,8 @@ class Engine:
                 flow.on_fin(pkt, now)
             else:
                 flow.on_finack(pkt, now)
+        else:
+            self.stats.rx_malformed += 1  # no such packet type
 
     def _on_syn(self, pkt, now):
         listener = self.listeners.get(pkt.flow_dst)

@@ -7,8 +7,24 @@ consumes fragments in seq order, so messages reach the application whole,
 in send order, never split or coalesced; a fragment that does not continue
 its message resets the flow, and a DATA header no honest sender could emit
 is counted and dropped. Acks are cumulative plus up to eight selective
-ranges; holes trigger fast retransmit after three reports, and a
-retransmission timer backs the whole thing up.
+ranges.
+
+Loss recovery is RACK-TLP (RFC 8985), driven by one timer per flow. RACK
+keeps a mark: the most recently sent fragment known delivered. An unacked
+fragment sent before the mark (earlier, or at the same instant with a
+lower seq) is lost once the mark's RTT plus a reorder window has passed
+since its own send; one not yet past that deadline arms the timer for it.
+The window starts at a quarter of the min RTT, capped by the smoothed RTT,
+and widens a quarter at a time, at most once per round trip, when a resend
+proves spurious: the original's ack comes back within one such quarter of
+the resend. It narrows back after 16 loss episodes without one. While
+nothing is marked lost, the timer is a tail-loss probe, armed where the RTO
+would be (on a send while no timer runs, on each ack that advances the
+cumulative ack) for 2 x SRTT, plus the receiver's ack delay when one
+fragment is in flight; it re-sends the highest-seq unacked fragment, whose
+ack then lets RACK see any other loss. There is one probe per tail and none
+before the first RTT sample. The retransmission timeout (10 ms, doubling to
+1 s) stays as the backstop; no deadline is ever later than it.
 
 A fixed 64-packet send window stands in for congestion control, which this
 stack deliberately does not have; the window constant is the seam where a
@@ -28,9 +44,9 @@ RTO_CAP_US = 1_000_000
 MAX_FRAGMENT_RETRANSMITS = 16
 ACK_EVERY_FRAMES = 2
 ACK_DELAY_US = 100
-FAST_RETRANSMIT_DUPS = 3
 SACK_MAX_RANGES = 8
 IDLE_REAP_US = 3_000_000
+REO_WND_PERSIST = 16
 
 
 class MessageTooLarge(ValueError):
@@ -40,10 +56,8 @@ class MessageTooLarge(ValueError):
 @dataclass(slots=True)
 class _TxEntry:
     frame: bytes
-    sent_at: int
+    sent_at: int  # of the latest transmission
     retransmits: int = 0
-    sack_misses: int = 0
-    fast_done: bool = False  # fast retransmit fired for the current cycle
 
 
 @dataclass
@@ -85,9 +99,18 @@ class Flow:
         self.acked_upto = 0  # peer's cumulative ack (next seq it expects)
         self.pending = deque()  # (seq, frame) fragments waiting for window
         self.unacked = {}  # seq -> _TxEntry, insertion order == seq order
+        self.lost_out = 0  # unacked entries that have been retransmitted
+        self.srtt_us = 0  # RTT of never-resent fragments; 0 until sampled
+        self.min_rtt_us = 0
+        # RACK's mark: the most recently sent fragment known delivered.
+        self.rack_sent_at = -1
+        self.rack_seq = -1
+        self.rack_rtt_us = 0
+        self.reo_wnd_mult = 1  # reorder window in quarters of the min RTT
+        self.reo_round_end = 0  # it grows again once the ack passes this seq
+        self.reo_persist = 0  # loss episodes until the window shrinks back
         self.rto_us = RTO_BASE_US
-        self.rto_timer = None
-        self.srtt_us = 0  # smoothed RTT; damps reorder-induced fast retx
+        self.loss_timer = None  # the one reorder, probe or RTO timer
 
         # Receiver state.
         self.rx_next = 0
@@ -137,9 +160,8 @@ class Flow:
         this bound a persistent hole would let new fragments sail beyond
         what the receiver is willing to buffer.
         """
-        sent = 0
         if self.handle.state != ESTABLISHED:
-            return 0
+            return
         horizon = self.acked_upto + RECEIVE_WINDOW
         while (self.pending and len(self.unacked) < SEND_WINDOW
                and self.pending[0][0] < horizon):
@@ -148,20 +170,14 @@ class Flow:
             self.eng.emit(frame)
             self.stats.frags_sent_total += 1
             self.stats.frags_sent_unique += 1
-            sent += 1
-        if self.unacked:
-            self._ensure_rto_timer(now)
-        return sent
-
-    def _ensure_rto_timer(self, now):
-        if self.rto_timer is None or not self.rto_timer.live:
-            oldest = next(iter(self.unacked.values()))
-            self.rto_timer = self.eng.arm_timer(
-                oldest.sent_at + self.rto_us, lambda t: self.on_rto(t))
+        if self.unacked and (self.loss_timer is None
+                             or not self.loss_timer.live):
+            self._arm_loss_timer(now)
 
     def on_sack(self, pkt, now):
-        """Cumulative + selective ack processing, fast retransmit, window
-        advance."""
+        """Drop what the cumulative and selective acks cover, sample the RTT,
+        advance the RACK mark, retransmit what RACK finds lost, refill the
+        window."""
         ack = pkt.ack
         if ack > self.next_tx_seq:
             self.stats.protocol_errors += 1
@@ -172,52 +188,144 @@ class Flow:
         # Sorted by start, one cursor finds each seq's cover, overlaps too.
         ranges = sorted(wire.unpack_sack_payload(pkt.payload))
         highest = max((end for _, end in ranges), default=ack)
-        holes = []
         i, n = 0, len(ranges)
         for seq, entry in list(self.unacked.items()):
-            if seq < ack:
-                del self.unacked[seq]
-                self.stats.frags_acked_unique += 1
-                progressed = True
-                if entry.retransmits == 0:  # Karn: never sample retransmits
-                    sample = now - entry.sent_at
-                    self.srtt_us = (sample if self.srtt_us == 0
-                                    else (7 * self.srtt_us + sample) // 8)
-                continue
-            if seq >= highest:
-                break
-            while i < n and ranges[i][1] <= seq:
-                i += 1
-            if i < n and ranges[i][0] <= seq:
-                del self.unacked[seq]
-                self.stats.frags_acked_unique += 1
+            if seq >= ack:
+                if seq >= highest:
+                    break
+                while i < n and ranges[i][1] <= seq:
+                    i += 1
+                if i == n or ranges[i][0] > seq:
+                    continue  # a hole: RACK decides below
             else:
-                holes.append((seq, entry))
+                progressed = True
+            del self.unacked[seq]
+            self.stats.frags_acked_unique += 1
+            sent_at = entry.sent_at
+            rtt = now - sent_at
+            if entry.retransmits:
+                self.lost_out -= 1
+                # Karn: no RTT sample. An ack sooner than the min RTT after
+                # the resend (or before any RTT is known) may be for the
+                # original, so RACK skips it. One within a window step means
+                # one more step would have spared the resend: widen the
+                # window, at most once per round trip.
+                if not self.min_rtt_us or rtt < self.min_rtt_us:
+                    if (rtt < self.min_rtt_us // 4
+                            and self.acked_upto > self.reo_round_end):
+                        self.reo_wnd_mult += 1
+                        self.reo_persist = REO_WND_PERSIST
+                        self.reo_round_end = (self.next_tx_seq
+                                              - len(self.pending))
+                    continue
+            else:
+                self.srtt_us = (rtt if self.srtt_us == 0
+                                else (7 * self.srtt_us + rtt) // 8)
+                if self.min_rtt_us == 0 or rtt < self.min_rtt_us:
+                    self.min_rtt_us = rtt
+            if sent_at > self.rack_sent_at or (
+                    sent_at == self.rack_sent_at and seq > self.rack_seq):
+                self.rack_sent_at = sent_at
+                self.rack_seq = seq
+                self.rack_rtt_us = rtt
         if progressed:
             self.rto_us = RTO_BASE_US
-            if self.rto_timer is not None:
-                self.rto_timer.cancel()
+        reorder_at = self._detect_losses(now)
+        if self.handle.state != ESTABLISHED:
+            return
+        timer = self.loss_timer
+        if timer is not None and (progressed or (
+                reorder_at is not None and reorder_at < timer.due)):
+            timer.cancel()
             if self.unacked:
-                self._ensure_rto_timer(now)
-        # Fast retransmit fires at most once per hole per cycle; a
-        # duplicate-elicited ack storm must not beget more duplicates. The
-        # timeout path re-opens the cycle if the hole persists. Entries
-        # younger than the smoothed RTT are not counted: their SACK holes
-        # are usually just delivery reordering in flight.
-        for seq, entry in holes:
-            if entry.fast_done:
-                continue
-            if self.srtt_us and now - entry.sent_at < self.srtt_us:
-                continue
-            entry.sack_misses += 1
-            if entry.sack_misses >= FAST_RETRANSMIT_DUPS:
-                entry.fast_done = True
-                self._retransmit(seq, entry, now)
+                self._arm_loss_timer(now, reorder_at)
         self.pump(now)
+
+    def _detect_losses(self, now):
+        """RACK: retransmit every fragment sent before the most recently sent
+        delivered one (the mark) once `rack_rtt + reo_wnd` has passed since
+        its own send; return the earliest such deadline still to come.
+
+        Fragments are first sent in seq order, so the walk stops at the first
+        never-retransmitted fragment sent after the mark; a resent one that
+        is after the mark is skipped."""
+        mark_at, mark_seq = self.rack_sent_at, self.rack_seq
+        reo_wnd = self.reo_wnd_mult * self.min_rtt_us // 4
+        if self.srtt_us:
+            reo_wnd = min(reo_wnd, self.srtt_us)
+        wait = self.rack_rtt_us + reo_wnd
+        reorder_at = None
+        for seq, entry in self.unacked.items():
+            sent_at = entry.sent_at
+            if sent_at > mark_at or (sent_at == mark_at and seq > mark_seq):
+                if entry.retransmits:
+                    continue
+                break
+            deadline = sent_at + wait
+            if now >= deadline:
+                self._retransmit(seq, entry, now)
+                if self.handle.state != ESTABLISHED:
+                    return None
+            elif reorder_at is None or deadline < reorder_at:
+                reorder_at = deadline
+        return reorder_at
+
+    def _arm_loss_timer(self, now, reorder_at=None):
+        """Arm the flow's one loss timer, never later than the RTO: for a
+        pending reorder deadline; else, once there is an RTT sample and
+        nothing is marked lost, for a tail-loss probe; else for the RTO."""
+        due = next(iter(self.unacked.values())).sent_at + self.rto_us
+        fn = self._on_loss_timer
+        if reorder_at is not None:
+            due = min(due, reorder_at)
+        elif self.srtt_us and not self.lost_out:
+            pto = 2 * self.srtt_us
+            if len(self.unacked) == 1:
+                pto += ACK_DELAY_US  # its ack may wait for the delayed ack
+            if now + pto < due:
+                due = now + pto
+                fn = lambda t: self._on_loss_timer(t, probe=True)
+        self.loss_timer = self.eng.arm_timer(due, fn)
+
+    def _on_loss_timer(self, now, probe=False):
+        """The RTO if the oldest fragment is overdue; else RACK's reorder
+        deadlines; else, for a probe timer with nothing marked lost, re-send
+        the highest-seq unacked fragment. Then re-arm for what is left."""
+        if not self.unacked:
+            return
+        if now - next(iter(self.unacked.values())).sent_at >= self.rto_us:
+            self.on_rto(now)
+            return
+        reorder_at = self._detect_losses(now)
+        if self.handle.state != ESTABLISHED:
+            return
+        if probe and reorder_at is None and not self.lost_out:
+            seq, entry = next(reversed(self.unacked.items()))
+            self._retransmit(seq, entry, now)
+            if self.handle.state != ESTABLISHED:
+                return
+        self._arm_loss_timer(now, reorder_at)
+
+    def on_rto(self, now):
+        """The retransmission timeout: re-send the oldest unacked fragment
+        and double the timeout."""
+        seq, oldest = next(iter(self.unacked.items()))
+        self._retransmit(seq, oldest, now)
+        if self.handle.state != ESTABLISHED:
+            return
+        self.rto_us = min(self.rto_us * 2, RTO_CAP_US)
+        self.loss_timer = self.eng.arm_timer(now + self.rto_us,
+                                             self._on_loss_timer)
 
     def _retransmit(self, seq, entry, now):
         if self.handle.state != ESTABLISHED:
             return
+        if entry.retransmits == 0:
+            if self.lost_out == 0 and self.reo_persist:
+                self.reo_persist -= 1
+                if self.reo_persist == 0:
+                    self.reo_wnd_mult = 1
+            self.lost_out += 1
         entry.retransmits += 1
         if entry.retransmits > MAX_FRAGMENT_RETRANSMITS:
             self._teardown(RESET, "fragment %d retransmitted %d times without "
@@ -228,22 +336,6 @@ class Flow:
         self.stats.frags_sent_total += 1
         self.stats.retransmits += 1
         self.eng.stats.retransmits += 1
-
-    def on_rto(self, now):
-        if not self.unacked:
-            return
-        seq, entry = next(iter(self.unacked.items()))
-        if now - entry.sent_at < self.rto_us:
-            self._ensure_rto_timer(now)  # acked and re-filled since arming
-            return
-        entry.fast_done = False
-        entry.sack_misses = 0
-        self._retransmit(seq, entry, now)
-        if self.handle.state != ESTABLISHED:
-            return
-        self.rto_us = min(self.rto_us * 2, RTO_CAP_US)
-        self.rto_timer = self.eng.arm_timer(now + self.rto_us,
-                                            lambda t: self.on_rto(t))
 
     # Receiving.
 
@@ -356,7 +448,7 @@ class Flow:
         and drop it from its engine."""
         if state == RESET or self.handle.state == ESTABLISHED:
             self.handle._settle(state, reason)
-        for timer in (self.rto_timer, self.ack_timer, self.reap_timer):
+        for timer in (self.loss_timer, self.ack_timer, self.reap_timer):
             if timer is not None:
                 timer.cancel()
         self.eng.drop_flow(self)

@@ -9,6 +9,7 @@ import pytest
 
 from sidenet import bench, cli
 from sidenet.config import ConfigError, parse_scenario
+from sidenet.transport import RTO_BASE_US
 
 GOOD_ECHO = """
 # minimal echo scenario
@@ -184,11 +185,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # protocol change updates them and says why in CHANGES.md.
 PINNED_CSV_SHA256 = {
     "echo": (
-        "48373f2b508caf5bbe688d903ed4d36064d55ffd577e7529cce2e6a67426c16b",
+        "e25d35ccab490b9ab4f5f7c5adadafe38c5edb9ee4d94cab80b5d142db0f3742",
         "bfbf1781ec6f77c4398980ad8b7a0767def5a44061207f44aa8ca78b0c1727b2"),
     "echo_lossy": (
-        "b5c85d44fbae1f0eb4cc2e355bc647e04d4d4afded5e1ca0b248dc95e355a90e",
-        "ac8d0996d4264093483b149eb8894d59e829e156af505514f09267a9184e01bd"),
+        "b7526814b9911de74babdaf065f189f9e4515db1fa1ba1ce38ef42a832479c24",
+        "1e142e05affb7e4121001eb83850cdaa2a9a1c392d5fe72f23af28447b8cfdf4"),
     "conn_setup_8x8": (
         "56b84b455cfe1c91913c82801e2d578fe4519dffaee39c7656c1ffe1b124fd62",
         "9faf0d93f62a174282b7cad6350425a061ba593ed49ad05ad01701ae60dfd543"),
@@ -203,6 +204,33 @@ def test_scenario_csvs_replay_pinned_bytes(name, tmp_path):
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, stats))
     assert digests == PINNED_CSV_SHA256[name]
+
+
+def _jitter_only_echo():
+    """200 x 32 KiB echoes, 4 in flight, +-5 us jitter, no loss, seed 1."""
+    sc = parse_scenario((SCENARIOS / "echo_lossy.cfg").read_text())
+    sc.fabric.update(loss=0.0, reorder=0.0)
+    sc.workload["count"] = 200
+    return bench.run_scenario(sc, seed_override=1)[0][0]
+
+
+def test_jitter_alone_causes_almost_no_spurious_retransmits():
+    row = _jitter_only_echo()
+    assert row["completed"] == 200
+    # Every retransmission here is spurious; the three-report fast
+    # retransmit sent 3259 for 9600 unique fragments (0.339).
+    assert row["spurious_ratio"] <= 0.01
+    assert row["retransmits"] <= 0.01 * 9600
+
+
+def test_lossy_echo_bounds_spurious_retransmits_and_tail():
+    sc = parse_scenario((SCENARIOS / "echo_lossy.cfg").read_text())
+    (row,), _ = bench.run_scenario(sc)
+    assert row["completed"] == 500
+    # The three-report fast retransmit read 0.371 here, and its p99 was a
+    # 10 ms retransmission timeout.
+    assert row["spurious_ratio"] <= 0.05
+    assert row["p99_us"] < RTO_BASE_US
 
 
 # SHA-256 of a small isolation run's results CSV (all three variants).

@@ -45,6 +45,35 @@ def test_nonblocking_recv_on_empty_counts_a_poll():
     assert ch.stats.empty_polls == 1
 
 
+def test_empty_poll_takes_no_lock_and_next_poll_sees_a_push():
+    ch = Channel(0, 1)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_rx_lock():
+        with ch._rx_cond:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold_rx_lock)
+    holder.start()
+    try:
+        assert held.wait(10)
+        assert ch.recv() is None
+        # A poll that took the lock would have waited for the holder.
+        assert holder.is_alive() and not release.is_set()
+    finally:
+        release.set()
+        holder.join()
+    assert ch.stats.empty_polls == 1
+
+    pusher = threading.Thread(target=ch._push_rx, args=(Message(None, b"m"),))
+    pusher.start()
+    pusher.join()
+    assert ch.recv().payload == b"m"
+    assert ch.stats.empty_polls == 1
+    assert ch.stats.rx_dequeued == 1
+
+
 def test_send_requires_established_flow():
     sim, client, server, cch, sch = make_pair(seed=4)
     handle = client.connect(cch, "10.0.0.2", 80)

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PollApp, connect_established, make_pair
 
@@ -406,3 +408,109 @@ def test_connect_gate_fixed_when_first_observed_while_throttled():
     sim.add_app(PollApp(connect_after_engine_ran))
     assert sim.run_until(lambda: syn_at, max_us=1_000_000)
     assert syn_at == [t0 + eng.tick_us]
+
+
+KNOWN_TYPES = (wire.PKT_SYN, wire.PKT_SYNACK, wire.PKT_ACK, wire.PKT_DATA,
+               wire.PKT_SACK, wire.PKT_FIN, wire.PKT_FINACK)
+
+
+def _hostile_targets():
+    """A 1x1 pair. The client engine holds a live flow and a handshake that
+    is still waiting for a SYN-ACK; the server engine holds the flow's peer
+    and a handshake that is still waiting for its ACK. Returns the sim, the
+    two (engine, channel) pairs and valid frames aimed at each engine's
+    flow and handshake."""
+    sim, client, server, cch, sch = make_pair(seed=31, engines=1)
+    handle = connect_established(sim, client, cch)
+    ceng, seng = client.engines[0], server.engines[0]
+    client.connect(cch, "10.0.0.2", 81)  # nobody listens there
+    assert sim.run_until(lambda: any(
+        hs.ports.remote == 81 for hs in ceng.client_handshakes.values()),
+        max_us=1000)
+    (hs,) = [hs for hs in ceng.client_handshakes.values()
+             if hs.ports.remote == 81]
+    seng._dispatch(wire.build_frame(
+        "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
+        payload=wire.pack_syn_payload(1, 0), seq=1), sim.now)
+    assert ("10.0.0.9", 4242, 80) in seng.server_handshakes
+    port = handle.local_port
+    to_client = [
+        wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_DATA, 80,
+                         port, payload=b"d" * 9, seq=0, msg_id=0,
+                         frag_offset=0, msg_len=9,
+                         flags=wire.FLAG_LAST_FRAGMENT),
+        wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_SACK, 80,
+                         port, payload=wire.pack_sack_payload([(1, 3)]),
+                         ack=0),
+        wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_SYNACK, 81,
+                         hs.ports.local, seq=1,
+                         payload=wire.pack_synack_payload(1, 2, 0)),
+        wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_FIN, 80,
+                         port),
+    ]
+    to_server = [
+        wire.build_frame("10.0.0.1", "10.0.0.2", 1, 2, wire.PKT_DATA, port,
+                         80, payload=b"e" * 1408, seq=0, msg_id=0,
+                         frag_offset=0, msg_len=2000),
+        wire.build_frame("10.0.0.9", "10.0.0.2", 6000, 5000, wire.PKT_ACK,
+                         4242, 80, payload=wire.pack_ack_payload(7, 8)),
+        wire.build_frame("10.0.0.7", "10.0.0.2", 1, 2, wire.PKT_SYN, 999, 80,
+                         payload=wire.pack_syn_payload(2, 1), seq=1),
+    ]
+    return sim, [(ceng, cch, to_client), (seng, sch, to_server)]
+
+
+def _bad_data_header(pkt):
+    n, off, size = pkt.msg_len, pkt.frag_offset, len(pkt.payload)
+    return not (0 < n <= wire.MAX_MESSAGE_BYTES and off % 1408 == 0
+                and off < n and size == min(1408, n - off))
+
+
+@st.composite
+def hostile_frames(draw):
+    """(side, frame) pairs: arbitrary bytes, or a valid frame for that side
+    with some bytes overwritten (header or payload) and maybe cut short."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        side = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            out.append((side, None, draw(st.binary(max_size=120))))
+            continue
+        which = draw(st.integers(0, 3 if side == 0 else 2))
+        edits = draw(st.lists(st.tuples(st.integers(0, 1500),
+                                        st.integers(0, 255)), max_size=4))
+        cut = draw(st.none() | st.integers(0, 120))
+        out.append((side, which, (edits, cut)))
+    return out
+
+
+@settings(max_examples=250)
+@given(hostile_frames())
+def test_hostile_frames_never_raise_and_malformed_is_counted_not_delivered(
+        plan):
+    sim, sides = _hostile_targets()
+    for side, which, spec in plan:
+        eng, ch, templates = sides[side]
+        if which is None:
+            frame = spec
+        else:
+            edits, cut = spec
+            frame = bytearray(templates[which])
+            for at, value in edits:
+                frame[at % len(frame)] = value
+            frame = bytes(frame[:cut] if cut is not None else frame)
+        flows = list(eng.flows.values())
+        before = (eng.stats.rx_malformed, eng.stats.rx_unknown_flow,
+                  sum(f.stats.protocol_errors for f in flows),
+                  ch.stats.rx_enqueued)
+        eng._dispatch(frame, sim.now)  # must not raise
+        pkt = wire.parse_frame(frame)
+        after = (eng.stats.rx_malformed, eng.stats.rx_unknown_flow,
+                 sum(f.stats.protocol_errors for f in flows),
+                 ch.stats.rx_enqueued)
+        if pkt is None or pkt.pkt_type not in KNOWN_TYPES:
+            assert after == (before[0] + 1,) + before[1:]
+        elif pkt.pkt_type == wire.PKT_DATA and _bad_data_header(pkt):
+            assert after[3] == before[3]  # never delivered
+            # Counted once: by the flow it names, or as an unknown flow.
+            assert (after[1] - before[1]) + (after[2] - before[2]) == 1

@@ -206,23 +206,61 @@ def test_duplicate_fragment_idempotent_and_reacked():
     assert rx_ch.recv().payload == b"q" * 3000
 
 
-def test_fast_retransmit_after_three_hole_reports():
+def sack_pkt(ack, ranges):
+    """A SACK from the peer of make_flow's flow, parsed."""
+    return wire.parse_frame(wire.build_frame(
+        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_SACK, 80, 7000,
+        payload=wire.pack_sack_payload(ranges), ack=ack))
+
+
+def test_hole_below_sacked_fragment_resent_once_past_reorder_window():
     flow, eng, _ = make_flow()
     for _ in range(8):
-        flow.send_message(b"w", now=0)  # seqs 0..7 in flight
+        flow.send_message(b"w", now=0)  # seqs 0..7 in flight, sent at 0
     eng.outbox.clear()
-    sack = wire.parse_frame(wire.build_frame(
-        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_SACK, 80, 7000,
-        payload=wire.pack_sack_payload([(5, 8)]), ack=3))
-    for i in range(3):
-        flow.on_sack(sack, now=100 + i)
-    resent = sorted(p.seq for p in emitted_data(eng))
-    assert resent == [3, 4]
+    sack = sack_pkt(3, [(5, 8)])
+    # RTT 100 and min RTT 100: 3 and 4 are lost once 100 + 100/4 has
+    # passed since they were sent, not before.
+    flow.on_sack(sack, now=100)
+    assert emitted_data(eng) == []
+    assert eng.next_timer() == 125
+    eng.fire_due(125)
+    assert sorted(p.seq for p in emitted_data(eng)) == [3, 4]
     assert flow.stats.retransmits == 2
-    # The cycle fired; identical reports must not re-fire it.
+    # The resends went out after the mark; the same report again is no
+    # evidence against them.
     eng.outbox.clear()
     flow.on_sack(sack, now=200)
     assert emitted_data(eng) == []
+
+
+def test_burst_reordered_within_reorder_window_not_retransmitted():
+    flow, eng, _ = make_flow()
+    for _ in range(8):
+        flow.send_message(b"w", now=0)
+    eng.outbox.clear()
+    flow.on_sack(sack_pkt(0, [(2, 3), (5, 8)]), now=100)
+    flow.on_sack(sack_pkt(3, [(5, 8)]), now=110)
+    flow.on_sack(sack_pkt(8, []), now=124)  # the last of the burst, in time
+    eng.fire_due(RTO_CAP_US)
+    assert emitted_data(eng) == []
+    assert flow.stats.retransmits == 0
+    assert not flow.unacked and eng.next_timer() is None
+
+
+def test_resend_acked_within_a_window_step_widens_the_window():
+    flow, eng, _ = make_flow()
+    for _ in range(8):
+        flow.send_message(b"w", now=0)
+    flow.on_sack(sack_pkt(3, [(5, 8)]), now=100)
+    eng.fire_due(125)  # 3 and 4 resent
+    assert flow.reo_wnd_mult == 1
+    # The originals' ack comes 5 us after the resends: spurious, and one
+    # more step (25 us) of window would have spared them.
+    flow.on_sack(sack_pkt(8, []), now=130)
+    assert flow.reo_wnd_mult == 2
+    assert flow.rack_seq == 7  # the ambiguous acks did not move the mark
+    assert not flow.unacked and flow.lost_out == 0
 
 
 @settings(max_examples=200)
