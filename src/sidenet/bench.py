@@ -162,16 +162,22 @@ def _fabric_config(params, seed):
     )
 
 
+def _two_hosts(hosts, fabric_params, seed, tick_us=None):
+    """A Sim holding the scenario's server and client stacks, in that order."""
+    sim = Sim(_fabric_config(fabric_params, seed), seed=seed, tick_us=tick_us)
+    server = sim.add_stack(hosts["server"]["ip"], hosts["server"]["engines"])
+    client = sim.add_stack(hosts["client"]["ip"], hosts["client"]["engines"])
+    return sim, server, client
+
+
 def run_echo(hosts, fabric_params, workload, seed):
     msg_size = workload.get("msg_size", 64)
     inflight = workload.get("inflight", 1)
     count = workload.get("count", 1000)
     mode = workload.get("mode", MODE_OPTIMIZED)
 
-    sim = Sim(_fabric_config(fabric_params, seed), seed=seed,
-              tick_us=workload.get("tick_us"))
-    server = sim.add_stack(hosts["server"]["ip"], hosts["server"]["engines"])
-    client = sim.add_stack(hosts["client"]["ip"], hosts["client"]["engines"])
+    sim, server, client = _two_hosts(hosts, fabric_params, seed,
+                                     workload.get("tick_us"))
     sch = server.attach()
     server.listen(sch, 80)
     cch = client.attach()
@@ -207,9 +213,7 @@ def run_conn_setup(hosts, fabric_params, workload, seed):
     trials = workload.get("trials", 1000)
     mode = workload.get("mode", MODE_OPTIMIZED)
 
-    sim = Sim(_fabric_config(fabric_params, seed), seed=seed)
-    server = sim.add_stack(hosts["server"]["ip"], hosts["server"]["engines"])
-    client = sim.add_stack(hosts["client"]["ip"], hosts["client"]["engines"])
+    sim, server, client = _two_hosts(hosts, fabric_params, seed)
     n_server = hosts["server"]["engines"]
     n_client = hosts["client"]["engines"]
     server_chs = [server.attach(EnginePolicy.pinned(i)) for i in range(n_server)]

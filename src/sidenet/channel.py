@@ -106,10 +106,9 @@ class Channel:
     one engine. Messages only: connect, listen and close requests go to the
     engine's control inbox (Engine.submit), not through the channel."""
 
-    def __init__(self, owner_engine, app_id, capacity=CHANNEL_CAPACITY):
+    def __init__(self, owner_engine, app_id):
         self.owner_engine = owner_engine
         self.app_id = app_id
-        self.capacity = capacity
         self._rx = deque()
         self._tx = deque()
         self._rx_cond = threading.Condition()
@@ -128,7 +127,7 @@ class Channel:
         if not 1 <= len(payload) <= MAX_MESSAGE_BYTES:
             raise ValueError("payload must be 1 byte .. 8 MiB")
         with self._tx_cond:
-            while len(self._tx) >= self.capacity:
+            while len(self._tx) >= CHANNEL_CAPACITY:
                 if not block:
                     return False
                 if not self._tx_cond.wait(timeout):

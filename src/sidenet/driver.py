@@ -52,9 +52,10 @@ class Sim:
         self.apps.append(app)
         return app
 
-    def step(self):
-        """One scheduling pass; advances time only when nothing is runnable.
-        Returns False when the whole simulation is idle."""
+    def step(self, until=None):
+        """One scheduling pass; advances time only when nothing is runnable,
+        and then never past `until`. Returns False when the whole simulation
+        is idle."""
         now = self.clock.now
         work = 0
         for eng in self._engines:
@@ -72,7 +73,8 @@ class Sim:
         future = [t for t in nexts if t is not None and t > now]
         if not future:
             return False
-        self.fabric.advance_to(min(future))
+        t = min(future)
+        self.fabric.advance_to(t if until is None else min(t, until))
         return True
 
     def run_until(self, cond, max_us=10_000_000, max_passes=100_000_000):
@@ -91,10 +93,8 @@ class Sim:
         """Run the simulation for a fixed span of virtual time."""
         deadline = self.clock.now + duration_us
         while self.clock.now < deadline:
-            if not self.step():
-                remaining = deadline - self.clock.now
-                if remaining > 0:
-                    self.fabric.advance_to(deadline)
+            if not self.step(until=deadline):
+                self.fabric.advance_to(deadline)
                 break
 
     def drain(self, max_us=60_000_000):

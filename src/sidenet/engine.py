@@ -123,14 +123,13 @@ class Listener:
 
 class Engine:
     def __init__(self, engine_id, nic, local_ip, num_engines, rng,
-                 tick_us=DEFAULT_TICK_US, default_p=handshake.DEFAULT_TARGET_P):
+                 tick_us=DEFAULT_TICK_US):
         self.engine_id = engine_id
         self.nic = nic
         self.local_ip = local_ip
         self.num_engines = num_engines
         self.rng = rng
         self.tick_us = tick_us
-        self.default_p = default_p
         self.flows = {}
         self.client_handshakes = {}
         self.server_handshakes = {}
@@ -262,8 +261,11 @@ class Engine:
 
         gate = self._control_time(now)
         if gate is not None and now >= gate:
-            for request in self._drain_control():
-                self._process_control(request, now)
+            # A request another thread queues meanwhile is either taken now
+            # or keeps the inbox non-empty; popleft never drops one.
+            inbox = self.control_inbox
+            while inbox:
+                self._process_control(inbox.popleft(), now)
                 work += 1
             self._control_gate = None
 
@@ -306,11 +308,12 @@ class Engine:
             hs.on_synack(self, now, pkt)
         elif t == wire.PKT_ACK:
             self.stats.acks_rx += 1
-            hs = self.server_handshakes.get((pkt.src_ip, pkt.flow_src, pkt.flow_dst))
-            if hs is None:
+            key = (pkt.src_ip, pkt.flow_src, pkt.flow_dst)
+            hs = self.server_handshakes.get(key)
+            if hs is not None:
+                hs.on_ack(self, now, pkt)
+            elif key not in self.flows:  # not a live flow's repeated final ACK
                 self.stats.unknown_acks += 1
-                return
-            hs.on_ack(self, now, pkt)
         elif t == wire.PKT_FIN or t == wire.PKT_FINACK:
             flow = self.flows.get((pkt.src_ip, pkt.flow_src, pkt.flow_dst))
             if flow is None:
@@ -347,7 +350,7 @@ class Engine:
             hs = handshake.ServerHandshake(
                 listener, pkt.src_ip,
                 handshake.FlowPorts(local=pkt.flow_dst, remote=pkt.flow_src),
-                mode, max(1, client_engines), client_engine_id, self.default_p)
+                mode, max(1, client_engines), client_engine_id)
             self.server_handshakes[key] = hs
         hs.on_syn(self, now, pkt)
 
@@ -363,25 +366,12 @@ class Engine:
 
     # Control plane (connect/listen/close), serviced on the 50 us grid.
 
-    def _drain_control(self):
-        """Every queued request, in submission order. A request that another
-        thread queues meanwhile is either taken now or keeps the inbox
-        non-empty for the next gate; popleft never drops one."""
-        requests = []
-        inbox = self.control_inbox
-        while inbox:
-            requests.append(inbox.popleft())
-        return requests
-
     def _process_control(self, request, now):
         op = request[0]
         if op == "connect":
-            _, handle, ports, remote_ip, mode, p, remote_engines = request
+            _, handle, ports, remote_ip, mode = request
             self.stats.connects_requested += 1
-            hs = handshake.ClientHandshake(
-                handle, ports, remote_ip, mode, p,
-                local_engines=self.num_engines,
-                remote_engines=remote_engines or self.num_engines)
+            hs = handshake.ClientHandshake(handle, ports, remote_ip, mode)
             self.client_handshakes[hs.key()] = hs
             hs.start(self, now)
         elif op == "listen":
@@ -415,7 +405,6 @@ class Engine:
     def drop_flow(self, flow):
         self.flows.pop(flow.key(), None)
         self.client_handshakes.pop(flow.key(), None)
-        self.server_handshakes.pop(flow.key(), None)
 
     def drop_client_handshake(self, hs):
         self.client_handshakes.pop(hs.key(), None)

@@ -16,6 +16,11 @@ Two spray strategies are provided:
   spray of fresh random pairs, decoupling the two directions; each side
   needs only log(1-sqrt(0.95))/log(1-1/n) packets.
 
+Every batch is sized for DEFAULT_TARGET_P. The client sizes its SYN batch
+from its own engine count, as if the server ran as many engines, and
+carries that count in the SYN, from which the server sizes its SYN-ACK
+spray.
+
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
 """
@@ -35,11 +40,6 @@ MAX_ATTEMPTS = 8
 BATCH_CAP = 4096
 EPHEMERAL_LO = 32768
 EPHEMERAL_HI = 60999
-
-HS_SYN_SENT = "syn_sent"
-HS_SYNACK_SENT = "synack_sent"
-HS_ESTABLISHED = "established"
-HS_FAILED = "failed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,18 +65,14 @@ def _check_args(n, p):
         raise ValueError("target probability must be in (0, 1)")
 
 
-def _naive_count(joint, p):
-    """SYN count so that SYN and reflected SYN-ACK both land correctly with
-    probability >= p, when one random pair does so with odds 1 in `joint`."""
-    if joint == 1:
-        return 1
-    return math.ceil(math.log(1.0 - p) / math.log(1.0 - 1.0 / joint))
-
-
 def naive_batch_size(n, p=DEFAULT_TARGET_P):
-    """Naive SYN count when both hosts run n engines."""
+    """Naive SYN count when both hosts run n engines: SYN and reflected
+    SYN-ACK both land correctly with probability >= p, when one random pair
+    does so with odds 1 in n*n."""
     _check_args(n, p)
-    return _naive_count(n * n, p)
+    if n == 1:
+        return 1
+    return math.ceil(math.log(1.0 - p) / math.log(1.0 - 1.0 / (n * n)))
 
 
 def optimized_batch_exact(n, p=DEFAULT_TARGET_P):
@@ -101,13 +97,6 @@ def optimized_batch_total(n, p=DEFAULT_TARGET_P):
     return math.floor(2.0 * optimized_batch_exact(n, p))
 
 
-def _spray_count(mode, n_remote, n_local, p):
-    """SYN batch for one connection attempt against possibly asymmetric hosts."""
-    if mode == MODE_OPTIMIZED:
-        return optimized_batch_size(n_remote, p)
-    return _naive_count(n_remote * n_local, p)
-
-
 def draw_udp_pairs(rng, count, used):
     """Fresh random ephemeral-range UDP pairs, disjoint from `used`."""
     pairs = []
@@ -122,18 +111,17 @@ def draw_udp_pairs(rng, count, used):
 
 
 class ClientHandshake:
-    """Connect-side state machine; lives on the engine that must own the flow."""
+    """Connect-side state machine; lives on the engine that must own the flow.
 
-    def __init__(self, handle, flow_ports, remote_ip, mode, p,
-                 local_engines, remote_engines):
+    It stays in the engine's table until the flow ends, so that a retry
+    SYN-ACK (our ACK was lost) is answered with the ACK again; the winning
+    SYN-ACK marks it established."""
+
+    def __init__(self, handle, flow_ports, remote_ip, mode):
         self.handle = handle
         self.ports = flow_ports
         self.remote_ip = remote_ip
         self.mode = mode
-        self.p = p
-        self.local_engines = local_engines
-        self.remote_engines = remote_engines
-        self.phase = HS_SYN_SENT
         self.attempt = 1
         self.batch_size = 0
         self.sprayed = set()
@@ -144,13 +132,16 @@ class ClientHandshake:
         return (self.remote_ip, self.ports.remote, self.ports.local)
 
     def start(self, eng, now):
-        self.batch_size = _spray_count(self.mode, self.remote_engines,
-                                       self.local_engines, self.p)
+        """Spray the first batch, sized from this host's engine count."""
+        if self.mode == MODE_OPTIMIZED:
+            self.batch_size = optimized_batch_size(eng.num_engines)
+        else:
+            self.batch_size = naive_batch_size(eng.num_engines)
         self._spray(eng, now)
 
     def _spray(self, eng, now):
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
-        payload = wire.pack_syn_payload(self.local_engines, eng.engine_id)
+        payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
         for pair in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
             eng.emit(wire.build_frame(
                 eng.local_ip, self.remote_ip, pair.src, pair.dst,
@@ -161,10 +152,7 @@ class ClientHandshake:
                                          lambda t: self.on_timeout(eng, t))
 
     def on_timeout(self, eng, now):
-        if self.phase != HS_SYN_SENT:
-            return
         if self.attempt >= MAX_ATTEMPTS:
-            self.phase = HS_FAILED
             eng.stats.handshake_failures += 1
             eng.drop_client_handshake(self)
             self.handle._settle(FAILED, "no port pair reached the target "
@@ -178,7 +166,7 @@ class ClientHandshake:
 
     def on_synack(self, eng, now, pkt):
         """First SYN-ACK that steered here wins; everything else is noise."""
-        if self.phase == HS_ESTABLISHED:
+        if self._winning_synack is not None:
             # A retry SYN-ACK means our ACK was lost; re-send it. Leftovers
             # of the batch we already answered are silently discarded.
             if pkt.seq >= 2:
@@ -186,17 +174,12 @@ class ClientHandshake:
             else:
                 eng.stats.synacks_discarded += 1
             return
-        if self.phase != HS_SYN_SENT:
-            eng.stats.synacks_discarded += 1
-            return
         accepted = wire.unpack_synack_payload(pkt.payload)
         if accepted is None:
             eng.stats.synacks_discarded += 1
             return
         tx_src, tx_dst, remote_engine = accepted
-        self.phase = HS_ESTABLISHED
-        if self.retry_timer is not None:
-            self.retry_timer.cancel()
+        self.retry_timer.cancel()
         self._winning_synack = pkt
         tx_udp = UdpPorts(tx_src, tx_dst)
         rx_udp = UdpPorts(pkt.udp_src, pkt.udp_dst)
@@ -215,18 +198,17 @@ class ClientHandshake:
 
 
 class ServerHandshake:
-    """Accept-side state machine; exists only on the listener's target engine."""
+    """Accept-side state machine; exists only on the listener's target engine,
+    and only until the client's final ACK establishes the flow."""
 
     def __init__(self, listener, remote_ip, flow_ports, mode, client_engines,
-                 client_engine_id, p):
+                 client_engine_id):
         self.listener = listener
         self.remote_ip = remote_ip
         self.ports = flow_ports  # local = listener port
         self.mode = mode
         self.client_engines = client_engines
         self.client_engine_id = client_engine_id
-        self.p = p
-        self.phase = HS_SYNACK_SENT
         self.attempts = 0
         self.accepted_pair = None  # client's UDP pair, as the client sent it
         self.replied_pairs = set()
@@ -242,15 +224,17 @@ class ServerHandshake:
         if self.mode == MODE_NAIVE:
             # Reply to every correctly-landed SYN: the chance that any one
             # reversed pair reaches the client's engine is what the batch
-            # size was computed for.
+            # size was computed for. Only the first reply arms the retry.
             if pair in self.replied_pairs:
                 eng.stats.duplicate_syns += 1
                 return
             self.replied_pairs.add(pair)
+            answered = self.accepted_pair is not None
             self.accepted_pair = pair
-            self.last_client_attempt = max(self.last_client_attempt, pkt.seq)
-            self._emit_synack(eng, UdpPorts(pair.dst, pair.src), pair)
-            self._ensure_timer(eng, now)
+            if answered:
+                self._emit_synack(eng, UdpPorts(pair.dst, pair.src))
+            else:
+                self._spray_synacks(eng, now)
             return
         if pkt.seq <= self.last_client_attempt:
             eng.stats.duplicate_syns += 1
@@ -262,57 +246,49 @@ class ServerHandshake:
         self._spray_synacks(eng, now)
 
     def _spray_synacks(self, eng, now):
+        """One answer to the accepted SYN, first or retry, then re-arm the
+        retry timer. Naive mode answers on the reversed accepted pair,
+        optimized mode with a fresh spray."""
         self.attempts += 1
-        count = optimized_batch_size(self.client_engines, self.p)
-        for out_pair in draw_udp_pairs(eng.rng, count, self.sprayed):
-            self._emit_synack(eng, out_pair, self.accepted_pair)
-        self._ensure_timer(eng, now, restart=True)
-
-    def _emit_synack(self, eng, out_pair, accepted_pair):
-        payload = wire.pack_synack_payload(accepted_pair.src, accepted_pair.dst,
-                                           eng.engine_id)
-        eng.emit(wire.build_frame(
-            eng.local_ip, self.remote_ip, out_pair.src, out_pair.dst,
-            wire.PKT_SYNACK, self.ports.local, self.ports.remote,
-            payload=payload, seq=max(1, self.attempts)))
-        eng.stats.synacks_sent += 1
-
-    def _ensure_timer(self, eng, now, restart=False):
+        if self.mode == MODE_NAIVE:
+            pairs = [UdpPorts(self.accepted_pair.dst, self.accepted_pair.src)]
+        else:
+            pairs = draw_udp_pairs(eng.rng,
+                                   optimized_batch_size(self.client_engines),
+                                   self.sprayed)
+        for out_pair in pairs:
+            self._emit_synack(eng, out_pair)
         if self.retry_timer is not None:
-            if not restart:
-                return
             self.retry_timer.cancel()
-        if self.attempts == 0:
-            self.attempts = 1
         self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
                                          lambda t: self.on_timeout(eng, t))
 
+    def _emit_synack(self, eng, out_pair):
+        payload = wire.pack_synack_payload(
+            self.accepted_pair.src, self.accepted_pair.dst, eng.engine_id)
+        eng.emit(wire.build_frame(
+            eng.local_ip, self.remote_ip, out_pair.src, out_pair.dst,
+            wire.PKT_SYNACK, self.ports.local, self.ports.remote,
+            payload=payload, seq=self.attempts))
+        eng.stats.synacks_sent += 1
+
     def on_timeout(self, eng, now):
-        """The final ACK never arrived: re-spray so a half-open peer recovers."""
-        if self.phase != HS_SYNACK_SENT:
-            return
-        if self.attempts >= MAX_ATTEMPTS or self.accepted_pair is None:
+        """The final ACK never arrived: answer again so a half-open peer
+        recovers."""
+        if self.attempts >= MAX_ATTEMPTS:
             eng.drop_server_handshake(self)
             return
-        if self.mode == MODE_NAIVE:
-            self.attempts += 1
-            self._emit_synack(eng, UdpPorts(self.accepted_pair.dst,
-                                            self.accepted_pair.src),
-                              self.accepted_pair)
-            self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
-                                             lambda t: self.on_timeout(eng, t))
-        else:
-            self._spray_synacks(eng, now)
+        self._spray_synacks(eng, now)
 
     def on_ack(self, eng, now, pkt):
-        if self.phase != HS_SYNACK_SENT:
-            return
         chosen = wire.unpack_ack_payload(pkt.payload)
         if chosen is None:
             return
-        self.phase = HS_ESTABLISHED
         if self.retry_timer is not None:
             self.retry_timer.cancel()
+        # From here on the flow answers for this key; a late SYN or ACK
+        # finds it in the engine's flow table.
+        eng.drop_server_handshake(self)
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
         # client's TX direction is whatever pair its ACK just arrived on.
         tx_udp = UdpPorts(chosen[0], chosen[1])

@@ -26,15 +26,11 @@ class StackError(Exception):
 
 
 class Stack:
-    def __init__(self, nic, local_ip, seed=0, tick_us=None,
-                 default_mode=handshake.MODE_OPTIMIZED,
-                 default_p=handshake.DEFAULT_TARGET_P):
+    def __init__(self, nic, local_ip, seed=0, tick_us=None):
         self.nic = nic
         self.local_ip = local_ip
         self.seed = seed
         self.tick_us = tick_us
-        self.default_mode = default_mode
-        self.default_p = default_p
         self.engines = []
         self._attach_count = 0
         self._listen_ports = {}
@@ -53,8 +49,7 @@ class Stack:
             rng = Random("%s/%d/engine/%d" % (self.local_ip, self.seed, i))
             self.engines.append(Engine(
                 i, self.nic, self.local_ip, n, rng,
-                tick_us=self.tick_us or DEFAULT_TICK_US,
-                default_p=self.default_p))
+                tick_us=self.tick_us or DEFAULT_TICK_US))
         self._initialized = True
         return self
 
@@ -90,10 +85,12 @@ class Stack:
 
     bind = listen
 
-    def connect(self, channel, remote_ip, remote_port, mode=None, p=None,
-                remote_engines=None, blocking=False, timeout=None):
+    def connect(self, channel, remote_ip, remote_port, mode=None,
+                blocking=False, timeout=None):
         """Open a flow to a listening peer; serviced at the engine's
-        connect-processing interval. Returns the flow handle immediately
+        connect-processing interval. `mode` is MODE_OPTIMIZED (the default)
+        or MODE_NAIVE; the spray is sized for the handshake's 95% target
+        from this host's engine count. Returns the flow handle immediately
         unless blocking."""
         self._require_init()
         from .channel import FlowHandle
@@ -104,8 +101,8 @@ class Stack:
                             channel)
         ports = handshake.FlowPorts(local=local_port, remote=remote_port)
         self.engines[channel.owner_engine].submit(
-            ("connect", handle, ports, remote_ip, mode or self.default_mode,
-             p or self.default_p, remote_engines))
+            ("connect", handle, ports, remote_ip,
+             mode or handshake.MODE_OPTIMIZED))
         if blocking:
             handle.wait(timeout)
             if handle.state == FAILED:

@@ -173,6 +173,23 @@ def test_timer_wheel_fires_overdue_timer_exactly_once():
     assert fired == [300_001]
 
 
+def test_run_for_keeps_its_deadline():
+    """run_for never jumps past its deadline to the next event, however far
+    that lies; a message in flight still arrives in 1 us slices."""
+    sim, client, server, cch, sch = make_pair(seed=1, engines=1)
+    handle = connect_established(sim, client, cch)
+    cch.send(handle, b"x" * 5000)
+    t0 = sim.now
+    sim.run_for(30)
+    assert sim.now == t0 + 30
+    while not sch.rx_pending():
+        assert sim.now < t0 + 1_000_000
+        before = sim.now
+        sim.run_for(1)
+        assert sim.now == before + 1
+    assert sch.recv().payload == b"x" * 5000
+
+
 def test_every_flow_frame_steers_to_the_owning_engines():
     """Established flows use only their handshake-chosen port pairs, so the
     fabric oracle must steer every one of their frames to the flow owners."""

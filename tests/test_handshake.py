@@ -1,10 +1,21 @@
 """Connection-setup behavior over the simulated fabric."""
 
+import inspect
+import re
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
 from conftest import connect_established, make_pair
 
+from sidenet import wire
 from sidenet.channel import ConnectError
 from sidenet.handshake import (MODE_NAIVE, MODE_OPTIMIZED,
                                RETRY_TIMEOUT_US)
+from sidenet.stack import Stack
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
 
 
 def engine_stat(stack, name):
@@ -194,27 +205,84 @@ def test_handshake_insensitive_to_hash_byteswap():
     assert wins == 30
 
 
-def test_lost_handshake_ack_recovers_via_synack_retry():
-    """Drop the first ACK; the server's re-spray must complete the flow."""
+@pytest.mark.parametrize("mode", [MODE_NAIVE, MODE_OPTIMIZED])
+def test_lost_handshake_ack_recovers_via_synack_retry(mode):
+    """Drop the first ACK; the server's 300 ms retry SYN-ACK (seq 2) must
+    complete the flow. Naive mode sends that retry on the reverse of the
+    accepted SYN's UDP pair; optimized mode sends a fresh spray."""
     sim, client, server, cch, sch = make_pair(seed=12, engines=1)
-    from sidenet import wire
-
     state = {"dropped": 0}
+    syns, retries = [], []
 
     def ack_killer(frame):
         pkt = wire.parse_frame(frame)
-        if pkt is not None and pkt.pkt_type == wire.PKT_ACK and not state["dropped"]:
+        if pkt is None:
+            return False
+        if pkt.pkt_type == wire.PKT_SYN:
+            syns.append(pkt)
+        elif pkt.pkt_type == wire.PKT_SYNACK and state["dropped"]:
+            retries.append(pkt)
+        elif pkt.pkt_type == wire.PKT_ACK and not state["dropped"]:
             state["dropped"] = 1
             return True
         return False
 
     sim.fabric._tap = ack_killer
-    handle = connect_established(sim, client, cch)
+    handle = connect_established(sim, client, cch, mode=mode)
     assert state["dropped"] == 1
-    # Client side is up; server side completes after the 300 ms re-spray.
+    # Client side is up; server side completes after the 300 ms retry.
     ok = sim.run_until(lambda: any(server.engines[0].flows.values()),
                        max_us=3 * RETRY_TIMEOUT_US)
     assert ok
+    assert retries and retries[0].seq == 2
+    accepted = wire.unpack_synack_payload(retries[0].payload)[:2]
+    assert accepted in {(syn.udp_src, syn.udp_dst) for syn in syns}
+    if mode == MODE_NAIVE:
+        assert (retries[0].udp_src, retries[0].udp_dst) == accepted[::-1]
     client.send(cch, handle, b"ping")
     ok = sim.run_until(lambda: sch.rx_pending() > 0, max_us=5_000_000)
     assert ok and sch.recv().payload == b"ping"
+
+
+def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():
+    """Once the final ACK establishes the flow, the server keeps no handshake
+    state; a replay of that ACK is counted as received and nothing else."""
+    sim, client, server, cch, sch = make_pair(seed=13, engines=4,
+                                              server_engine=2,
+                                              client_engine=1)
+    acks = []
+
+    def record_acks(frame):
+        pkt = wire.parse_frame(frame)
+        if pkt is not None and pkt.pkt_type == wire.PKT_ACK:
+            acks.append(frame)
+        return False
+
+    sim.fabric._tap = record_acks
+    handle = connect_established(sim, client, cch)
+    sim.run_for(1000)  # let the final ACK land
+    target = server.engines[2]
+    key = ("10.0.0.1", handle.local_port, 80)
+    flow = target.flows[key]
+    assert all(not eng.server_handshakes for eng in server.engines)
+    (final_ack,) = acks
+    before = asdict(target.stats)
+    target._dispatch(final_ack, sim.now)
+    after = asdict(target.stats)
+    changed = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    assert changed == {"acks_rx": 1}
+    assert target.flows[key] is flow
+    assert not target.server_handshakes
+
+
+def test_removed_connect_options_are_gone():
+    """The spray target, the spray sizing and the handshake phase are not
+    settable and not stored: connect takes only the documented options."""
+    params = list(inspect.signature(Stack.connect).parameters)
+    assert params == ["self", "channel", "remote_ip", "remote_port", "mode",
+                      "blocking", "timeout"]
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        for name in ("default_p", "default_mode", "remote_engines"):
+            assert name not in text, (path.name, name)
+        assert not re.search(r"\bHS_[A-Z]", text), path.name

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 from sidenet.channel import CLOSED, ESTABLISHED
 from sidenet.driver import ThreadedRuntime
+from sidenet.engine import CONTROL_INTERVAL_US
 from sidenet.fabric import FabricConfig
 from sidenet.nic import Nic, NicConfig
 from sidenet.stack import Stack
@@ -83,6 +84,9 @@ def test_stress_control_queues_hand_over_every_request():
     eng = Stack(nic, "10.0.0.1").init().engines[0]
     count = 20_000
     got = []
+    eng._process_control = lambda request, now: got.append(request)
+    # One grid interval per pass: the inbox drains every other pass.
+    clock = iter(range(0, 10**12, CONTROL_INTERVAL_US))
 
     def produce(tag):
         for i in range(count):
@@ -98,11 +102,12 @@ def test_stress_control_queues_hand_over_every_request():
         deadline = time.monotonic() + 60
         while (any(t.is_alive() for t in producers)
                and time.monotonic() < deadline):
-            got.extend(eng._drain_control())
+            eng.run_iteration(next(clock))
         for t in producers:
             t.join(timeout=1)
     assert not any(t.is_alive() for t in producers)
-    got.extend(eng._drain_control())
+    while eng.control_inbox:
+        eng.run_iteration(next(clock))
     assert len(got) == 2 * count
     for tag in ("a", "b"):
         assert [i for q, i in got if q == tag] == list(range(count))
