@@ -232,7 +232,7 @@ class Engine:
         self.stats.iterations += 1
 
         while self.tx_backlog:
-            if self.nic.tx_burst(self.engine_id, [self.tx_backlog[0]]) != 1:
+            if not self.nic._tx_one(self.engine_id, self.tx_backlog[0]):
                 break
             self.tx_backlog.popleft()
             work += 1
@@ -275,7 +275,7 @@ class Engine:
 
     def emit(self, frame):
         self.stats.frames_tx += 1
-        if self.tx_backlog or self.nic.tx_burst(self.engine_id, [frame]) != 1:
+        if self.tx_backlog or not self.nic._tx_one(self.engine_id, frame):
             self.tx_backlog.append(frame)
             self.wake = True
 
@@ -326,6 +326,12 @@ class Engine:
             self.stats.rx_malformed += 1  # no such packet type
 
     def _on_syn(self, pkt, now):
+        if pkt.seq == 0:
+            # Attempts count from 1: no client sends seq 0, and the server
+            # handshake would file it as a duplicate of attempt 0 and never
+            # answer, time out or free it.
+            self.stats.rx_malformed += 1
+            return
         listener = self.listeners.get(pkt.flow_dst)
         if listener is None:
             self.stats.stray_syns += 1

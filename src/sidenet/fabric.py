@@ -22,17 +22,11 @@ from random import Random
 from .nic import Nic, NicConfig
 from .toeplitz import ToeplitzHasher, KEY_LEN
 from .toeplitz import toeplitz_hash as _toeplitz_hash
-from .wire import (ETH_HEADER_LEN, IP_HEADER_LEN, IP_PROTO_UDP,
-                   UDP_HEADER_LEN, extract_four_tuple, pack_ip)
+from .wire import (IP_PROTO_UDP, IPV4_IHL5, MIN_UDP_FRAME, PROTO_AT, TUPLE_AT,
+                   extract_four_tuple, pack_ip)
 
 INDIRECTION_ENTRIES = 128
-# Raw header offsets: Ethernet type at 12, then IPv4 version/IHL at 14,
-# protocol at 23, and the hashed 12 bytes src ip | dst ip | both UDP ports.
-_MIN_UDP_FRAME = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
-_IPV4_IHL5 = b"\x08\x00\x45"
-_PROTO_AT = ETH_HEADER_LEN + 9
-_TUPLE_AT = ETH_HEADER_LEN + 12
-_DST_IP_AT = _TUPLE_AT + 4
+_DST_IP_AT = TUPLE_AT + 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,14 +161,16 @@ class Fabric:
     def _route(self, frame):
         """Destination host of an IPv4/UDP frame, or None if the frame is
         short, not IPv4 without options, not UDP, or for no known host."""
-        if (len(frame) < _MIN_UDP_FRAME
-                or frame[12:15] != _IPV4_IHL5
-                or frame[_PROTO_AT] != IP_PROTO_UDP):
+        if (len(frame) < MIN_UDP_FRAME
+                or frame[12:15] != IPV4_IHL5
+                or frame[PROTO_AT] != IP_PROTO_UDP):
             return None
         return self._hosts.get(frame[_DST_IP_AT:_DST_IP_AT + 4])
 
     def _queue(self, host, frame):
-        h = self._hasher.hash_bytes(frame[_TUPLE_AT:_TUPLE_AT + 12])
+        """RX queue of a routed frame, from its 12 tuple bytes hashed where
+        they lie in the frame."""
+        h = self._hasher.hash_at(frame, TUPLE_AT)
         if self._cfg.hash_byteswap:
             h = int.from_bytes(h.to_bytes(4, "big"), "little")
         return host.table[h % INDIRECTION_ENTRIES]

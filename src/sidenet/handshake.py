@@ -40,6 +40,8 @@ MAX_ATTEMPTS = 8
 BATCH_CAP = 4096
 EPHEMERAL_LO = 32768
 EPHEMERAL_HI = 60999
+_EPHEMERAL_SPAN = EPHEMERAL_HI - EPHEMERAL_LO + 1
+_PORT_BITS = _EPHEMERAL_SPAN.bit_length()  # as random.randint draws them
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,11 +100,22 @@ def optimized_batch_total(n, p=DEFAULT_TARGET_P):
 
 
 def draw_udp_pairs(rng, count, used):
-    """Fresh random ephemeral-range UDP pairs, disjoint from `used`."""
+    """Fresh random ephemeral-range UDP pairs, as (src, dst) tuples disjoint
+    from `used`, which holds the same tuples.
+
+    Each port is what rng.randint(EPHEMERAL_LO, EPHEMERAL_HI) would return,
+    drawn with the same getrandbits calls (15 bits, rejecting values past
+    the range), so a seed yields the same pairs in the same order."""
+    bits = rng.getrandbits
     pairs = []
     while len(pairs) < count:
-        pair = UdpPorts(rng.randint(EPHEMERAL_LO, EPHEMERAL_HI),
-                        rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
+        src = bits(_PORT_BITS)
+        while src >= _EPHEMERAL_SPAN:
+            src = bits(_PORT_BITS)
+        dst = bits(_PORT_BITS)
+        while dst >= _EPHEMERAL_SPAN:
+            dst = bits(_PORT_BITS)
+        pair = (src + EPHEMERAL_LO, dst + EPHEMERAL_LO)
         if pair in used:
             continue
         used.add(pair)
@@ -142,9 +155,9 @@ class ClientHandshake:
     def _spray(self, eng, now):
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
-        for pair in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
+        for src, dst in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
             eng.emit(wire.build_frame(
-                eng.local_ip, self.remote_ip, pair.src, pair.dst,
+                eng.local_ip, self.remote_ip, src, dst,
                 wire.PKT_SYN, self.ports.local, self.ports.remote,
                 payload=payload, seq=self.attempt, flags=flags))
             eng.stats.syns_sent += 1
@@ -232,7 +245,7 @@ class ServerHandshake:
             answered = self.accepted_pair is not None
             self.accepted_pair = pair
             if answered:
-                self._emit_synack(eng, UdpPorts(pair.dst, pair.src))
+                self._emit_synack(eng, pair.dst, pair.src)
             else:
                 self._spray_synacks(eng, now)
             return
@@ -251,23 +264,23 @@ class ServerHandshake:
         optimized mode with a fresh spray."""
         self.attempts += 1
         if self.mode == MODE_NAIVE:
-            pairs = [UdpPorts(self.accepted_pair.dst, self.accepted_pair.src)]
+            pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
         else:
             pairs = draw_udp_pairs(eng.rng,
                                    optimized_batch_size(self.client_engines),
                                    self.sprayed)
-        for out_pair in pairs:
-            self._emit_synack(eng, out_pair)
+        for src, dst in pairs:
+            self._emit_synack(eng, src, dst)
         if self.retry_timer is not None:
             self.retry_timer.cancel()
         self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
                                          lambda t: self.on_timeout(eng, t))
 
-    def _emit_synack(self, eng, out_pair):
+    def _emit_synack(self, eng, udp_src, udp_dst):
         payload = wire.pack_synack_payload(
             self.accepted_pair.src, self.accepted_pair.dst, eng.engine_id)
         eng.emit(wire.build_frame(
-            eng.local_ip, self.remote_ip, out_pair.src, out_pair.dst,
+            eng.local_ip, self.remote_ip, udp_src, udp_dst,
             wire.PKT_SYNACK, self.ports.local, self.ports.remote,
             payload=payload, seq=self.attempts))
         eng.stats.synacks_sent += 1

@@ -74,17 +74,23 @@ class Nic:
         bounds; frames are never partially enqueued or reordered.
         """
         self._check_queue(queue)
-        ring = self._tx[queue]
         accepted = 0
         for frame in frames:
-            if len(ring) >= QUEUE_DEPTH:
+            if not self._tx_one(queue, frame):
                 break
-            if not MIN_FRAME_LEN <= len(frame) <= self.config.mtu:
-                break
-            ring.append(frame)
             accepted += 1
-        self.queue_stats[queue].tx_frames += accepted
         return accepted
+
+    def _tx_one(self, queue, frame):
+        """tx_burst of one frame, without the list: True if it was taken.
+        The engine's per-frame send path."""
+        self._check_queue(queue)
+        ring = self._tx[queue]
+        if len(ring) >= QUEUE_DEPTH or not MIN_FRAME_LEN <= len(frame) <= MTU:
+            return False
+        ring.append(frame)
+        self.queue_stats[queue].tx_frames += 1
+        return True
 
     def rx_burst(self, queue, max_frames):
         """Remove and return up to max_frames frames in delivery order."""

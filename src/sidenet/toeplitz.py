@@ -57,8 +57,14 @@ class ToeplitzHasher:
     def hash_bytes(self, data):
         if len(data) != 12:
             raise ValueError("expected 12-byte four-tuple input")
+        return self.hash_at(data, 0)
+
+    def hash_at(self, buf, off):
+        """Hash of the 12 bytes of `buf` that start at `off`, read in place.
+        The caller guarantees that they exist."""
         r = self._rows
-        return (r[0][data[0]] ^ r[1][data[1]] ^ r[2][data[2]]
-                ^ r[3][data[3]] ^ r[4][data[4]] ^ r[5][data[5]]
-                ^ r[6][data[6]] ^ r[7][data[7]] ^ r[8][data[8]]
-                ^ r[9][data[9]] ^ r[10][data[10]] ^ r[11][data[11]])
+        return (r[0][buf[off]] ^ r[1][buf[off + 1]] ^ r[2][buf[off + 2]]
+                ^ r[3][buf[off + 3]] ^ r[4][buf[off + 4]] ^ r[5][buf[off + 5]]
+                ^ r[6][buf[off + 6]] ^ r[7][buf[off + 7]] ^ r[8][buf[off + 8]]
+                ^ r[9][buf[off + 9]] ^ r[10][buf[off + 10]]
+                ^ r[11][buf[off + 11]])

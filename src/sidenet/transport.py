@@ -189,7 +189,8 @@ class Flow:
         ranges = sorted(wire.unpack_sack_payload(pkt.payload))
         highest = max((end for _, end in ranges), default=ack)
         i, n = 0, len(ranges)
-        for seq, entry in list(self.unacked.items()):
+        covered = []  # deleted after the walk: a dict may not shrink mid-walk
+        for seq, entry in self.unacked.items():
             if seq >= ack:
                 if seq >= highest:
                     break
@@ -199,7 +200,7 @@ class Flow:
                     continue  # a hole: RACK decides below
             else:
                 progressed = True
-            del self.unacked[seq]
+            covered.append(seq)
             self.stats.frags_acked_unique += 1
             sent_at = entry.sent_at
             rtt = now - sent_at
@@ -228,6 +229,8 @@ class Flow:
                 self.rack_sent_at = sent_at
                 self.rack_seq = seq
                 self.rack_rtt_us = rtt
+        for seq in covered:
+            del self.unacked[seq]
         if progressed:
             self.rto_us = RTO_BASE_US
         reorder_at = self._detect_losses(now)

@@ -39,13 +39,32 @@ ETHERTYPE_IPV4 = 0x0800
 IP_PROTO_UDP = 17
 
 _ETH = struct.Struct(">6s6sH")
-_IP = struct.Struct(">BBHHHBBH4s4s")
-_UDP = struct.Struct(">HHHH")
-# magic, version, pkt_type, flow_src, flow_dst, seq, ack, msg_id,
-# frag_offset, msg_len, flags, reserved
-_HDR = struct.Struct(">HBBHHIIIIIHH")
+# Everything a frame carries before its payload, in one pack: the Ethernet
+# header, IPv4 without options, UDP and the transport header. Pad bytes are
+# the fields that are always zero: IP TOS, id, flags/fragment and checksum,
+# the UDP checksum and the header's reserved field.
+_HEAD = struct.Struct(">14sBxH4xBBxx8sHHHxxHBBHHIIIIIHxx")
+FRAME_HEAD_LEN = _HEAD.size
+# The receive side's one unpack, at offset 26: both addresses, both UDP
+# ports, then the transport header from pkt_type on (parse_frame tests magic
+# and version on the raw bytes, with the outer headers).
+_RX_HEAD = struct.Struct(">4s4sHH7xBHHIIIIIHxx")
+_FOUR_TUPLE = struct.Struct(">4s4sHH")
 
-assert _HDR.size == HEADER_LEN
+assert FRAME_HEAD_LEN == (ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
+                          + HEADER_LEN)
+
+# Raw header tests and offsets: Ethernet type then IPv4 version/IHL at 12,
+# the IP protocol at 23, the 12 bytes src ip | dst ip | src port | dst port
+# at 26 (the steering input), and magic and version at 42.
+MIN_UDP_FRAME = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
+IPV4_IHL5 = b"\x08\x00\x45"
+PROTO_AT = ETH_HEADER_LEN + 9
+TUPLE_AT = ETH_HEADER_LEN + 12
+_MAGIC_AT = MIN_UDP_FRAME
+_MAGIC_VERSION = struct.pack(">HB", MAGIC, VERSION)
+_IP_LEN_0 = IP_HEADER_LEN + UDP_HEADER_LEN + HEADER_LEN
+_UDP_LEN_0 = UDP_HEADER_LEN + HEADER_LEN
 
 _SYN_PAYLOAD = struct.Struct(">HH")  # engine count, engine id
 _SYNACK_PAYLOAD = struct.Struct(">HHH")  # accepted SYN udp src/dst, engine id
@@ -66,9 +85,19 @@ def unpack_ip(raw):
     return "%d.%d.%d.%d" % (raw[0], raw[1], raw[2], raw[3])
 
 
-def mac_for_ip(dotted):
-    """Deterministic locally-administered MAC; the fabric routes by IP only."""
-    return b"\x02\x00" + pack_ip(dotted)
+# Dotted form of a received address. Bounded, so that frames from any number
+# of forged sources cost lookups for the hosts of a run and no memory growth.
+_dotted = lru_cache(maxsize=1024)(unpack_ip)
+
+
+@lru_cache(maxsize=256)
+def _addressing(src_ip, dst_ip):
+    """Ethernet header and the 8 IPv4 address bytes of a frame from src_ip
+    to dst_ip. MACs are deterministic and locally administered
+    (02:00:<ipv4>); the fabric routes by IP only."""
+    src, dst = pack_ip(src_ip), pack_ip(dst_ip)
+    return (_ETH.pack(b"\x02\x00" + dst, b"\x02\x00" + src, ETHERTYPE_IPV4),
+            src + dst)
 
 
 @dataclass(slots=True)
@@ -95,14 +124,12 @@ def build_frame(src_ip, dst_ip, udp_src, udp_dst, pkt_type, flow_src, flow_dst,
                 payload=b"", seq=0, ack=0, msg_id=0, frag_offset=0, msg_len=0,
                 flags=0):
     """Assemble a complete frame. IP/UDP checksums are left zero (no offloads)."""
-    hdr = _HDR.pack(MAGIC, VERSION, pkt_type, flow_src, flow_dst, seq, ack,
-                    msg_id, frag_offset, msg_len, flags, 0)
-    udp_len = UDP_HEADER_LEN + HEADER_LEN + len(payload)
-    udp = _UDP.pack(udp_src, udp_dst, udp_len, 0)
-    ip = _IP.pack(0x45, 0, IP_HEADER_LEN + udp_len, 0, 0, 64, IP_PROTO_UDP, 0,
-                  pack_ip(src_ip), pack_ip(dst_ip))
-    eth = _ETH.pack(mac_for_ip(dst_ip), mac_for_ip(src_ip), ETHERTYPE_IPV4)
-    return eth + ip + udp + hdr + payload
+    eth, addrs = _addressing(src_ip, dst_ip)
+    n = len(payload)
+    return _HEAD.pack(eth, 0x45, _IP_LEN_0 + n, 64, IP_PROTO_UDP, addrs,
+                      udp_src, udp_dst, _UDP_LEN_0 + n, MAGIC, VERSION,
+                      pkt_type, flow_src, flow_dst, seq, ack, msg_id,
+                      frag_offset, msg_len, flags) + payload
 
 
 def extract_four_tuple(frame):
@@ -110,33 +137,26 @@ def extract_four_tuple(frame):
 
     This is the only header material the simulated NIC's steering looks at.
     """
-    if len(frame) < ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN:
+    if (len(frame) < MIN_UDP_FRAME or frame[12:15] != IPV4_IHL5
+            or frame[PROTO_AT] != IP_PROTO_UDP):
         return None
-    if _ETH.unpack_from(frame, 0)[2] != ETHERTYPE_IPV4:
-        return None
-    vihl, _, _, _, _, _, proto, _, src, dst = _IP.unpack_from(frame, ETH_HEADER_LEN)
-    if vihl != 0x45 or proto != IP_PROTO_UDP:
-        return None
-    sp, dp, _, _ = _UDP.unpack_from(frame, ETH_HEADER_LEN + IP_HEADER_LEN)
-    return unpack_ip(src), unpack_ip(dst), sp, dp
+    src, dst, sp, dp = _FOUR_TUPLE.unpack_from(frame, TUPLE_AT)
+    return _dotted(src), _dotted(dst), sp, dp
 
 
 def parse_frame(frame):
-    """Decode a frame into a ParsedFrame, or None if malformed for the stack."""
-    four = extract_four_tuple(frame)
-    if four is None:
+    """Decode a frame into a ParsedFrame, or None if malformed for the stack:
+    shorter than the headers, not IPv4 without options, not UDP, or a
+    transport header with the wrong magic or version."""
+    if (len(frame) < FRAME_HEAD_LEN or frame[12:15] != IPV4_IHL5
+            or frame[PROTO_AT] != IP_PROTO_UDP
+            or frame[_MAGIC_AT:_MAGIC_AT + 3] != _MAGIC_VERSION):
         return None
-    off = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
-    if len(frame) < off + HEADER_LEN:
-        return None
-    (magic, version, pkt_type, flow_src, flow_dst, seq, ack, msg_id,
-     frag_offset, msg_len, flags, _) = _HDR.unpack_from(frame, off)
-    if magic != MAGIC or version != VERSION:
-        return None
-    src_ip, dst_ip, udp_src, udp_dst = four
-    return ParsedFrame(src_ip, dst_ip, udp_src, udp_dst, pkt_type, flow_src,
-                       flow_dst, seq, ack, msg_id, frag_offset, msg_len, flags,
-                       bytes(frame[off + HEADER_LEN:]))
+    (src, dst, udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq, ack,
+     msg_id, frag_offset, msg_len, flags) = _RX_HEAD.unpack_from(frame, TUPLE_AT)
+    return ParsedFrame(_dotted(src), _dotted(dst), udp_src, udp_dst, pkt_type,
+                       flow_src, flow_dst, seq, ack, msg_id, frag_offset,
+                       msg_len, flags, bytes(frame[FRAME_HEAD_LEN:]))
 
 
 def pack_syn_payload(engine_count, engine_id):

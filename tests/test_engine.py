@@ -190,6 +190,29 @@ def test_run_for_keeps_its_deadline():
     assert sch.recv().payload == b"x" * 5000
 
 
+@pytest.mark.parametrize("flags", [wire.FLAG_OPTIMIZED, 0],
+                         ids=["optimized", "naive"])
+def test_syn_with_seq_zero_is_malformed_and_leaves_no_handshake(flags):
+    """Connect attempts count from 1. An optimized-mode server handshake
+    would file a seq-0 SYN as a duplicate of attempt 0 and then never
+    answer, time out or free it, so such a SYN is dropped before anything
+    is stored."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    assert 80 in eng.listeners
+    before = replace(eng.stats)
+    eng._dispatch(wire.build_frame(
+        "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
+        payload=wire.pack_syn_payload(1, 0), seq=0, flags=flags), sim.now)
+    assert not eng.server_handshakes
+    assert eng.stats == replace(before, syns_rx=before.syns_rx + 1,
+                                rx_malformed=before.rx_malformed + 1)
+    sim.run_for(1_000_000)
+    assert not eng.server_handshakes
+    assert eng.stats.synacks_sent == 0
+
+
 def test_every_flow_frame_steers_to_the_owning_engines():
     """Established flows use only their handshake-chosen port pairs, so the
     fabric oracle must steer every one of their frames to the flow owners."""

@@ -1,6 +1,7 @@
 """Connection-setup behavior over the simulated fabric."""
 
 import inspect
+import random
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -11,8 +12,9 @@ from conftest import connect_established, make_pair
 
 from sidenet import wire
 from sidenet.channel import ConnectError
-from sidenet.handshake import (MODE_NAIVE, MODE_OPTIMIZED,
-                               RETRY_TIMEOUT_US)
+from sidenet.handshake import (EPHEMERAL_HI, EPHEMERAL_LO, MODE_NAIVE,
+                               MODE_OPTIMIZED, RETRY_TIMEOUT_US,
+                               draw_udp_pairs)
 from sidenet.stack import Stack
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
@@ -286,3 +288,45 @@ def test_removed_connect_options_are_gone():
         for name in ("default_p", "default_mode", "remote_engines"):
             assert name not in text, (path.name, name)
         assert not re.search(r"\bHS_[A-Z]", text), path.name
+
+
+def _randint_pairs(rng, count, used):
+    """Reference spray draw: two randint calls per pair, as the handshake
+    drew them before it called getrandbits directly."""
+    pairs = []
+    while len(pairs) < count:
+        pair = (rng.randint(EPHEMERAL_LO, EPHEMERAL_HI),
+                rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
+        if pair in used:
+            continue
+        used.add(pair)
+        pairs.append(pair)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 2024])
+def test_spray_draws_match_randint_reference(seed):
+    """The pinned CSVs and digests depend on the spray's RNG draw order:
+    draw_udp_pairs must consume the generator exactly as randint does."""
+    fast, ref = random.Random(seed), random.Random(seed)
+    fast_used, ref_used = set(), set()
+    for count in (1, 13, 47, 400):
+        assert (draw_udp_pairs(fast, count, fast_used)
+                == _randint_pairs(ref, count, ref_used))
+        assert fast_used == ref_used
+    assert fast.random() == ref.random()  # the same state afterwards
+
+
+def test_spray_draws_skip_used_pairs_like_the_reference():
+    """A `used` set holding most of a small window of upcoming draws forces
+    collisions; the rejected draws still advance the generator."""
+    upcoming = _randint_pairs(random.Random(7), 64, set())
+    used = set(upcoming[::2]) | set(upcoming[1:40:3])
+    fast, ref = random.Random(7), random.Random(7)
+    fast_used, ref_used = set(used), set(used)
+    got = draw_udp_pairs(fast, 30, fast_used)
+    assert got == _randint_pairs(ref, 30, ref_used)
+    assert not used & set(got)
+    assert len(set(got)) == 30
+    assert fast_used == ref_used
+    assert fast.getrandbits(32) == ref.getrandbits(32)

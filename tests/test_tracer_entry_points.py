@@ -1,0 +1,30 @@
+"""The benchmark's tracer wraps sidenet's entry points by name; each must
+exist where the tracer looks, or `perfbench/run.py --trace 1` crashes."""
+
+import types
+from pathlib import Path
+
+import sidenet
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    """Run perfbench/tracing.py from its source text, so that loading it
+    writes nothing under perfbench/."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), vars(module))
+    return module
+
+
+def test_every_traced_entry_point_resolves_on_sidenet():
+    tracing = _load_tracing()
+    assert tracing.SIDENET_ENTRY_POINTS
+    for module, owner, attr, name in tracing.SIDENET_ENTRY_POINTS:
+        target = getattr(sidenet, module)
+        if owner is not None:
+            target = getattr(target, owner)
+        # The tracer reads vars(target)[attr]: an inherited or missing name
+        # raises KeyError there.
+        assert callable(vars(target)[attr]), name

@@ -2,6 +2,9 @@
 
 import struct
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sidenet import wire
 
 
@@ -157,3 +160,140 @@ def test_every_frame_type_matches_its_golden_capture():
     assert set(built) == set(golden)
     for name, frame in built.items():
         assert frame == golden[name], "wire break in %s frame" % name
+
+
+# Reference codec: the field-by-field packer and decoder the wire module
+# used before it packed and unpacked each frame's headers in one call. The
+# fast path must agree with them on every input.
+
+_REF_ETH = struct.Struct(">6s6sH")
+_REF_IP = struct.Struct(">BBHHHBBH4s4s")
+_REF_UDP = struct.Struct(">HHHH")
+_REF_HDR = struct.Struct(">HBBHHIIIIIHH")
+
+
+def _ref_pack_ip(dotted):
+    return bytes(int(x) for x in dotted.split("."))
+
+
+def reference_build(src_ip, dst_ip, udp_src, udp_dst, pkt_type, flow_src,
+                    flow_dst, payload=b"", seq=0, ack=0, msg_id=0,
+                    frag_offset=0, msg_len=0, flags=0):
+    hdr = _REF_HDR.pack(wire.MAGIC, wire.VERSION, pkt_type, flow_src,
+                        flow_dst, seq, ack, msg_id, frag_offset, msg_len,
+                        flags, 0)
+    udp_len = 8 + 32 + len(payload)
+    udp = _REF_UDP.pack(udp_src, udp_dst, udp_len, 0)
+    ip = _REF_IP.pack(0x45, 0, 20 + udp_len, 0, 0, 64, 17, 0,
+                      _ref_pack_ip(src_ip), _ref_pack_ip(dst_ip))
+    eth = _REF_ETH.pack(b"\x02\x00" + _ref_pack_ip(dst_ip),
+                        b"\x02\x00" + _ref_pack_ip(src_ip), 0x0800)
+    return eth + ip + udp + hdr + payload
+
+
+def reference_four_tuple(frame):
+    if len(frame) < 14 + 20 + 8:
+        return None
+    if _REF_ETH.unpack_from(frame, 0)[2] != 0x0800:
+        return None
+    vihl, _, _, _, _, _, proto, _, src, dst = _REF_IP.unpack_from(frame, 14)
+    if vihl != 0x45 or proto != 17:
+        return None
+    sp, dp, _, _ = _REF_UDP.unpack_from(frame, 34)
+    return "%d.%d.%d.%d" % tuple(src), "%d.%d.%d.%d" % tuple(dst), sp, dp
+
+
+def reference_parse(frame):
+    """Field tuple of a frame the stack accepts, else None."""
+    four = reference_four_tuple(frame)
+    if four is None or len(frame) < 42 + 32:
+        return None
+    (magic, version, pkt_type, flow_src, flow_dst, seq, ack, msg_id,
+     frag_offset, msg_len, flags, _) = _REF_HDR.unpack_from(frame, 42)
+    if magic != wire.MAGIC or version != wire.VERSION:
+        return None
+    return four + (pkt_type, flow_src, flow_dst, seq, ack, msg_id,
+                   frag_offset, msg_len, flags, bytes(frame[74:]))
+
+
+def _fields(pkt):
+    return (pkt.src_ip, pkt.dst_ip, pkt.udp_src, pkt.udp_dst, pkt.pkt_type,
+            pkt.flow_src, pkt.flow_dst, pkt.seq, pkt.ack, pkt.msg_id,
+            pkt.frag_offset, pkt.msg_len, pkt.flags, pkt.payload)
+
+
+_ips = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda q: "%d.%d.%d.%d" % q)
+_u8 = st.integers(0, 0xFF)
+_u16 = st.integers(0, 0xFFFF)
+_u32 = st.integers(0, 0xFFFFFFFF)
+
+
+@st.composite
+def frame_fields(draw, max_payload=wire.FRAGMENT_PAYLOAD):
+    """Positional and keyword arguments of build_frame, every field over its
+    full range."""
+    args = (draw(_ips), draw(_ips), draw(_u16), draw(_u16), draw(_u8),
+            draw(_u16), draw(_u16))
+    kwargs = dict(payload=draw(st.binary(max_size=max_payload)),
+                  seq=draw(_u32), ack=draw(_u32), msg_id=draw(_u32),
+                  frag_offset=draw(_u32), msg_len=draw(_u32),
+                  flags=draw(_u16))
+    return args, kwargs
+
+
+@settings(max_examples=300)
+@given(frame_fields())
+def test_build_frame_matches_reference_packer(fields):
+    args, kwargs = fields
+    frame = wire.build_frame(*args, **kwargs)
+    assert frame == reference_build(*args, **kwargs)
+    assert type(frame) is bytes
+
+
+# Ethernet type, IPv4 version/IHL, IP protocol, magic and version.
+_TESTED_BYTES = (12, 13, 14, 23, 42, 43, 44)
+
+
+@st.composite
+def received_frames(draw):
+    """Arbitrary bytes, or a valid frame with up to six bytes overwritten
+    (in the headers, often a byte the parser tests) and maybe cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=120))
+    args, kwargs = draw(frame_fields(max_payload=32))
+    frame = bytearray(reference_build(*args, **kwargs))
+    where = st.sampled_from(_TESTED_BYTES) | st.integers(0, 90)
+    for at, value in draw(st.lists(st.tuples(where, _u8), max_size=6)):
+        frame[at % len(frame)] = value
+    cut = draw(st.none() | st.integers(0, 100))
+    return bytes(frame if cut is None else frame[:cut])
+
+
+@settings(max_examples=500)
+@given(received_frames())
+def test_parse_frame_agrees_with_reference_decoder(frame):
+    assert wire.extract_four_tuple(frame) == reference_four_tuple(frame)
+    want = reference_parse(frame)
+    pkt = wire.parse_frame(frame)
+    if want is None:
+        assert pkt is None
+    else:
+        assert pkt is not None
+        assert _fields(pkt) == want
+        assert type(pkt.payload) is bytes
+
+
+def test_parse_frame_checks_each_header_byte_it_depends_on():
+    """Each of the bytes parse_frame tests rejects the frame when changed,
+    and the reference agrees."""
+    good = wire.build_frame("10.1.2.3", "10.3.2.1", 40001, 40002,
+                            wire.PKT_DATA, 7, 8, payload=b"x")
+    assert wire.parse_frame(good) is not None
+    for at in _TESTED_BYTES:
+        bad = bytearray(good)
+        bad[at] ^= 0x01
+        assert wire.parse_frame(bytes(bad)) is None, at
+        assert reference_parse(bytes(bad)) is None, at
+    assert wire.parse_frame(good[:73]) is None
+    assert wire.parse_frame(good[:74]) is not None
