@@ -40,6 +40,10 @@ RX_BURST = 32
 CHANNEL_MSG_BURST = 32
 CONTROL_INTERVAL_US = 50
 DEFAULT_TICK_US = 5
+# Packet types an established flow handles; one for no flow counts as
+# rx_unknown_flow.
+_FLOW_PKT_TYPES = frozenset((wire.PKT_DATA, wire.PKT_SACK, wire.PKT_FIN,
+                             wire.PKT_FINACK))
 
 
 @dataclass(frozen=True)
@@ -287,45 +291,40 @@ class Engine:
             self.stats.rx_malformed += 1
             return
         t = pkt.pkt_type
-        if t == wire.PKT_DATA or t == wire.PKT_SACK:
-            flow = self.flows.get((pkt.src_ip, pkt.flow_src, pkt.flow_dst))
+        key = (pkt.src_ip, pkt.flow_src, pkt.flow_dst)
+        if t in _FLOW_PKT_TYPES:
+            flow = self.flows.get(key)
             if flow is None:
                 self.stats.rx_unknown_flow += 1
-                return
-            if t == wire.PKT_DATA:
+            elif t == wire.PKT_DATA:
                 flow.on_data(pkt, now)
-            else:
+            elif t == wire.PKT_SACK:
                 flow.on_sack(pkt, now)
+            elif t == wire.PKT_FIN:
+                flow.on_fin(pkt, now)
+            else:
+                flow.on_finack(pkt, now)
         elif t == wire.PKT_SYN:
             self.stats.syns_rx += 1
-            self._on_syn(pkt, now)
+            self._on_syn(pkt, key, now)
         elif t == wire.PKT_SYNACK:
             self.stats.synacks_rx += 1
-            hs = self.client_handshakes.get((pkt.src_ip, pkt.flow_src, pkt.flow_dst))
+            hs = self.client_handshakes.get(key)
             if hs is None:
                 self.stats.unknown_synacks += 1
                 return
             hs.on_synack(self, now, pkt)
         elif t == wire.PKT_ACK:
             self.stats.acks_rx += 1
-            key = (pkt.src_ip, pkt.flow_src, pkt.flow_dst)
             hs = self.server_handshakes.get(key)
             if hs is not None:
                 hs.on_ack(self, now, pkt)
             elif key not in self.flows:  # not a live flow's repeated final ACK
                 self.stats.unknown_acks += 1
-        elif t == wire.PKT_FIN or t == wire.PKT_FINACK:
-            flow = self.flows.get((pkt.src_ip, pkt.flow_src, pkt.flow_dst))
-            if flow is None:
-                return
-            if t == wire.PKT_FIN:
-                flow.on_fin(pkt, now)
-            else:
-                flow.on_finack(pkt, now)
         else:
             self.stats.rx_malformed += 1  # no such packet type
 
-    def _on_syn(self, pkt, now):
+    def _on_syn(self, pkt, key, now):
         if pkt.seq == 0:
             # Attempts count from 1: no client sends seq 0, and the server
             # handshake would file it as a duplicate of attempt 0 and never
@@ -340,7 +339,6 @@ class Engine:
             # Expected spray waste; the owning engine sees its own copy.
             self.stats.wrong_engine_syns += 1
             return
-        key = (pkt.src_ip, pkt.flow_src, pkt.flow_dst)
         if key in self.flows:
             self.stats.duplicate_syns += 1
             return

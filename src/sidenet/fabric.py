@@ -13,6 +13,14 @@ destination host is found by its 4-byte address, and the 12 bytes
 src_ip | dst_ip | src_port | dst_port at offset 26 are hashed through the
 hasher's precomputed 12 x 256 table. The event keeps the host and queue,
 so delivery decodes nothing.
+
+Each accepted frame is one heap entry, keyed (due, send order) when it is
+pushed and never re-keyed. A reorder swaps a new frame with the frame sent
+just before it, if that one is still in flight: the two events exchange
+frame, host and queue, so the newer frame takes the older slot, and that
+slot is the one the next reorder swaps with. The swap moves frames, not
+times, so two frames due at the same instant flip as well. Once that slot
+is delivered, the next frame has nothing to swap with.
 """
 
 import heapq
@@ -102,15 +110,12 @@ class _Host:
 
 
 class _Event:
-    __slots__ = ("due", "order", "frame", "host", "queue", "done")
+    __slots__ = ("frame", "host", "queue")
 
-    def __init__(self, due, order, frame, host, queue):
-        self.due = due
-        self.order = order  # delivery tie-break; swapped on reorder
+    def __init__(self, frame, host, queue):
         self.frame = frame
         self.host = host
         self.queue = queue
-        self.done = False
 
 
 class Fabric:
@@ -127,8 +132,7 @@ class Fabric:
         self._tx_rings = []  # (host ip, TX ring) in host, then queue order
         self._heap = []
         self._seq = 0
-        self._push_id = 0
-        self._last_pending = None
+        self._last_pending = None  # slot of the newest frame in flight
         self._tap = None  # test hook: callable(frame) -> True to force-drop
         self.stats = FabricStats()
 
@@ -193,23 +197,19 @@ class Fabric:
         if cfg.delay_jitter_us:
             delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
         self._seq += 1
-        event = _Event(self.clock.now + max(0, delay), self._seq, frame, host,
-                       self._queue(host, frame))
+        event = _Event(frame, host, self._queue(host, frame))
+        heapq.heappush(self._heap,
+                       (self.clock.now + max(0, delay), self._seq, event))
         if cfg.reorder_probability:
             prev = self._last_pending
-            if (prev is not None and not prev.done
+            if (prev is not None
                     and self._rng.random() < cfg.reorder_probability):
-                # Swap the two adjacent scheduled deliveries (time and order,
-                # so bursts scheduled at the same instant also flip).
-                prev.due, event.due = event.due, prev.due
-                prev.order, event.order = event.order, prev.order
-                self._push(prev)
-        self._push(event)
+                # Swap the two adjacent frames, not their schedule keys.
+                prev.frame, event.frame = event.frame, prev.frame
+                prev.host, event.host = event.host, prev.host
+                prev.queue, event.queue = event.queue, prev.queue
+                event = prev
         self._last_pending = event
-
-    def _push(self, event):
-        self._push_id += 1
-        heapq.heappush(self._heap, (event.due, event.order, self._push_id, event))
 
     def collect_tx(self):
         """Move every frame waiting in a TX ring into the delivery schedule,
@@ -223,28 +223,17 @@ class Fabric:
         return moved
 
     def next_event_time(self):
-        heap = self._heap
-        while heap:
-            due, order, _, event = heap[0]
-            if event.done or (due, order) != (event.due, event.order):
-                heapq.heappop(heap)
-                continue
-            return due
-        return None
+        return self._heap[0][0] if self._heap else None
 
     def advance_to(self, t):
         """Deliver everything due in (now, t] in timestamp order; now becomes t.
         The clock enforces monotonicity (a wall clock advances itself)."""
         delivered = 0
         heap = self._heap
-        while heap:
-            due, order, _, event = heap[0]
-            if due > t:
-                break
-            heapq.heappop(heap)
-            if event.done or (due, order) != (event.due, event.order):
-                continue  # stale entry from a reorder swap
-            event.done = True
+        while heap and heap[0][0] <= t:
+            event = heapq.heappop(heap)[2]
+            if event is self._last_pending:
+                self._last_pending = None
             self._deliver(event)
             delivered += 1
         self.clock.advance_to(t)
@@ -262,13 +251,7 @@ class Fabric:
             self.stats.dropped_ring_full += 1
 
     def in_flight(self):
-        seen = set()
-        count = 0
-        for _, _, _, e in self._heap:
-            if not e.done and id(e) not in seen:
-                seen.add(id(e))
-                count += 1
-        return count
+        return len(self._heap)
 
     def conservation_ok(self):
         s = self.stats

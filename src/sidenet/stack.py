@@ -96,7 +96,7 @@ class Stack:
         from .channel import FlowHandle
 
         with self._lock:
-            local_port = self._alloc_flow_port()
+            local_port = self._alloc_flow_port(remote_ip, remote_port)
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,
                             channel)
         ports = handshake.FlowPorts(local=local_port, remote=remote_port)
@@ -112,13 +112,19 @@ class Stack:
                 raise ConnectError("connect timed out", attempts=handle.attempts)
         return handle
 
-    def _alloc_flow_port(self):
+    def _alloc_flow_port(self, remote_ip, remote_port):
+        """Next port after the last one handed out that is neither a listen
+        port nor part of a live flow or pending connect to this peer."""
         for _ in range(65536):
             port = self._next_flow_port
             self._next_flow_port += 1
             if self._next_flow_port > 65535:
                 self._next_flow_port = EPHEMERAL_FLOW_PORT_BASE
-            if port not in self._listen_ports:
+            if port in self._listen_ports:
+                continue
+            key = (remote_ip, remote_port, port)
+            if not any(key in eng.flows or key in eng.client_handshakes
+                       for eng in self.engines):
                 return port
         raise StackError("no free flow ports")
 

@@ -62,7 +62,6 @@ class _TxEntry:
 
 @dataclass
 class FlowStats:
-    msgs_sent: int = 0
     msgs_delivered: int = 0
     frags_sent_total: int = 0
     frags_sent_unique: int = 0
@@ -148,7 +147,6 @@ class Flow:
                 frag_offset=off, msg_len=msg_len,
                 flags=wire.FLAG_LAST_FRAGMENT if last else 0)
             self.pending.append((seq, frame))
-        self.stats.msgs_sent += 1
         self.pump(now)
         return msg_id
 

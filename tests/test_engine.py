@@ -83,6 +83,55 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
     assert _assert_flows_steer_to_owners(sim, client, server) == 2
 
 
+@pytest.mark.parametrize("pkt_type", [wire.PKT_DATA, wire.PKT_SACK,
+                                      wire.PKT_FIN, wire.PKT_FINACK],
+                         ids=["data", "sack", "fin", "finack"])
+def test_flow_frame_for_no_flow_counts_unknown_flow(pkt_type):
+    """Each frame type an established flow handles, sent for no flow, counts
+    once in rx_unknown_flow and changes nothing else."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    before = replace(eng.stats)
+    eng._dispatch(wire.build_frame("10.0.0.9", "10.0.0.2", 5000, 6000,
+                                   pkt_type, 4242, 80), sim.now)
+    assert eng.stats == replace(before,
+                                rx_unknown_flow=before.rx_unknown_flow + 1)
+    assert not eng.flows and not eng.server_handshakes
+
+
+def test_flow_port_of_a_live_flow_or_pending_connect_is_skipped():
+    """With the port counter wrapped round to a port that a live flow or a
+    pending connect to the same peer holds, as after 32768 more connects,
+    the next connect gets another port: it establishes, and the live flow
+    is untouched and still carries messages."""
+    sim, client, server, cch, sch = make_pair(seed=21, engines=1)
+    first = connect_established(sim, client, cch)
+    sim.run_for(1000)  # the final ACK reaches the server
+    ceng, seng = client.engines[0], server.engines[0]
+    flow = ceng.flows[("10.0.0.2", 80, first.local_port)]
+    peer = seng.flows[("10.0.0.1", first.local_port, 80)]
+    client._next_flow_port = first.local_port
+    second = connect_established(sim, client, cch)
+    assert second.local_port != first.local_port
+    assert ceng.flows[("10.0.0.2", 80, first.local_port)] is flow
+    assert seng.flows[("10.0.0.1", first.local_port, 80)] is peer
+    assert first.is_established
+    assert seng.stats.duplicate_syns == 0
+    cch.send(first, b"still here")
+    assert sim.run_until(lambda: sch.rx_pending() > 0, max_us=1_000_000)
+    msg = sch.recv()
+    assert (msg.payload, msg.flow.remote_port) == (b"still here",
+                                                   first.local_port)
+
+    pending = client.connect(cch, "10.0.0.2", 81)  # nobody listens there
+    assert sim.run_until(lambda: ("10.0.0.2", 81, pending.local_port)
+                         in ceng.client_handshakes, max_us=1000)
+    client._next_flow_port = pending.local_port
+    again = client.connect(cch, "10.0.0.2", 81)
+    assert again.local_port != pending.local_port
+
+
 def test_round_robin_assignment_cycles():
     assert [pick_engine(None, 4, k) for k in range(6)] == [0, 1, 2, 3, 0, 1]
     assert [pick_engine(EnginePolicy.round_robin(), 4, k)

@@ -1,8 +1,11 @@
 """Simulated network: steering, fault injection, virtual time, determinism."""
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidenet import wire
 from sidenet.fabric import Fabric, FabricConfig
@@ -255,3 +258,160 @@ def test_stack_modules_never_touch_steering_internals():
             lowered = name.lower()
             for term in banned:
                 assert term not in lowered, "%s references %r" % (mod, name)
+
+
+class _KeyedEvent:
+    __slots__ = ("due", "order", "frame", "host", "queue", "done")
+
+    def __init__(self, due, order, frame, host, queue):
+        self.due = due
+        self.order = order
+        self.frame = frame
+        self.host = host
+        self.queue = queue
+        self.done = False
+
+
+class KeySwappingFabric(Fabric):
+    """Reference scheduler: a reorder swaps the schedule keys of the two
+    adjacent events and pushes the older one again, leaving a stale heap
+    entry that every reader skips. Routing, steering, fault draws and
+    delivery are the fabric's own."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._push_id = 0
+
+    def send(self, src_ip, frame):
+        cfg = self._cfg
+        self.stats.sent += 1
+        host = self._route(frame)
+        if host is None:
+            self.stats.dropped_unroutable += 1
+            return
+        if self._tap is not None and self._tap(frame):
+            self.stats.lost += 1
+            return
+        if self._rng.random() < cfg.loss_probability:
+            self.stats.lost += 1
+            return
+        delay = cfg.base_delay_us
+        if cfg.delay_jitter_us:
+            delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
+        self._seq += 1
+        event = _KeyedEvent(self.clock.now + max(0, delay), self._seq, frame,
+                            host, self._queue(host, frame))
+        if cfg.reorder_probability:
+            prev = self._last_pending
+            if (prev is not None and not prev.done
+                    and self._rng.random() < cfg.reorder_probability):
+                prev.due, event.due = event.due, prev.due
+                prev.order, event.order = event.order, prev.order
+                self._push(prev)
+        self._push(event)
+        self._last_pending = event
+
+    def _push(self, event):
+        self._push_id += 1
+        heapq.heappush(self._heap, (event.due, event.order, self._push_id, event))
+
+    def _stale(self, entry):
+        due, order, _, event = entry
+        return event.done or (due, order) != (event.due, event.order)
+
+    def next_event_time(self):
+        heap = self._heap
+        while heap:
+            if self._stale(heap[0]):
+                heapq.heappop(heap)
+                continue
+            return heap[0][0]
+        return None
+
+    def advance_to(self, t):
+        delivered = 0
+        heap = self._heap
+        while heap and heap[0][0] <= t:
+            entry = heapq.heappop(heap)
+            if self._stale(entry):
+                continue
+            entry[3].done = True
+            self._deliver(entry[3])
+            delivered += 1
+        self.clock.advance_to(t)
+        return delivered
+
+    def in_flight(self):
+        live = {id(e[3]) for e in self._heap if not e[3].done}
+        return len(live)
+
+
+_HOSTS = (("10.0.0.1", 1), ("10.0.0.2", 4), ("10.0.0.3", 3))
+_NOWHERE = "10.9.9.9"
+
+
+def _logged_fabric(cls, cfg, drop_tag):
+    """A fabric over the three hosts whose NICs log every delivery as
+    (clock before the advance, host, queue, frame, accepted)."""
+    fab = cls(cfg)
+    log = []
+    for ip, queues in _HOSTS:
+        nic = fab.add_host(ip, queues)
+
+        def deliver(queue, frame, ip=ip, into_ring=nic._deliver):
+            ok = into_ring(queue, frame)
+            log.append((fab.now, ip, queue, frame, ok))
+            return ok
+
+        nic._deliver = deliver
+    if drop_tag is not None:
+        fab._tap = lambda frame: frame[-1] % 8 == drop_tag
+    return fab, log
+
+
+_ips = st.sampled_from([ip for ip, _ in _HOSTS])
+_sends = st.tuples(st.just("send"), _ips, _ips | st.just(_NOWHERE),
+                   st.integers(40000, 40063), st.integers(40000, 40003),
+                   st.integers(1, 6))
+_advances = st.tuples(st.just("advance"), st.integers(0, 40))
+_to_next = st.tuples(st.just("next"))
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**16),
+       loss=st.sampled_from([0.0, 0.05, 0.3]),
+       reorder=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       jitter=st.integers(0, 30),
+       base=st.integers(0, 30),
+       drop_tag=st.none() | st.integers(0, 7),
+       ops=st.lists(st.one_of(_sends, _advances, _to_next), max_size=60))
+def test_fabric_matches_key_swapping_reference(seed, loss, reorder, jitter,
+                                               base, drop_tag, ops):
+    """The fabric delivers the same frames to the same host and queue at the
+    same instants as the reference, with equal stats, in-flight count and
+    next event time after every step."""
+    cfg = dict(rng_seed=seed, loss_probability=loss,
+               reorder_probability=reorder, delay_jitter_us=jitter,
+               base_delay_us=base)
+    fab, got = _logged_fabric(Fabric, FabricConfig(**cfg), drop_tag)
+    ref, want = _logged_fabric(KeySwappingFabric, FabricConfig(**cfg), drop_tag)
+    tag = 0
+    for op in ops + [("advance", 10_000)]:
+        for f in (fab, ref):
+            if op[0] == "send":
+                _, src, dst, sport, dport, burst = op
+                for i in range(burst):
+                    f.send(src, data_frame(src, dst, sport, dport, tag + i))
+            elif op[0] == "advance":
+                f.advance(op[1])
+            elif f.next_event_time() is not None:
+                f.advance_to(f.next_event_time())
+        if op[0] == "send":
+            tag += op[5]
+        assert got == want
+        assert fab.stats == ref.stats
+        assert fab.in_flight() == ref.in_flight()
+        assert fab.next_event_time() == ref.next_event_time()
+        assert fab.now == ref.now
+        assert fab.conservation_ok()
+    assert fab.in_flight() == 0
