@@ -184,6 +184,17 @@ class Channel:
             self._rx_cond.notify()
 
     def _pop_tx(self, max_msgs):
+        """Dequeue up to max_msgs queued messages, oldest first.
+
+        An empty queue returns [] without the lock, for the reason an empty
+        non-blocking recv does: the engine is the queue's one consumer and
+        len() of a deque is atomic under the GIL, so a message the
+        application pushes just after is taken by the next call either way.
+        A non-empty queue is popped under the lock, which also wakes a
+        sender blocked on a full queue.
+        """
+        if not self._tx:
+            return []
         out = []
         with self._tx_cond:
             while self._tx and len(out) < max_msgs:

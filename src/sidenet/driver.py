@@ -3,11 +3,11 @@
 The deterministic driver single-threads everything: engines and poll-style
 apps run in fixed order at the current virtual time, then the clock jumps
 straight to the next interesting instant (a fabric delivery, an engine
-timer, a control-grid tick). An engine's answer to "are you due?" is
-cached and recomputed only after it runs or is woken (see the wake contract
-in engine.py), so an idle engine costs a pass a few attribute reads. All
-timing is virtual, so runs are exactly reproducible and machine
-independent.
+timer, a control-grid tick). Each engine keeps its next ready instant in
+`ready_at`, recomputed only after it runs or is woken (see the wake
+contract in engine.py); a pass reads that attribute, so an idle engine
+costs it a flag test and a comparison. All timing is virtual, so runs are
+exactly reproducible and machine independent.
 
 The threaded runtime wraps the same engine loop for live operation: one
 thread per engine plus a fabric pump, with the clock tied to wall time.
@@ -32,6 +32,7 @@ class Sim:
         self.tick_us = tick_us
         self.stacks = []
         self.apps = []
+        self._wakers = []  # the apps that have a next_wake(now)
         self._engines = []
 
     @property
@@ -48,33 +49,55 @@ class Sim:
         return stack
 
     def add_app(self, app):
-        """app: any object with step(sim) -> int (work done this pass)."""
+        """app: any object with step(sim) -> int (work done this pass), and
+        optionally next_wake(now) -> the next instant it has work, or None."""
         self.apps.append(app)
+        if hasattr(app, "next_wake"):
+            self._wakers.append(app)
         return app
 
     def step(self, until=None):
         """One scheduling pass; advances time only when nothing is runnable,
         and then never past `until`. Returns False when the whole simulation
-        is idle."""
+        is idle.
+
+        A pass without work first delivers any frame already due (a
+        zero-delay frame sent in this pass) and runs again at `now` if an
+        engine was woken after its turn; only then does the clock move."""
         now = self.clock.now
         work = 0
         for eng in self._engines:
-            if eng.due(now):
+            if eng.wake:
+                eng._refresh(now)
+            ready = eng.ready_at
+            if ready is not None and ready <= now:
                 work += eng.run_iteration(now)
         for app in self.apps:
             work += app.step(self) or 0
-        work += self.fabric.collect_tx()
+        fabric = self.fabric
+        work += fabric.collect_tx()
         if work:
             return True
-        nexts = [eng.next_due(now) for eng in self._engines]
-        nexts.append(self.fabric.next_event_time())
-        nexts += [app.next_wake(now) for app in self.apps
-                  if hasattr(app, "next_wake")]
-        future = [t for t in nexts if t is not None and t > now]
-        if not future:
+        t = fabric.next_event_time()
+        if t is not None and t <= now:
+            fabric.advance_to(now)
+            return True
+        for eng in self._engines:
+            if eng.wake:
+                eng._refresh(now)
+            ready = eng.ready_at
+            if ready is not None:
+                if ready <= now:
+                    return True
+                if t is None or ready < t:
+                    t = ready
+        for app in self._wakers:
+            wake = app.next_wake(now)
+            if wake is not None and wake > now and (t is None or wake < t):
+                t = wake
+        if t is None:
             return False
-        t = min(future)
-        self.fabric.advance_to(t if until is None else min(t, until))
+        fabric.advance_to(t if until is None else min(t, until))
         return True
 
     def run_until(self, cond, max_us=10_000_000, max_passes=100_000_000):

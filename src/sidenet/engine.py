@@ -10,9 +10,12 @@ Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
 replicated.
 
-Wake contract. The deterministic driver asks every engine, on every pass,
-whether it is due; the answer is a cached next-due time, recomputed only
-when the engine's `wake` flag is set and then cleared by that recompute.
+Wake contract. Each engine keeps `ready_at`, the first instant it has
+work: the earliest of its waiting frames and messages (ready at once), its
+first live timer and its control gate, held back to the end of its tick
+throttle; None when nothing is pending. The deterministic driver reads
+that attribute on every pass instead of asking each engine. `_refresh`
+recomputes it only when the engine's `wake` flag is set, and clears the flag.
 The engine sets the flag itself after each iteration. Everything else
 that gives an engine work from outside its own iteration must set it:
 
@@ -147,7 +150,7 @@ class Engine:
         self._control_gate = None  # next 50 us grid point once requests wait
         self._app_tx = False  # a channel may hold messages to transmit
         self._next_allowed = 0
-        self._due_at = None  # earliest pending work, valid while not `wake`
+        self.ready_at = None  # next instant with work; valid while not `wake`
         self.wake = True
         nic._set_owner(engine_id, self)
 
@@ -192,8 +195,9 @@ class Engine:
         return None
 
     def _refresh(self, now):
-        """Recompute the earliest pending work: `now` if frames or messages
-        wait, else the first live timer or control gate."""
+        """Recompute `ready_at`: `now` if frames or messages wait, else the
+        first live timer or control gate, held back to the end of the tick
+        throttle."""
         self.wake = False
         due = self._next_timer_due()
         gate = self._control_time(now)
@@ -203,23 +207,21 @@ class Engine:
              or self.nic.rx_pending(self.engine_id))
                 and (due is None or now < due)):
             due = now
-        self._due_at = due
+        if due is not None and due < self._next_allowed:
+            due = self._next_allowed
+        self.ready_at = due
 
     def due(self, now):
         """Whether the engine has work at `now` and is not tick-throttled."""
         if self.wake:
             self._refresh(now)
-        due = self._due_at
-        return due is not None and due <= now and now >= self._next_allowed
+        return self.ready_at is not None and self.ready_at <= now
 
     def next_due(self, now):
         """Earliest time this engine will have something to do."""
         if self.wake:
             self._refresh(now)
-        due = self._due_at
-        if due is None:
-            return None
-        return max(due, self._next_allowed)
+        return self.ready_at
 
     def arm_timer(self, due, fn):
         timer = Timer(due, fn)

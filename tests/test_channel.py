@@ -74,6 +74,30 @@ def test_empty_poll_takes_no_lock_and_next_poll_sees_a_push():
     assert ch.stats.rx_dequeued == 1
 
 
+def test_empty_tx_pop_takes_no_lock():
+    """The engine's pop of an empty TX queue does not wait for the lock an
+    application-side sender may hold."""
+    ch = Channel(0, 1)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_tx_lock():
+        with ch._tx_cond:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold_tx_lock)
+    holder.start()
+    try:
+        assert held.wait(10)
+        assert ch._pop_tx(32) == []
+        # A pop that took the lock would have waited for the holder.
+        assert holder.is_alive() and not release.is_set()
+    finally:
+        release.set()
+        holder.join()
+    assert ch.stats.tx_dequeued == 0
+
+
 def test_send_requires_established_flow():
     sim, client, server, cch, sch = make_pair(seed=4)
     handle = client.connect(cch, "10.0.0.2", 80)
