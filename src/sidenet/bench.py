@@ -16,7 +16,7 @@ import time
 
 from .channel import CONNECTING
 from .driver import Sim, ThreadedRuntime
-from .engine import EnginePolicy
+from .engine import DEFAULT_TICK_US, EnginePolicy
 from .fabric import FabricConfig
 from .handshake import (MODE_OPTIMIZED, naive_batch_size,
                         optimized_batch_size, optimized_batch_total)
@@ -83,8 +83,7 @@ def check_conservation(sim, stacks):
 class EchoServerApp:
     """Echo every received message back on its flow."""
 
-    def __init__(self, stack, channel):
-        self.stack = stack
+    def __init__(self, channel):
         self.channel = channel
 
     def step(self, sim):
@@ -100,8 +99,7 @@ class EchoServerApp:
 class EchoClientApp:
     """Keep `inflight` tagged messages outstanding until `count` round trips."""
 
-    def __init__(self, stack, channel, handle, msg_size, inflight, count):
-        self.stack = stack
+    def __init__(self, channel, handle, msg_size, inflight, count):
         self.channel = channel
         self.handle = handle
         self.msg_size = max(8, msg_size)
@@ -162,7 +160,7 @@ def _fabric_config(params, seed):
     )
 
 
-def _two_hosts(hosts, fabric_params, seed, tick_us=None):
+def _two_hosts(hosts, fabric_params, seed, tick_us=DEFAULT_TICK_US):
     """A Sim holding the scenario's server and client stacks, in that order."""
     sim = Sim(_fabric_config(fabric_params, seed), seed=seed, tick_us=tick_us)
     server = sim.add_stack(hosts["server"]["ip"], hosts["server"]["engines"])
@@ -177,16 +175,15 @@ def run_echo(hosts, fabric_params, workload, seed):
     mode = workload.get("mode", MODE_OPTIMIZED)
 
     sim, server, client = _two_hosts(hosts, fabric_params, seed,
-                                     workload.get("tick_us"))
+                                     workload.get("tick_us", DEFAULT_TICK_US))
     sch = server.attach()
     server.listen(sch, 80)
     cch = client.attach()
     (handle,) = _connect(sim, client, cch, hosts["server"]["ip"], 80,
                          "echo flow", mode=mode)
 
-    sim.add_app(EchoServerApp(server, sch))
-    app = sim.add_app(EchoClientApp(client, cch, handle, msg_size, inflight,
-                                    count))
+    sim.add_app(EchoServerApp(sch))
+    app = sim.add_app(EchoClientApp(cch, handle, msg_size, inflight, count))
     if not sim.run_until(lambda: app.done, max_us=600_000_000):
         raise BenchError("echo run stalled at %d/%d round trips"
                          % (len(app.latencies), count))
@@ -249,11 +246,8 @@ class BulkLoadApp:
         self.inflight = inflight
         self.msg_size = max(8, msg_size)
         self.outstanding = {h: 0 for h in handles}
-        self.active = False
 
     def step(self, sim):
-        if not self.active:
-            return 0
         work = 0
         while True:
             msg = self.channel.recv()
@@ -348,10 +342,9 @@ def _isolation_variant(variant, hosts, fabric_params, workload, seed):
                                "probe flow")
 
     for ch in bulk_sch + [probe_sch]:
-        sim.add_app(EchoServerApp(server, ch))
+        sim.add_app(EchoServerApp(ch))
     for app in bulk_load:
         sim.add_app(app)
-        app.active = True
     probe = sim.add_app(ProbeApp(probe_cch, probe_handle, probe_count,
                                  sim.now + warmup_us))
     if not sim.run_until(lambda: probe.done, max_us=2_000_000_000):

@@ -54,7 +54,9 @@ class ChannelStats:
 
 class FlowHandle:
     """Application-side view of one connection. State fields are written by
-    the owning engine and read by the application thread."""
+    the owning engine and read by the application thread. `key` is the
+    connection's identity in its engine's tables: (remote_ip, remote_port,
+    local_port)."""
 
     def __init__(self, local_ip, remote_ip, local_port, remote_port, channel):
         self.local_ip = local_ip
@@ -63,7 +65,7 @@ class FlowHandle:
         self.remote_port = remote_port
         self.channel = channel
         self.owner_engine = channel.owner_engine
-        self.remote_engine = None  # informational, learned during setup
+        self.key = (remote_ip, remote_port, local_port)
         self.state = CONNECTING
         self.error = None
         self.attempts = 0

@@ -172,6 +172,9 @@ def parse_scenario(text, source="<memory>"):
     if "msg_size" in workload and not 1 <= workload["msg_size"] <= MAX_MESSAGE_BYTES:
         raise ConfigError("msg_size must be within [1, 8 MiB]",
                           wl["msg_size"][1])
+    for key in ("tick_us", "inflight"):
+        if key in workload and workload[key] < 1:
+            raise ConfigError("%s must be >= 1" % key, wl[key][1])
 
     run = sections.pop("run", {})
     _reject_unknown(run, {"seed"}, "run")

@@ -17,6 +17,7 @@ This is the mode where blocking receive actually parks threads.
 import threading
 import time
 
+from .engine import DEFAULT_TICK_US
 from .fabric import Fabric, FabricConfig
 from .stack import Stack
 
@@ -24,7 +25,7 @@ from .stack import Stack
 class Sim:
     """Deterministic single-threaded harness for hosts, engines, and apps."""
 
-    def __init__(self, fabric_config=None, seed=0, tick_us=None):
+    def __init__(self, fabric_config=None, seed=0, tick_us=DEFAULT_TICK_US):
         cfg = fabric_config or FabricConfig(rng_seed=seed)
         self.fabric = Fabric(cfg)
         self.clock = self.fabric.clock

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import handshake, transport, wire
-from .channel import ESTABLISHED, FlowHandle
+from .channel import ESTABLISHED
 
 RX_BURST = 32
 CHANNEL_MSG_BURST = 32
@@ -312,10 +312,14 @@ class Engine:
         elif t == wire.PKT_SYNACK:
             self.stats.synacks_rx += 1
             hs = self.client_handshakes.get(key)
-            if hs is None:
-                self.stats.unknown_synacks += 1
+            if hs is not None:
+                hs.on_synack(self, now, pkt)
                 return
-            hs.on_synack(self, now, pkt)
+            flow = self.flows.get(key)
+            if flow is None or flow.final_ack is None:  # no client flow
+                self.stats.unknown_synacks += 1
+            else:
+                flow.on_synack(pkt)
         elif t == wire.PKT_ACK:
             self.stats.acks_rx += 1
             hs = self.server_handshakes.get(key)
@@ -350,21 +354,18 @@ class Engine:
             if info is None:
                 self.stats.rx_malformed += 1
                 return
-            client_engines, client_engine_id = info
+            client_engines, _ = info  # the client's engine id is not kept
             mode = (handshake.MODE_OPTIMIZED if pkt.flags & wire.FLAG_OPTIMIZED
                     else handshake.MODE_NAIVE)
-            hs = handshake.ServerHandshake(
-                listener, pkt.src_ip,
-                handshake.FlowPorts(local=pkt.flow_dst, remote=pkt.flow_src),
-                mode, max(1, client_engines), client_engine_id)
+            hs = handshake.ServerHandshake(listener, key, mode,
+                                           max(1, client_engines))
             self.server_handshakes[key] = hs
         hs.on_syn(self, now, pkt)
 
     # Channel TX.
 
     def _app_send(self, handle, payload, now):
-        flow = self.flows.get((handle.remote_ip, handle.remote_port,
-                               handle.local_port))
+        flow = self.flows.get(handle.key)
         if flow is None or handle.state != ESTABLISHED:
             self.stats.app_msgs_dropped += 1
             return
@@ -375,10 +376,10 @@ class Engine:
     def _process_control(self, request, now):
         op = request[0]
         if op == "connect":
-            _, handle, ports, remote_ip, mode = request
+            _, handle, mode = request
             self.stats.connects_requested += 1
-            hs = handshake.ClientHandshake(handle, ports, remote_ip, mode)
-            self.client_handshakes[hs.key()] = hs
+            hs = handshake.ClientHandshake(handle, mode)
+            self.client_handshakes[handle.key] = hs
             hs.start(self, now)
         elif op == "listen":
             listener = request[1]
@@ -390,30 +391,13 @@ class Engine:
 
     # Flow lifecycle, called by the handshake state machines.
 
-    def establish_client_flow(self, hs, tx_udp, rx_udp, remote_engine):
-        flow = transport.Flow(self, hs.handle, hs.ports, hs.remote_ip,
-                              tx_udp, rx_udp, hs.handle.channel)
-        self.flows[hs.key()] = flow
-        hs.handle.remote_engine = remote_engine
-        hs.handle._settle(ESTABLISHED, attempts=hs.attempt)
-        return flow
-
-    def establish_server_flow(self, hs, tx_udp, rx_udp):
-        handle = FlowHandle(self.local_ip, hs.remote_ip, hs.ports.local,
-                            hs.ports.remote, hs.listener.channel)
-        handle.remote_engine = hs.client_engine_id
-        handle._settle(ESTABLISHED)
-        flow = transport.Flow(self, handle, hs.ports, hs.remote_ip,
-                              tx_udp, rx_udp, hs.listener.channel)
-        self.flows[hs.key()] = flow
+    def establish(self, handle, tx_udp, rx_udp, attempts=0):
+        """File the flow a handshake just completed and settle its handle."""
+        flow = transport.Flow(self, handle, tx_udp, rx_udp)
+        self.flows[handle.key] = flow
+        self.stats.handshakes_established += 1
+        handle._settle(ESTABLISHED, attempts=attempts)
         return flow
 
     def drop_flow(self, flow):
         self.flows.pop(flow.key(), None)
-        self.client_handshakes.pop(flow.key(), None)
-
-    def drop_client_handshake(self, hs):
-        self.client_handshakes.pop(hs.key(), None)
-
-    def drop_server_handshake(self, hs):
-        self.server_handshakes.pop(hs.key(), None)

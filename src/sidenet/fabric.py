@@ -126,7 +126,6 @@ class Fabric:
         key = self._cfg.rss_key
         if key is None:
             key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
-        self._rss_key = key
         self._hasher = ToeplitzHasher(key)
         self._hosts = {}  # 4-byte IPv4 address -> _Host
         self._tx_rings = []  # (host ip, TX ring) in host, then queue order

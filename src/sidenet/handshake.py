@@ -23,13 +23,19 @@ spray.
 
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
+
+Set-up state ends at establishment on both sides: the client's handshake
+when its winning SYN-ACK arrives, the server's when the final ACK does.
+From then on the flow answers for its key; a client flow re-sends its
+final ACK when a retry SYN-ACK shows that the ACK was lost. SYNs and
+SYN-ACKs carry the sender's engine id, which neither side stores.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import wire
-from .channel import FAILED
+from .channel import FAILED, FlowHandle
 
 MODE_NAIVE = "naive"
 MODE_OPTIMIZED = "optimized"
@@ -126,23 +132,17 @@ def draw_udp_pairs(rng, count, used):
 class ClientHandshake:
     """Connect-side state machine; lives on the engine that must own the flow.
 
-    It stays in the engine's table until the flow ends, so that a retry
-    SYN-ACK (our ACK was lost) is answered with the ACK again; the winning
-    SYN-ACK marks it established."""
+    It ends when its winning SYN-ACK establishes the flow: it leaves the
+    engine's table, and the flow keeps the final ACK. A retry SYN-ACK (our
+    ACK was lost) is then answered by the flow, with the same ACK bytes."""
 
-    def __init__(self, handle, flow_ports, remote_ip, mode):
+    def __init__(self, handle, mode):
         self.handle = handle
-        self.ports = flow_ports
-        self.remote_ip = remote_ip
         self.mode = mode
         self.attempt = 1
         self.batch_size = 0
         self.sprayed = set()
         self.retry_timer = None
-        self._winning_synack = None
-
-    def key(self):
-        return (self.remote_ip, self.ports.remote, self.ports.local)
 
     def start(self, eng, now):
         """Spray the first batch, sized from this host's engine count."""
@@ -153,12 +153,13 @@ class ClientHandshake:
         self._spray(eng, now)
 
     def _spray(self, eng, now):
+        handle = self.handle
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
         for src, dst in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
             eng.emit(wire.build_frame(
-                eng.local_ip, self.remote_ip, src, dst,
-                wire.PKT_SYN, self.ports.local, self.ports.remote,
+                eng.local_ip, handle.remote_ip, src, dst,
+                wire.PKT_SYN, handle.local_port, handle.remote_port,
                 payload=payload, seq=self.attempt, flags=flags))
             eng.stats.syns_sent += 1
         self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
@@ -167,7 +168,7 @@ class ClientHandshake:
     def on_timeout(self, eng, now):
         if self.attempt >= MAX_ATTEMPTS:
             eng.stats.handshake_failures += 1
-            eng.drop_client_handshake(self)
+            eng.client_handshakes.pop(self.handle.key, None)
             self.handle._settle(FAILED, "no port pair reached the target "
                                 "engines after %d attempts" % self.attempt,
                                 attempts=self.attempt)
@@ -178,59 +179,44 @@ class ClientHandshake:
         self._spray(eng, now)
 
     def on_synack(self, eng, now, pkt):
-        """First SYN-ACK that steered here wins; everything else is noise."""
-        if self._winning_synack is not None:
-            # A retry SYN-ACK means our ACK was lost; re-send it. Leftovers
-            # of the batch we already answered are silently discarded.
-            if pkt.seq >= 2:
-                self._emit_ack(eng, self._winning_synack)
-            else:
-                eng.stats.synacks_discarded += 1
-            return
+        """The first well-formed SYN-ACK that steered here wins: it
+        establishes the flow and ends the handshake."""
         accepted = wire.unpack_synack_payload(pkt.payload)
         if accepted is None:
             eng.stats.synacks_discarded += 1
             return
-        tx_src, tx_dst, remote_engine = accepted
+        tx_src, tx_dst, _ = accepted  # the server's engine id is not kept
+        handle = self.handle
         self.retry_timer.cancel()
-        self._winning_synack = pkt
-        tx_udp = UdpPorts(tx_src, tx_dst)
-        rx_udp = UdpPorts(pkt.udp_src, pkt.udp_dst)
-        eng.stats.handshakes_established += 1
-        eng.establish_client_flow(self, tx_udp, rx_udp, remote_engine)
-        self._emit_ack(eng, pkt)
-
-    def _emit_ack(self, eng, synack_pkt):
-        payload = wire.pack_ack_payload(synack_pkt.udp_src, synack_pkt.udp_dst)
-        flow = eng.flows[self.key()]
-        eng.emit(wire.build_frame(
-            eng.local_ip, self.remote_ip, flow.tx_udp.src, flow.tx_udp.dst,
-            wire.PKT_ACK, self.ports.local, self.ports.remote,
-            payload=payload, seq=self.attempt))
+        eng.client_handshakes.pop(handle.key, None)
+        flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
+                             UdpPorts(pkt.udp_src, pkt.udp_dst),
+                             attempts=self.attempt)
+        flow.final_ack = wire.build_frame(
+            eng.local_ip, handle.remote_ip, tx_src, tx_dst,
+            wire.PKT_ACK, handle.local_port, handle.remote_port,
+            payload=wire.pack_ack_payload(pkt.udp_src, pkt.udp_dst),
+            seq=self.attempt)
+        eng.emit(flow.final_ack)
         eng.stats.acks_sent += 1
 
 
 class ServerHandshake:
     """Accept-side state machine; exists only on the listener's target engine,
-    and only until the client's final ACK establishes the flow."""
+    and only until the client's final ACK establishes the flow. `key` is the
+    flow's table key: (client ip, client flow port, listener port)."""
 
-    def __init__(self, listener, remote_ip, flow_ports, mode, client_engines,
-                 client_engine_id):
+    def __init__(self, listener, key, mode, client_engines):
         self.listener = listener
-        self.remote_ip = remote_ip
-        self.ports = flow_ports  # local = listener port
+        self.key = key
         self.mode = mode
         self.client_engines = client_engines
-        self.client_engine_id = client_engine_id
         self.attempts = 0
         self.accepted_pair = None  # client's UDP pair, as the client sent it
         self.replied_pairs = set()
         self.sprayed = set()
         self.last_client_attempt = 0
         self.retry_timer = None
-
-    def key(self):
-        return (self.remote_ip, self.ports.remote, self.ports.local)
 
     def on_syn(self, eng, now, pkt):
         pair = UdpPorts(pkt.udp_src, pkt.udp_dst)
@@ -277,11 +263,12 @@ class ServerHandshake:
                                          lambda t: self.on_timeout(eng, t))
 
     def _emit_synack(self, eng, udp_src, udp_dst):
+        remote_ip, remote_port, local_port = self.key
         payload = wire.pack_synack_payload(
             self.accepted_pair.src, self.accepted_pair.dst, eng.engine_id)
         eng.emit(wire.build_frame(
-            eng.local_ip, self.remote_ip, udp_src, udp_dst,
-            wire.PKT_SYNACK, self.ports.local, self.ports.remote,
+            eng.local_ip, remote_ip, udp_src, udp_dst,
+            wire.PKT_SYNACK, local_port, remote_port,
             payload=payload, seq=self.attempts))
         eng.stats.synacks_sent += 1
 
@@ -289,7 +276,7 @@ class ServerHandshake:
         """The final ACK never arrived: answer again so a half-open peer
         recovers."""
         if self.attempts >= MAX_ATTEMPTS:
-            eng.drop_server_handshake(self)
+            eng.server_handshakes.pop(self.key, None)
             return
         self._spray_synacks(eng, now)
 
@@ -301,10 +288,11 @@ class ServerHandshake:
             self.retry_timer.cancel()
         # From here on the flow answers for this key; a late SYN or ACK
         # finds it in the engine's flow table.
-        eng.drop_server_handshake(self)
+        eng.server_handshakes.pop(self.key, None)
+        remote_ip, remote_port, local_port = self.key
+        handle = FlowHandle(eng.local_ip, remote_ip, local_port, remote_port,
+                            self.listener.channel)
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
         # client's TX direction is whatever pair its ACK just arrived on.
-        tx_udp = UdpPorts(chosen[0], chosen[1])
-        rx_udp = UdpPorts(pkt.udp_src, pkt.udp_dst)
-        eng.stats.handshakes_established += 1
-        eng.establish_server_flow(self, tx_udp, rx_udp)
+        eng.establish(handle, UdpPorts(chosen[0], chosen[1]),
+                      UdpPorts(pkt.udp_src, pkt.udp_dst))

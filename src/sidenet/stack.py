@@ -15,8 +15,8 @@ import threading
 from random import Random
 
 from . import handshake
-from .channel import Channel, ConnectError, FAILED, CONNECTING
-from .engine import Engine, Listener, pick_engine
+from .channel import Channel, ConnectError, FAILED, CONNECTING, FlowHandle
+from .engine import DEFAULT_TICK_US, Engine, Listener, pick_engine
 
 EPHEMERAL_FLOW_PORT_BASE = 32768
 
@@ -26,7 +26,7 @@ class StackError(Exception):
 
 
 class Stack:
-    def __init__(self, nic, local_ip, seed=0, tick_us=None):
+    def __init__(self, nic, local_ip, seed=0, tick_us=DEFAULT_TICK_US):
         self.nic = nic
         self.local_ip = local_ip
         self.seed = seed
@@ -42,14 +42,11 @@ class Stack:
         """Bring up one engine per NIC queue. Must precede attach()."""
         if self._initialized:
             return self
-        from .engine import DEFAULT_TICK_US
-
         n = self.nic.num_queues()
         for i in range(n):
             rng = Random("%s/%d/engine/%d" % (self.local_ip, self.seed, i))
-            self.engines.append(Engine(
-                i, self.nic, self.local_ip, n, rng,
-                tick_us=self.tick_us or DEFAULT_TICK_US))
+            self.engines.append(Engine(i, self.nic, self.local_ip, n, rng,
+                                       tick_us=self.tick_us))
         self._initialized = True
         return self
 
@@ -93,16 +90,12 @@ class Stack:
         from this host's engine count. Returns the flow handle immediately
         unless blocking."""
         self._require_init()
-        from .channel import FlowHandle
-
         with self._lock:
             local_port = self._alloc_flow_port(remote_ip, remote_port)
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,
                             channel)
-        ports = handshake.FlowPorts(local=local_port, remote=remote_port)
         self.engines[channel.owner_engine].submit(
-            ("connect", handle, ports, remote_ip,
-             mode or handshake.MODE_OPTIMIZED))
+            ("connect", handle, mode or handshake.MODE_OPTIMIZED))
         if blocking:
             handle.wait(timeout)
             if handle.state == FAILED:
@@ -135,8 +128,7 @@ class Stack:
         return channel.recv(block=blocking, timeout=timeout)
 
     def close(self, flow):
-        key = (flow.remote_ip, flow.remote_port, flow.local_port)
-        self.engines[flow.owner_engine].submit(("close", key))
+        self.engines[flow.owner_engine].submit(("close", flow.key))
 
     def stats_rows(self):
         """One mapping per engine (NIC queue), for the bench CSV export."""

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from . import wire
 from .channel import ESTABLISHED, RESET, CLOSED, Message
+from .handshake import FlowPorts
 
 SEND_WINDOW = 64
 RECEIVE_WINDOW = 256
@@ -80,17 +81,18 @@ class Flow:
     FlowHandle and whole messages crossing the channel.
     """
 
-    def __init__(self, eng, handle, flow_ports, remote_ip, tx_udp, rx_udp,
-                 channel):
+    def __init__(self, eng, handle, tx_udp, rx_udp):
         self.eng = eng
         self.handle = handle
-        self.ports = flow_ports
-        self.remote_ip = remote_ip
+        self.ports = FlowPorts(local=handle.local_port,
+                               remote=handle.remote_port)
+        self.remote_ip = handle.remote_ip
         self.tx_udp = tx_udp
         self.rx_udp = rx_udp
-        self.channel = channel
+        self.channel = handle.channel
         self.stats = FlowStats()
         self.reap_timer = None  # armed by start_close
+        self.final_ack = None  # a client flow's last handshake frame
 
         # Sender state.
         self.next_tx_seq = 0
@@ -121,7 +123,17 @@ class Flow:
         self.ack_timer = None
 
     def key(self):
-        return (self.remote_ip, self.ports.remote, self.ports.local)
+        return self.handle.key
+
+    def on_synack(self, pkt):
+        """A SYN-ACK for this client flow. A retry (seq >= 2) means the peer
+        never got the final ACK: send it again. Leftovers of the batch the
+        handshake already answered are discarded."""
+        if pkt.seq >= 2:
+            self.eng.emit(self.final_ack)
+            self.eng.stats.acks_sent += 1
+        else:
+            self.eng.stats.synacks_discarded += 1
 
     # Sending.
 

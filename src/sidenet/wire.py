@@ -72,11 +72,8 @@ _ACK_PAYLOAD = struct.Struct(">HH")  # successful SYN-ACK udp src/dst
 _SACK_RANGE = struct.Struct(">II")
 
 
-@lru_cache(maxsize=256)
 def pack_ip(dotted):
-    """4-byte network-order form of a dotted quad. A run uses a handful of
-    host addresses, so the bounded cache turns every frame build into
-    lookups instead of string parsing."""
+    """4-byte network-order form of a dotted quad."""
     a, b, c, d = (int(x) for x in dotted.split("."))
     return bytes((a, b, c, d))
 

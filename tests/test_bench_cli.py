@@ -50,6 +50,8 @@ def test_scenario_parses():
     ("engines = 1", "engines = 0"),
     ("loss = 0.0", "loss = 1.5"),
     ("msg_size = 64", "msg_size = 99999999"),
+    ("msg_size = 64", "tick_us = 0"),
+    ("inflight = 2", "inflight = 0"),
 ])
 def test_schema_violations_carry_line_numbers(mutation, fragment):
     broken = GOOD_ECHO.replace(mutation, fragment, 1)

@@ -514,10 +514,10 @@ def _hostile_targets():
     ceng, seng = client.engines[0], server.engines[0]
     client.connect(cch, "10.0.0.2", 81)  # nobody listens there
     assert sim.run_until(lambda: any(
-        hs.ports.remote == 81 for hs in ceng.client_handshakes.values()),
+        hs.handle.remote_port == 81 for hs in ceng.client_handshakes.values()),
         max_us=1000)
     (hs,) = [hs for hs in ceng.client_handshakes.values()
-             if hs.ports.remote == 81]
+             if hs.handle.remote_port == 81]
     seng._dispatch(wire.build_frame(
         "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
         payload=wire.pack_syn_payload(1, 0), seq=1), sim.now)
@@ -532,7 +532,7 @@ def _hostile_targets():
                          port, payload=wire.pack_sack_payload([(1, 3)]),
                          ack=0),
         wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_SYNACK, 81,
-                         hs.ports.local, seq=1,
+                         hs.handle.local_port, seq=1,
                          payload=wire.pack_synack_payload(1, 2, 0)),
         wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_FIN, 80,
                          port),

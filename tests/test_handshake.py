@@ -36,12 +36,20 @@ def test_naive_spray_is_47_distinct_pairs_at_n4():
     sim, client, server, cch, sch = make_pair(seed=2, engines=4,
                                               server_engine=1,
                                               client_engine=2)
+    syn_pairs = []
+
+    def record_syns(frame):
+        pkt = wire.parse_frame(frame)
+        if pkt is not None and pkt.pkt_type == wire.PKT_SYN:
+            syn_pairs.append((pkt.udp_src, pkt.udp_dst))
+        return False
+
+    sim.fabric._tap = record_syns
     handle = connect_established(sim, client, cch, mode=MODE_NAIVE)
     assert handle.attempts == 1
     assert engine_stat(client, "syns_sent") == 47
-    eng = client.engines[2]
-    hs = eng.client_handshakes[("10.0.0.2", 80, handle.local_port)]
-    assert len(hs.sprayed) == 47  # deduplicated random UDP pairs
+    assert len(syn_pairs) == 47
+    assert len(set(syn_pairs)) == 47  # deduplicated random UDP pairs
 
 
 def test_optimized_server_sprays_thirteen_synacks_at_n4():
@@ -275,6 +283,82 @@ def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():
     assert changed == {"acks_rx": 1}
     assert target.flows[key] is flow
     assert not target.server_handshakes
+
+
+def _stats_delta(eng, frame, now):
+    """The engine counters that dispatching one frame changes, and by how
+    much."""
+    before = asdict(eng.stats)
+    eng._dispatch(frame, now)
+    after = asdict(eng.stats)
+    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
+
+
+def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
+    """Once the winning SYN-ACK establishes the flow, the client keeps no
+    handshake state. The flow answers a retry SYN-ACK (seq 2: the final ACK
+    was lost) with the same ACK bytes and discards a leftover of the batch
+    it answered (seq 1); a SYN-ACK for a server flow's key is unknown."""
+    sim, client, server, cch, sch = make_pair(seed=13, engines=4,
+                                              server_engine=2,
+                                              client_engine=1)
+    acks = []
+
+    def record_acks(frame):
+        pkt = wire.parse_frame(frame)
+        if pkt is not None and pkt.pkt_type == wire.PKT_ACK:
+            acks.append(frame)
+        return False
+
+    sim.fabric._tap = record_acks
+    handle = connect_established(sim, client, cch)
+    sim.run_for(1000)  # let the final ACK land
+    assert all(not eng.client_handshakes for eng in client.engines)
+    ceng, seng = client.engines[1], server.engines[2]
+    flow = ceng.flows[("10.0.0.2", 80, handle.local_port)]
+    (final_ack,) = acks
+
+    def synack(seq):
+        return wire.build_frame(
+            "10.0.0.2", "10.0.0.1", flow.rx_udp.src, flow.rx_udp.dst,
+            wire.PKT_SYNACK, 80, handle.local_port, seq=seq,
+            payload=wire.pack_synack_payload(flow.tx_udp.src,
+                                             flow.tx_udp.dst, 2))
+
+    assert _stats_delta(ceng, synack(2), sim.now) == {
+        "synacks_rx": 1, "acks_sent": 1, "frames_tx": 1}
+    sim.run_for(1000)
+    assert acks == [final_ack, final_ack]
+    assert _stats_delta(ceng, synack(1), sim.now) == {
+        "synacks_rx": 1, "synacks_discarded": 1}
+    sim.run_for(1000)
+    assert len(acks) == 2
+    assert ceng.flows[("10.0.0.2", 80, handle.local_port)] is flow
+    assert not ceng.client_handshakes
+
+    server_flow = seng.flows[("10.0.0.1", handle.local_port, 80)]
+    to_server_flow = wire.build_frame(
+        "10.0.0.1", "10.0.0.2", server_flow.rx_udp.src,
+        server_flow.rx_udp.dst, wire.PKT_SYNACK, handle.local_port, 80,
+        seq=2, payload=wire.pack_synack_payload(1, 2, 1))
+    assert _stats_delta(seng, to_server_flow, sim.now) == {
+        "synacks_rx": 1, "unknown_synacks": 1}
+
+
+def test_retired_set_up_names_are_gone():
+    """One flow key per handle and one establish path: neither handshake
+    keeps a key method or flow ports, the client keeps no winning SYN-ACK,
+    and no peer engine id is stored."""
+    retired = ("establish_client_flow", "establish_server_flow",
+               "drop_client_handshake", "drop_server_handshake",
+               "_winning_synack", "_emit_ack", "client_engine_id",
+               "remote_engine")
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        for name in retired:
+            assert not re.search(r"\b%s\b" % name, text), (path.name, name)
+    text = (SRC / "handshake.py").read_text()
+    assert "def key(" not in text and "self.ports" not in text
 
 
 def test_removed_connect_options_are_gone():

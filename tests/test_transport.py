@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sidenet import wire
 from sidenet.channel import Channel, ESTABLISHED, RESET, FlowHandle
 from sidenet.engine import EngineStats, Timer
-from sidenet.handshake import FlowPorts, UdpPorts
+from sidenet.handshake import UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
                                SEND_WINDOW, Flow, MessageTooLarge)
@@ -54,8 +54,7 @@ def make_flow(ip="10.0.0.1", peer="10.0.0.2"):
     ch = Channel(0, 1)
     handle = FlowHandle(ip, peer, 7000, 80, ch)
     handle._settle(ESTABLISHED)
-    flow = Flow(eng, handle, FlowPorts(local=7000, remote=80), peer,
-                UdpPorts(40001, 40002), UdpPorts(40003, 40004), ch)
+    flow = Flow(eng, handle, UdpPorts(40001, 40002), UdpPorts(40003, 40004))
     return flow, eng, ch
 
 
