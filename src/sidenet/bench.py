@@ -11,15 +11,18 @@ scenario measures wall time and is excluded from byte-for-byte replay.
 
 import csv
 import io
+import math
 import threading
 import time
 
 from .channel import CONNECTING
+from .config import (FABRIC_KEYS, RECEIVER_PORT, TAG_BYTES, TRIAL_PORT,
+                     workload_params)
 from .driver import Sim, ThreadedRuntime
 from .engine import DEFAULT_TICK_US, EnginePolicy
 from .fabric import FabricConfig
-from .handshake import (MODE_OPTIMIZED, naive_batch_size,
-                        optimized_batch_size, optimized_batch_total)
+from .handshake import (naive_batch_size, optimized_batch_size,
+                        optimized_batch_total)
 
 CLIENT_IP = "10.0.0.1"
 SERVER_IP = "10.0.0.2"
@@ -96,15 +99,21 @@ class EchoServerApp:
             work += 1
 
 
-class EchoClientApp:
-    """Keep `inflight` tagged messages outstanding until `count` round trips."""
+class ClosedLoopClient:
+    """Keep `inflight` tagged messages of `msg_size` bytes outstanding on
+    each of `handles`, from virtual time `start_at` until `count` round
+    trips (by default, never). A message counts as outstanding once
+    `Channel.send` accepts it; its latency is found by its tag."""
 
-    def __init__(self, channel, handle, msg_size, inflight, count):
+    def __init__(self, channel, handles, msg_size, inflight, count=math.inf,
+                 start_at=0):
         self.channel = channel
-        self.handle = handle
-        self.msg_size = max(8, msg_size)
+        self.handles = handles
+        self.padding = bytes(msg_size - TAG_BYTES)
         self.inflight = inflight
         self.count = count
+        self.start_at = start_at
+        self.outstanding = dict.fromkeys(handles, 0)
         self.next_tag = 0
         self.sent_at = {}
         self.latencies = []
@@ -113,23 +122,32 @@ class EchoClientApp:
     def done(self):
         return len(self.latencies) >= self.count
 
+    def next_wake(self, now):
+        return self.start_at if now < self.start_at else None
+
     def step(self, sim):
+        if sim.now < self.start_at:
+            return 0
         work = 0
         while True:
             msg = self.channel.recv()
             if msg is None:
                 break
-            tag = int.from_bytes(msg.payload[:8], "big")
+            tag = int.from_bytes(msg.payload[:TAG_BYTES], "big")
             self.latencies.append(sim.now - self.sent_at.pop(tag))
+            self.outstanding[msg.flow] -= 1
             work += 1
-        while (not self.done and len(self.sent_at) < self.inflight
-               and self.next_tag < self.count):
-            tag = self.next_tag
-            self.next_tag += 1
-            payload = tag.to_bytes(8, "big").ljust(self.msg_size, b"\x00")
-            self.sent_at[tag] = sim.now
-            self.channel.send(self.handle, payload, block=False)
-            work += 1
+        for handle in self.handles:
+            while (self.outstanding[handle] < self.inflight
+                   and self.next_tag < self.count):
+                tag = self.next_tag
+                payload = tag.to_bytes(TAG_BYTES, "big") + self.padding
+                if not self.channel.send(handle, payload, block=False):
+                    return work  # the channel is full for every handle
+                self.next_tag += 1
+                self.sent_at[tag] = sim.now
+                self.outstanding[handle] += 1
+                work += 1
         return work
 
 
@@ -150,14 +168,8 @@ def _connect(sim, stack, channel, remote_ip, port, what, count=1, mode=None,
 
 
 def _fabric_config(params, seed):
-    return FabricConfig(
-        loss_probability=params.get("loss", 0.0),
-        reorder_probability=params.get("reorder", 0.0),
-        base_delay_us=params.get("base_delay_us", 20),
-        delay_jitter_us=params.get("jitter_us", 0),
-        hash_byteswap=params.get("byteswap", False),
-        rng_seed=seed,
-    )
+    return FabricConfig(rng_seed=seed, **{FABRIC_KEYS[key].field: value
+                                          for key, value in params.items()})
 
 
 def _two_hosts(hosts, fabric_params, seed, tick_us=DEFAULT_TICK_US):
@@ -169,24 +181,20 @@ def _two_hosts(hosts, fabric_params, seed, tick_us=DEFAULT_TICK_US):
 
 
 def run_echo(hosts, fabric_params, workload, seed):
-    msg_size = workload.get("msg_size", 64)
-    inflight = workload.get("inflight", 1)
-    count = workload.get("count", 1000)
-    mode = workload.get("mode", MODE_OPTIMIZED)
-
-    sim, server, client = _two_hosts(hosts, fabric_params, seed,
-                                     workload.get("tick_us", DEFAULT_TICK_US))
+    wl = workload_params("echo", workload)
+    sim, server, client = _two_hosts(hosts, fabric_params, seed, wl["tick_us"])
     sch = server.attach()
     server.listen(sch, 80)
     cch = client.attach()
     (handle,) = _connect(sim, client, cch, hosts["server"]["ip"], 80,
-                         "echo flow", mode=mode)
+                         "echo flow", mode=wl["mode"])
 
     sim.add_app(EchoServerApp(sch))
-    app = sim.add_app(EchoClientApp(cch, handle, msg_size, inflight, count))
+    app = sim.add_app(ClosedLoopClient(cch, [handle], wl["msg_size"],
+                                       wl["inflight"], wl["count"]))
     if not sim.run_until(lambda: app.done, max_us=600_000_000):
         raise BenchError("echo run stalled at %d/%d round trips"
-                         % (len(app.latencies), count))
+                         % (len(app.latencies), wl["count"]))
     sim.drain(max_us=10_000_000)
     check_conservation(sim, [client, server])
 
@@ -195,8 +203,8 @@ def run_echo(hosts, fabric_params, workload, seed):
     unique = sum(flow.stats.frags_sent_unique for flow in flows)
     duplicates = sum(flow.stats.rx_duplicates for flow in flows)
     row = {
-        "scenario": "echo", "seed": seed, "msg_size": msg_size,
-        "inflight": inflight, "messages": count,
+        "scenario": "echo", "seed": seed, "msg_size": wl["msg_size"],
+        "inflight": wl["inflight"], "messages": wl["count"],
         "completed": len(app.latencies),
         "retransmits": sum(eng.stats.retransmits for eng in engines),
         "spurious_ratio": round(duplicates / unique, 4) if unique else 0.0,
@@ -207,9 +215,7 @@ def run_echo(hosts, fabric_params, workload, seed):
 
 
 def run_conn_setup(hosts, fabric_params, workload, seed):
-    trials = workload.get("trials", 1000)
-    mode = workload.get("mode", MODE_OPTIMIZED)
-
+    wl = workload_params("conn_setup", workload)
     sim, server, client = _two_hosts(hosts, fabric_params, seed)
     n_server = hosts["server"]["engines"]
     n_client = hosts["client"]["engines"]
@@ -217,18 +223,18 @@ def run_conn_setup(hosts, fabric_params, workload, seed):
     client_chs = [client.attach(EnginePolicy.pinned(i)) for i in range(n_client)]
 
     rows = []
-    for trial in range(trials):
-        port = 1000 + trial
+    for trial in range(wl["trials"]):
+        port = TRIAL_PORT + trial
         sch = server_chs[trial % n_server]
         cch = client_chs[(trial * 7 + 3) % n_client]
         server.listen(sch, port)
         submitted = sim.now
         (handle,) = _connect(sim, client, cch, hosts["server"]["ip"], port,
-                             "trial %d" % trial, mode=mode, max_us=30_000_000,
-                             need_established=False)
+                             "trial %d" % trial, mode=wl["mode"],
+                             max_us=30_000_000, need_established=False)
         rows.append({
             "scenario": "conn_setup", "seed": seed, "trial": trial,
-            "mode": mode, "established": int(handle.is_established),
+            "mode": wl["mode"], "established": int(handle.is_established),
             "attempts": handle.attempts,
             "latency_us": sim.now - submitted,
         })
@@ -237,79 +243,15 @@ def run_conn_setup(hosts, fabric_params, workload, seed):
     return rows, sim, [client, server]
 
 
-class BulkLoadApp:
-    """Closed-loop load generator over several flows of one channel."""
-
-    def __init__(self, channel, handles, inflight, msg_size):
-        self.channel = channel
-        self.handles = handles
-        self.inflight = inflight
-        self.msg_size = max(8, msg_size)
-        self.outstanding = {h: 0 for h in handles}
-
-    def step(self, sim):
-        work = 0
-        while True:
-            msg = self.channel.recv()
-            if msg is None:
-                break
-            self.outstanding[msg.flow] -= 1
-            work += 1
-        for handle in self.handles:
-            while (self.outstanding[handle] < self.inflight
-                   and self.channel.send(handle, b"\x00" * self.msg_size,
-                                         block=False)):
-                self.outstanding[handle] += 1
-                work += 1
-        return work
-
-
-class ProbeApp:
-    """One 64-byte echo at a time; the latency distribution is the result."""
-
-    def __init__(self, channel, handle, count, start_at):
-        self.channel = channel
-        self.handle = handle
-        self.count = count
-        self.start_at = start_at
-        self.sent_at = None
-        self.latencies = []
-
-    @property
-    def done(self):
-        return len(self.latencies) >= self.count
-
-    def next_wake(self, now):
-        return self.start_at if now < self.start_at else None
-
-    def step(self, sim):
-        if sim.now < self.start_at or self.done:
-            return 0
-        if self.sent_at is None:
-            self.sent_at = sim.now
-            self.channel.send(self.handle, b"\x07" * 64, block=False)
-            return 1
-        msg = self.channel.recv()
-        if msg is None:
-            return 0
-        self.latencies.append(sim.now - self.sent_at)
-        self.sent_at = None
-        return 1
-
-
 def _isolation_variant(variant, hosts, fabric_params, workload, seed):
-    bulk_apps = workload.get("bulk_apps", 3)
-    bulk_flows = workload.get("bulk_flows", 3)
-    bulk_inflight = workload.get("bulk_inflight", 64)
-    bulk_msg = workload.get("bulk_msg_size", 128)
-    probe_count = workload.get("probe_count", 200)
-    warmup_us = workload.get("warmup_us", 5000)
-    tick_us = workload.get("tick_us", 20)
+    wl = workload_params("isolation", workload)
+    bulk_apps = wl["bulk_apps"]
 
     # Mirrors the two-client-VM shape of the experiment: bulk load and the
     # latency probe come from separate hosts (one bulk engine per bulk app),
     # so the only contended resource is the server-side engine.
-    sim = Sim(_fabric_config(fabric_params, seed), seed=seed, tick_us=tick_us)
+    sim = Sim(_fabric_config(fabric_params, seed), seed=seed,
+              tick_us=wl["tick_us"])
     server = sim.add_stack(SERVER_IP, 2)
     probe_client = sim.add_stack(CLIENT_IP, 1)
     bulk_client = sim.add_stack(BULK_CLIENT_IP, bulk_apps)
@@ -336,8 +278,9 @@ def _isolation_variant(variant, hosts, fabric_params, workload, seed):
     if variant != "baseline":
         for i, cch in enumerate(bulk_cch):
             handles = _connect(sim, bulk_client, cch, SERVER_IP, 9000 + i,
-                               "bulk flow", count=bulk_flows)
-            bulk_load.append(BulkLoadApp(cch, handles, bulk_inflight, bulk_msg))
+                               "bulk flow", count=wl["bulk_flows"])
+            bulk_load.append(ClosedLoopClient(cch, handles, wl["bulk_msg_size"],
+                                              wl["bulk_inflight"]))
     (probe_handle,) = _connect(sim, probe_client, probe_cch, SERVER_IP, 8000,
                                "probe flow")
 
@@ -345,13 +288,15 @@ def _isolation_variant(variant, hosts, fabric_params, workload, seed):
         sim.add_app(EchoServerApp(ch))
     for app in bulk_load:
         sim.add_app(app)
-    probe = sim.add_app(ProbeApp(probe_cch, probe_handle, probe_count,
-                                 sim.now + warmup_us))
+    # The probe: one 64-byte echo at a time after the warm-up.
+    probe = sim.add_app(ClosedLoopClient(probe_cch, [probe_handle], 64, 1,
+                                         wl["probe_count"],
+                                         sim.now + wl["warmup_us"]))
     if not sim.run_until(lambda: probe.done, max_us=2_000_000_000):
         raise BenchError("isolation probe stalled (%d/%d)"
-                         % (len(probe.latencies), probe_count))
+                         % (len(probe.latencies), wl["probe_count"]))
     row = {"scenario": "isolation", "seed": seed, "variant": variant,
-           "probe_requests": probe_count}
+           "probe_requests": wl["probe_count"]}
     row.update(latency_fields(probe.latencies))
     return row
 
@@ -365,9 +310,8 @@ def run_isolation(hosts, fabric_params, workload, seed):
 def run_blocking(hosts, fabric_params, workload, seed):
     """Threaded-runtime scenario: receiver threads block (or poll) on their
     channels while one client thread drives echo requests."""
-    threads = workload.get("threads", 4)
-    mode = workload.get("mode", "blocking")
-    requests = workload.get("requests", 1000)
+    wl = workload_params("blocking", workload)
+    threads, mode, requests = wl["threads"], wl["mode"], wl["requests"]
     blocking = mode == "blocking"
 
     runtime = ThreadedRuntime(_fabric_config(fabric_params, seed), seed=seed)
@@ -375,7 +319,7 @@ def run_blocking(hosts, fabric_params, workload, seed):
     client = runtime.add_stack(CLIENT_IP, 1)
     server_chs = [server.attach() for _ in range(threads)]
     for i, ch in enumerate(server_chs):
-        server.listen(ch, 8000 + i)
+        server.listen(ch, RECEIVER_PORT + i)
     cch = client.attach()
     runtime.start()
 
@@ -395,8 +339,9 @@ def run_blocking(hosts, fabric_params, workload, seed):
     try:
         for w in workers:
             w.start()
-        handles = [client.connect(cch, SERVER_IP, 8000 + i, blocking=True,
-                                  timeout=30) for i in range(threads)]
+        handles = [client.connect(cch, SERVER_IP, RECEIVER_PORT + i,
+                                  blocking=True, timeout=30)
+                   for i in range(threads)]
         latencies = []
         for k in range(requests):
             handle = handles[k % threads]
@@ -413,7 +358,7 @@ def run_blocking(hosts, fabric_params, workload, seed):
         runtime.stop()
 
     spins = sum(ch.stats.empty_polls for ch in server_chs)
-    wakeups = sum(ch.stats.wakeups for ch in server_chs)
+    wakeups = sum(ch.stats.rx_enqueued for ch in server_chs)
     row = {
         "scenario": "blocking", "seed": seed, "mode": mode,
         "threads": threads, "requests": requests,

@@ -47,7 +47,6 @@ class ChannelStats:
     tx_enqueued: int = 0
     tx_dequeued: int = 0
     empty_polls: int = 0  # non-blocking recvs that found nothing
-    wakeups: int = 0
     rx_highwater: int = 0
     tx_highwater: int = 0
 
@@ -182,7 +181,6 @@ class Channel:
             self.stats.rx_enqueued += 1
             if len(self._rx) > self.stats.rx_highwater:
                 self.stats.rx_highwater = len(self._rx)
-            self.stats.wakeups += 1
             self._rx_cond.notify()
 
     def _pop_tx(self, max_msgs):

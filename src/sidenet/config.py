@@ -2,12 +2,18 @@
 
 Sections are `[name]` headers; entries are `key = value` with integers,
 floats, booleans, and (optionally quoted) strings. Every schema complaint
-carries the offending line number. The full key reference lives in
-docs/bench.md.
+carries the offending line number. Each section, and each workload kind,
+has one table of its keys (type, default, allowed values); parsing checks
+every given key against it and the harness fills in the missing ones from
+it. docs/bench.md lists the same tables.
 """
 
+import math
 from dataclasses import dataclass
 
+from .engine import DEFAULT_TICK_US
+from .fabric import FabricConfig
+from .handshake import MODE_NAIVE, MODE_OPTIMIZED
 from .wire import MAX_MESSAGE_BYTES
 
 
@@ -80,59 +86,119 @@ def parse_text(text, source="<memory>"):
     return sections
 
 
-_FABRIC_KEYS = {"loss": float, "reorder": float, "base_delay_us": int,
-                "jitter_us": int, "byteswap": bool}
-_WORKLOAD_KEYS = {
-    "echo": {"msg_size": int, "inflight": int, "count": int, "mode": str,
-             "tick_us": int},
-    "conn_setup": {"trials": int, "mode": str},
-    "isolation": {"bulk_apps": int, "bulk_flows": int, "bulk_inflight": int,
-                  "bulk_msg_size": int, "probe_count": int, "warmup_us": int,
-                  "tick_us": int},
-    "blocking": {"threads": int, "mode": str, "requests": int},
+REQUIRED = object()  # the default of a key that a scenario must give
+
+
+@dataclass(frozen=True)
+class Key:
+    """One scenario key: its type, its default and what it allows.
+
+    `allowed` is the (low, high) bounds of a number, high possibly
+    math.inf, or the accepted strings. `field` names the FabricConfig
+    field that a [fabric] key sets.
+    """
+
+    type: type
+    default: object = REQUIRED
+    allowed: tuple | None = None
+    field: str | None = None
+
+    def check(self, name, value, line):
+        if self.type is float and type(value) is int:
+            value = float(value)
+        elif self.type is str:
+            value = str(value)
+        if type(value) is not self.type:
+            raise ConfigError("%r must be %s, got %r"
+                              % (name, self.type.__name__, value), line)
+        if self.type is str:
+            if self.allowed is not None and value not in self.allowed:
+                raise ConfigError("%r must be one of %s, got %r"
+                                  % (name, "/".join(self.allowed), value), line)
+        elif (self.allowed is not None
+              and not self.allowed[0] <= value <= self.allowed[1]):
+            raise ConfigError("%r must be within [%s, %s], got %r"
+                              % (name, *self.allowed, value), line)
+        return value
+
+
+def _fabric_key(field, allowed=None):
+    """A [fabric] key whose type and default are FabricConfig's own."""
+    spec = FabricConfig.__dataclass_fields__[field]
+    return Key(spec.type, spec.default, allowed, field)
+
+
+MAX_ENGINES = 64
+MAX_PORT = 65535
+TRIAL_PORT = 1000     # conn_setup trial i listens on TRIAL_PORT + i
+RECEIVER_PORT = 8000  # blocking receiver i listens on RECEIVER_PORT + i
+TAG_BYTES = 8         # a closed-loop message opens with its 8-byte tag
+
+_HANDSHAKE_MODES = (MODE_NAIVE, MODE_OPTIMIZED)
+_POSITIVE = (1, math.inf)
+_MESSAGE = (TAG_BYTES, MAX_MESSAGE_BYTES)
+
+FABRIC_KEYS = {
+    "loss": _fabric_key("loss_probability", (0.0, 1.0)),
+    "reorder": _fabric_key("reorder_probability", (0.0, 1.0)),
+    "base_delay_us": _fabric_key("base_delay_us", (0, math.inf)),
+    "jitter_us": _fabric_key("delay_jitter_us", (0, math.inf)),
+    "byteswap": _fabric_key("hash_byteswap"),
 }
+HOST_KEYS = {"ip": Key(str), "engines": Key(int, allowed=(1, MAX_ENGINES))}
+RUN_KEYS = {"seed": Key(int, 0)}
+WORKLOAD_KEYS = {
+    "echo": {
+        "msg_size": Key(int, 64, _MESSAGE),
+        "inflight": Key(int, 1, _POSITIVE),
+        "count": Key(int, 1000, _POSITIVE),
+        "mode": Key(str, MODE_OPTIMIZED, _HANDSHAKE_MODES),
+        "tick_us": Key(int, DEFAULT_TICK_US, _POSITIVE),
+    },
+    "conn_setup": {
+        "trials": Key(int, 1000, (1, MAX_PORT - TRIAL_PORT + 1)),
+        "mode": Key(str, MODE_OPTIMIZED, _HANDSHAKE_MODES),
+    },
+    "isolation": {
+        "bulk_apps": Key(int, 3, (1, MAX_ENGINES)),  # one engine per app
+        "bulk_flows": Key(int, 3, _POSITIVE),
+        "bulk_inflight": Key(int, 64, _POSITIVE),
+        "bulk_msg_size": Key(int, 128, _MESSAGE),
+        "probe_count": Key(int, 200, _POSITIVE),
+        "warmup_us": Key(int, 5000, (0, math.inf)),
+        "tick_us": Key(int, 20, _POSITIVE),
+    },
+    "blocking": {
+        "threads": Key(int, 4, (1, MAX_PORT - RECEIVER_PORT + 1)),
+        "mode": Key(str, "blocking", ("blocking", "polling")),
+        "requests": Key(int, 1000, _POSITIVE),
+    },
+}
+KIND_KEY = Key(str, REQUIRED, tuple(WORKLOAD_KEYS))
 
 
-def _typed(section, key, expected, default=None, required=False,
-           section_name=""):
-    if key not in section:
-        if required:
-            raise ConfigError("[%s] is missing required key %r"
-                              % (section_name, key))
-        return default
-    value, line = section[key]
-    if expected is float and isinstance(value, int):
-        value = float(value)
-    if expected is str:
-        value = str(value)
-    if not isinstance(value, expected) or (expected is int
-                                           and isinstance(value, bool)):
-        raise ConfigError("%r must be %s, got %r"
-                          % (key, expected.__name__, value), line)
-    return value
+def workload_params(kind, given):
+    """Every key of workload `kind`: the value in `given`, else its default."""
+    return {key: given.get(key, spec.default)
+            for key, spec in WORKLOAD_KEYS[kind].items()}
 
 
-def _reject_unknown(section, known, section_name):
-    for key, (_, line) in section.items():
-        if key not in known:
-            raise ConfigError("unknown key %r in [%s]" % (key, section_name),
-                              line)
+def _section(section, table, name):
+    """Check each entry of a parsed section against its key table."""
+    values = {}
+    for key, (value, line) in section.items():
+        if key not in table:
+            raise ConfigError("unknown key %r in [%s]" % (key, name), line)
+        values[key] = table[key].check(key, value, line)
+    for key, spec in table.items():
+        if spec.default is REQUIRED and key not in values:
+            raise ConfigError("[%s] is missing required key %r" % (name, key))
+    return values
 
 
 def parse_scenario(text, source="<memory>"):
     sections = parse_text(text, source)
-
-    fabric = {}
-    fab = sections.pop("fabric", {})
-    _reject_unknown(fab, _FABRIC_KEYS, "fabric")
-    for key, expected in _FABRIC_KEYS.items():
-        value = _typed(fab, key, expected, section_name="fabric")
-        if value is not None:
-            fabric[key] = value
-    for key in ("loss", "reorder"):
-        if key in fabric and not 0.0 <= fabric[key] <= 1.0:
-            raise ConfigError("%r must be within [0, 1]" % key,
-                              fab[key][1])
+    fabric = _section(sections.pop("fabric", {}), FABRIC_KEYS, "fabric")
 
     hosts = {}
     for name in ("client", "server"):
@@ -140,45 +206,21 @@ def parse_scenario(text, source="<memory>"):
         sec = sections.pop(sec_name, None)
         if sec is None:
             raise ConfigError("missing [%s] section" % sec_name)
-        _reject_unknown(sec, {"ip", "engines"}, sec_name)
-        ip = _typed(sec, "ip", str, required=True, section_name=sec_name)
-        engines = _typed(sec, "engines", int, required=True,
-                         section_name=sec_name)
-        if not 1 <= engines <= 64:
-            raise ConfigError("engines must be in [1, 64]",
-                              sec["engines"][1])
-        hosts[name] = {"ip": ip, "engines": engines}
+        hosts[name] = _section(sec, HOST_KEYS, sec_name)
     if hosts["client"]["ip"] == hosts["server"]["ip"]:
         raise ConfigError("client and server must have distinct ips")
 
     wl = sections.pop("workload", None)
     if wl is None:
         raise ConfigError("missing [workload] section")
-    kind = _typed(wl, "kind", str, required=True, section_name="workload")
-    if kind not in _WORKLOAD_KEYS:
-        raise ConfigError("unknown workload kind %r (expected one of %s)"
-                          % (kind, sorted(_WORKLOAD_KEYS)), wl["kind"][1])
-    allowed = dict(_WORKLOAD_KEYS[kind], kind=str)
-    _reject_unknown(wl, allowed, "workload")
-    workload = {"kind": kind}
-    for key, expected in _WORKLOAD_KEYS[kind].items():
-        value = _typed(wl, key, expected, section_name="workload")
-        if value is not None:
-            workload[key] = value
-    if workload.get("mode") not in (None, "naive", "optimized", "blocking",
-                                    "polling"):
-        raise ConfigError("unknown mode %r" % workload["mode"],
-                          wl["mode"][1])
-    if "msg_size" in workload and not 1 <= workload["msg_size"] <= MAX_MESSAGE_BYTES:
-        raise ConfigError("msg_size must be within [1, 8 MiB]",
-                          wl["msg_size"][1])
-    for key in ("tick_us", "inflight"):
-        if key in workload and workload[key] < 1:
-            raise ConfigError("%s must be >= 1" % key, wl[key][1])
+    if "kind" not in wl:
+        raise ConfigError("[workload] is missing required key 'kind'")
+    kind = KIND_KEY.check("kind", *wl["kind"])
+    workload = _section(wl, dict(WORKLOAD_KEYS[kind], kind=KIND_KEY),
+                        "workload")
 
-    run = sections.pop("run", {})
-    _reject_unknown(run, {"seed"}, "run")
-    seed = _typed(run, "seed", int, default=0, section_name="run")
+    seed = _section(sections.pop("run", {}), RUN_KEYS, "run").get(
+        "seed", RUN_KEYS["seed"].default)
 
     if sections:
         name = sorted(sections)[0]

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from sidenet import bench, cli
-from sidenet.config import ConfigError, parse_scenario
+from sidenet import CHANNEL_CAPACITY, bench, cli
+from sidenet.config import (FABRIC_KEYS, HOST_KEYS, KIND_KEY, REQUIRED,
+                            RUN_KEYS, WORKLOAD_KEYS, ConfigError,
+                            parse_scenario)
 from sidenet.transport import RTO_BASE_US
 
 GOOD_ECHO = """
@@ -52,15 +54,45 @@ def test_scenario_parses():
     ("msg_size = 64", "msg_size = 99999999"),
     ("msg_size = 64", "tick_us = 0"),
     ("inflight = 2", "inflight = 0"),
+    ("base_delay_us = 20", "base_delay_us = -1"),
+    ("loss = 0.0", "jitter_us = -3"),
+    ("msg_size = 64", "msg_size = 3"),  # below the 8-byte tag
+    ("inflight = 2", 'mode = "polling"'),  # a receive mode, not a handshake
 ])
 def test_schema_violations_carry_line_numbers(mutation, fragment):
-    broken = GOOD_ECHO.replace(mutation, fragment, 1)
+    _assert_rejected_at(GOOD_ECHO.replace(mutation, fragment, 1), fragment)
+
+
+def _assert_rejected_at(broken, fragment):
     expected_line = next(i for i, line in enumerate(broken.splitlines(), 1)
                          if fragment in line)
     with pytest.raises(ConfigError) as err:
         parse_scenario(broken)
     assert err.value.line == expected_line
     assert "line %d" % expected_line in str(err.value)
+
+
+ECHO_WORKLOAD = 'kind = "echo"\nmsg_size = 64\ninflight = 2\ncount = 200'
+
+
+def _workload(kind, entry):
+    return GOOD_ECHO.replace(ECHO_WORKLOAD, 'kind = "%s"\n%s' % (kind, entry))
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("isolation", "bulk_apps = 0"),
+    ("isolation", "bulk_msg_size = 9000000"),
+    ("blocking", "threads = 0"),
+    ("blocking", 'mode = "naive"'),  # a handshake mode, not a receive mode
+    ("blocking", "threads = 57537"),  # receiver 57536 would listen on 65536
+])
+def test_workload_schema_violations_carry_line_numbers(kind, entry):
+    _assert_rejected_at(_workload(kind, entry), entry)
+
+
+def test_threads_bound_keeps_listen_ports_in_range():
+    sc = parse_scenario(_workload("blocking", "threads = 57536"))
+    assert 8000 + sc.workload["threads"] - 1 == 65535
 
 
 def test_unknown_key_and_section_rejected():
@@ -88,6 +120,17 @@ def test_echo_scenario_runs_clean():
     assert row["retransmits"] == 0
     assert row["p50_us"] <= row["p99_us"] <= row["p999_us"]
     assert any(s["host"] == "fabric" for s in stats)
+
+
+def test_echo_inflight_above_channel_capacity_completes():
+    # A send that the full channel refuses is retried on a later step, not
+    # counted as outstanding.
+    count = CHANNEL_CAPACITY + 100
+    text = GOOD_ECHO.replace("inflight = 2",
+                             "inflight = %d" % (2 * CHANNEL_CAPACITY))
+    sc = parse_scenario(text.replace("count = 200", "count = %d" % count))
+    (row,), _ = bench.run_scenario(sc)
+    assert row["completed"] == row["messages"] == count
 
 
 def test_echo_replay_is_byte_identical():
@@ -249,3 +292,36 @@ def test_small_isolation_replays_pinned_bytes():
     assert [r["variant"] for r in rows] == ["baseline", "pinned", "unpinned"]
     digest = hashlib.sha256(bench.write_csv(rows).encode()).hexdigest()
     assert digest == PINNED_ISOLATION_SHA256
+
+
+def _doc_literal(value):
+    if value is REQUIRED:
+        return "required"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, str):
+        return '"%s"' % value
+    return str(value)
+
+
+def _doc_allowed(spec):
+    if spec.allowed is None:
+        return ""
+    if spec.type is str:
+        return ", ".join(spec.allowed)
+    return "%s to %s" % spec.allowed
+
+
+def test_docs_list_every_scenario_key_with_its_default():
+    tables = {"fabric": FABRIC_KEYS, "host.*": HOST_KEYS, "run": RUN_KEYS,
+              "workload": {"kind": KIND_KEY}, **WORKLOAD_KEYS}
+    expected = {(section, key, spec.type.__name__, _doc_literal(spec.default),
+                 _doc_allowed(spec))
+                for section, table in tables.items()
+                for key, spec in table.items()}
+    doc = Path(__file__).resolve().parent.parent / "docs" / "bench.md"
+    listed = {tuple(cell.strip().strip("`")
+                    for cell in line.strip("|").split("|"))
+              for line in doc.read_text().splitlines()
+              if line.startswith("| `")}
+    assert listed == expected
