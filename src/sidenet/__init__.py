@@ -13,7 +13,7 @@ from .channel import (CHANNEL_CAPACITY, Channel, ChannelError, ConnectError,
 from .driver import Sim, ThreadedRuntime
 from .engine import Engine, EnginePolicy, EngineStats
 from .fabric import Fabric, FabricConfig, FourTuple, VirtualClock, toeplitz_hash
-from .handshake import (MODE_NAIVE, MODE_OPTIMIZED, FlowPorts, UdpPorts,
+from .handshake import (MODE_NAIVE, MODE_OPTIMIZED, UdpPorts,
                         naive_batch_size, optimized_batch_exact,
                         optimized_batch_size, optimized_batch_total)
 from .nic import Nic, NicConfig, QUEUE_DEPTH
@@ -28,7 +28,7 @@ __all__ = [
     "FlowError", "FlowHandle", "Message", "Sim", "ThreadedRuntime",
     "Engine", "EnginePolicy", "EngineStats", "Fabric", "FabricConfig",
     "FourTuple", "VirtualClock", "toeplitz_hash", "MODE_NAIVE",
-    "MODE_OPTIMIZED", "FlowPorts", "UdpPorts", "naive_batch_size",
+    "MODE_OPTIMIZED", "UdpPorts", "naive_batch_size",
     "optimized_batch_exact", "optimized_batch_size", "optimized_batch_total",
     "Nic", "NicConfig", "QUEUE_DEPTH", "Stack", "StackError", "init",
     "Flow", "MessageTooLarge", "FRAGMENT_PAYLOAD", "MAX_MESSAGE_BYTES", "MTU",

@@ -14,6 +14,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+from . import wire
 from .wire import MAX_MESSAGE_BYTES
 
 CHANNEL_CAPACITY = 1024
@@ -52,10 +53,10 @@ class ChannelStats:
 
 
 class FlowHandle:
-    """Application-side view of one connection. State fields are written by
-    the owning engine and read by the application thread. `key` is the
-    connection's identity in its engine's tables: (remote_ip, remote_port,
-    local_port)."""
+    """One connection, described once: it addresses every frame (`frame`),
+    and its channel's engine owns it. State fields are written by that
+    engine and read by the application thread. `key` is the connection's
+    identity in its engine's tables: (remote_ip, remote_port, local_port)."""
 
     def __init__(self, local_ip, remote_ip, local_port, remote_port, channel):
         self.local_ip = local_ip
@@ -63,7 +64,6 @@ class FlowHandle:
         self.local_port = local_port
         self.remote_port = remote_port
         self.channel = channel
-        self.owner_engine = channel.owner_engine
         self.key = (remote_ip, remote_port, local_port)
         self.state = CONNECTING
         self.error = None
@@ -94,6 +94,16 @@ class FlowHandle:
         return ("FlowHandle(%s:%d -> %s:%d, %s)"
                 % (self.local_ip, self.local_port, self.remote_ip,
                    self.remote_port, self.state))
+
+
+def frame(handle, udp_src, udp_dst, pkt_type, payload=b"", seq=0, ack=0,
+          msg_id=0, frag_offset=0, msg_len=0, flags=0):
+    """A frame of the handle's connection, sent from its local end over the
+    UDP pair (udp_src, udp_dst)."""
+    return wire.build_frame(handle.local_ip, handle.remote_ip, udp_src,
+                            udp_dst, pkt_type, handle.local_port,
+                            handle.remote_port, payload, seq, ack, msg_id,
+                            frag_offset, msg_len, flags)
 
 
 @dataclass(slots=True)

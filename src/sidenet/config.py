@@ -8,6 +8,7 @@ every given key against it and the harness fills in the missing ones from
 it. docs/bench.md lists the same tables.
 """
 
+import ipaddress
 import math
 from dataclasses import dataclass
 
@@ -207,6 +208,10 @@ def parse_scenario(text, source="<memory>"):
         if sec is None:
             raise ConfigError("missing [%s] section" % sec_name)
         hosts[name] = _section(sec, HOST_KEYS, sec_name)
+        try:  # four decimal parts, each 0-255
+            ipaddress.IPv4Address(hosts[name]["ip"])
+        except ValueError as exc:
+            raise ConfigError("invalid 'ip': %s" % exc, sec["ip"][1])
     if hosts["client"]["ip"] == hosts["server"]["ip"]:
         raise ConfigError("client and server must have distinct ips")
 

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import handshake, transport, wire
-from .channel import ESTABLISHED
+from .channel import ESTABLISHED, FlowHandle
 
 RX_BURST = 32
 CHANNEL_MSG_BURST = 32
@@ -123,8 +123,9 @@ class Timer:
 
 @dataclass
 class Listener:
+    """A flow port bound on every engine; the channel's engine owns flows."""
+
     port: int
-    target_engine: int
     channel: object
 
 
@@ -313,7 +314,7 @@ class Engine:
             self.stats.synacks_rx += 1
             hs = self.client_handshakes.get(key)
             if hs is not None:
-                hs.on_synack(self, now, pkt)
+                hs.on_synack(now, pkt)
                 return
             flow = self.flows.get(key)
             if flow is None or flow.final_ack is None:  # no client flow
@@ -324,7 +325,7 @@ class Engine:
             self.stats.acks_rx += 1
             hs = self.server_handshakes.get(key)
             if hs is not None:
-                hs.on_ack(self, now, pkt)
+                hs.on_ack(now, pkt)
             elif key not in self.flows:  # not a live flow's repeated final ACK
                 self.stats.unknown_acks += 1
         else:
@@ -341,7 +342,7 @@ class Engine:
         if listener is None:
             self.stats.stray_syns += 1
             return
-        if listener.target_engine != self.engine_id:
+        if listener.channel.owner_engine != self.engine_id:
             # Expected spray waste; the owning engine sees its own copy.
             self.stats.wrong_engine_syns += 1
             return
@@ -357,10 +358,12 @@ class Engine:
             client_engines, _ = info  # the client's engine id is not kept
             mode = (handshake.MODE_OPTIMIZED if pkt.flags & wire.FLAG_OPTIMIZED
                     else handshake.MODE_NAIVE)
-            hs = handshake.ServerHandshake(listener, key, mode,
+            handle = FlowHandle(self.local_ip, pkt.src_ip, listener.port,
+                                pkt.flow_src, listener.channel)
+            hs = handshake.ServerHandshake(self, handle, mode,
                                            max(1, client_engines))
             self.server_handshakes[key] = hs
-        hs.on_syn(self, now, pkt)
+        hs.on_syn(now, pkt)
 
     # Channel TX.
 
@@ -378,16 +381,19 @@ class Engine:
         if op == "connect":
             _, handle, mode = request
             self.stats.connects_requested += 1
-            hs = handshake.ClientHandshake(handle, mode)
+            hs = handshake.ClientHandshake(self, handle, mode)
             self.client_handshakes[handle.key] = hs
-            hs.start(self, now)
+            hs.start(now)
         elif op == "listen":
             listener = request[1]
             self.listeners[listener.port] = listener
         elif op == "close":
-            flow = self.flows.get(request[1])
+            key = request[1]
+            flow = self.flows.get(key)
             if flow is not None:
                 flow.start_close(now)
+            elif key in self.client_handshakes:
+                self.client_handshakes[key].cancel()
 
     # Flow lifecycle, called by the handshake state machines.
 

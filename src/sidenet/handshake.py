@@ -24,18 +24,20 @@ spray.
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
 
-Set-up state ends at establishment on both sides: the client's handshake
-when its winning SYN-ACK arrives, the server's when the final ACK does.
-From then on the flow answers for its key; a client flow re-sends its
-final ACK when a retry SYN-ACK shows that the ACK was lost. SYNs and
-SYN-ACKs carry the sender's engine id, which neither side stores.
+Each handshake holds, as its flow will, its engine and the connection's
+FlowHandle, which addresses every frame it sends. Set-up state ends at
+establishment on both sides: the client's handshake when its winning
+SYN-ACK arrives, the server's when the final ACK does. From then on the
+flow answers for its key; a client flow re-sends its final ACK when a
+retry SYN-ACK shows that the ACK was lost. SYNs and SYN-ACKs carry the
+sender's engine id, which neither side stores.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import wire
-from .channel import FAILED, FlowHandle
+from .channel import CLOSED, FAILED, frame
 
 MODE_NAIVE = "naive"
 MODE_OPTIMIZED = "optimized"
@@ -48,14 +50,6 @@ EPHEMERAL_LO = 32768
 EPHEMERAL_HI = 60999
 _EPHEMERAL_SPAN = EPHEMERAL_HI - EPHEMERAL_LO + 1
 _PORT_BITS = _EPHEMERAL_SPAN.bit_length()  # as random.randint draws them
-
-
-@dataclass(frozen=True, slots=True)
-class FlowPorts:
-    """The flow's end-to-end identity; constant for the connection's life."""
-
-    local: int
-    remote: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +130,8 @@ class ClientHandshake:
     engine's table, and the flow keeps the final ACK. A retry SYN-ACK (our
     ACK was lost) is then answered by the flow, with the same ACK bytes."""
 
-    def __init__(self, handle, mode):
+    def __init__(self, eng, handle, mode):
+        self.eng = eng
         self.handle = handle
         self.mode = mode
         self.attempt = 1
@@ -144,43 +139,48 @@ class ClientHandshake:
         self.sprayed = set()
         self.retry_timer = None
 
-    def start(self, eng, now):
+    def start(self, now):
         """Spray the first batch, sized from this host's engine count."""
         if self.mode == MODE_OPTIMIZED:
-            self.batch_size = optimized_batch_size(eng.num_engines)
+            self.batch_size = optimized_batch_size(self.eng.num_engines)
         else:
-            self.batch_size = naive_batch_size(eng.num_engines)
-        self._spray(eng, now)
+            self.batch_size = naive_batch_size(self.eng.num_engines)
+        self._spray(now)
 
-    def _spray(self, eng, now):
-        handle = self.handle
+    def _spray(self, now):
+        eng, handle = self.eng, self.handle
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
         for src, dst in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
-            eng.emit(wire.build_frame(
-                eng.local_ip, handle.remote_ip, src, dst,
-                wire.PKT_SYN, handle.local_port, handle.remote_port,
-                payload=payload, seq=self.attempt, flags=flags))
+            eng.emit(frame(handle, src, dst, wire.PKT_SYN, payload,
+                           seq=self.attempt, flags=flags))
             eng.stats.syns_sent += 1
         self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
-                                         lambda t: self.on_timeout(eng, t))
+                                         self.on_timeout)
 
-    def on_timeout(self, eng, now):
+    def on_timeout(self, now):
         if self.attempt >= MAX_ATTEMPTS:
-            eng.stats.handshake_failures += 1
-            eng.client_handshakes.pop(self.handle.key, None)
+            self.eng.stats.handshake_failures += 1
+            self.eng.client_handshakes.pop(self.handle.key, None)
             self.handle._settle(FAILED, "no port pair reached the target "
                                 "engines after %d attempts" % self.attempt,
                                 attempts=self.attempt)
             return
         self.attempt += 1
         self.batch_size = min(self.batch_size * 2, BATCH_CAP)
-        eng.stats.handshake_retries += 1
-        self._spray(eng, now)
+        self.eng.stats.handshake_retries += 1
+        self._spray(now)
 
-    def on_synack(self, eng, now, pkt):
+    def cancel(self):
+        """A close before establishment: stop retrying, settle CLOSED."""
+        self.retry_timer.cancel()
+        self.eng.client_handshakes.pop(self.handle.key, None)
+        self.handle._settle(CLOSED)
+
+    def on_synack(self, now, pkt):
         """The first well-formed SYN-ACK that steered here wins: it
         establishes the flow and ends the handshake."""
+        eng = self.eng
         accepted = wire.unpack_synack_payload(pkt.payload)
         if accepted is None:
             eng.stats.synacks_discarded += 1
@@ -192,23 +192,21 @@ class ClientHandshake:
         flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
                              UdpPorts(pkt.udp_src, pkt.udp_dst),
                              attempts=self.attempt)
-        flow.final_ack = wire.build_frame(
-            eng.local_ip, handle.remote_ip, tx_src, tx_dst,
-            wire.PKT_ACK, handle.local_port, handle.remote_port,
-            payload=wire.pack_ack_payload(pkt.udp_src, pkt.udp_dst),
-            seq=self.attempt)
+        flow.final_ack = frame(
+            handle, tx_src, tx_dst, wire.PKT_ACK,
+            wire.pack_ack_payload(pkt.udp_src, pkt.udp_dst), seq=self.attempt)
         eng.emit(flow.final_ack)
         eng.stats.acks_sent += 1
 
 
 class ServerHandshake:
-    """Accept-side state machine; exists only on the listener's target engine,
-    and only until the client's final ACK establishes the flow. `key` is the
-    flow's table key: (client ip, client flow port, listener port)."""
+    """Accept-side state machine; exists only on the listener's engine, and
+    only until the client's final ACK establishes the flow of `handle`,
+    which the engine built from the first SYN that landed there."""
 
-    def __init__(self, listener, key, mode, client_engines):
-        self.listener = listener
-        self.key = key
+    def __init__(self, eng, handle, mode, client_engines):
+        self.eng = eng
+        self.handle = handle
         self.mode = mode
         self.client_engines = client_engines
         self.attempts = 0
@@ -218,33 +216,33 @@ class ServerHandshake:
         self.last_client_attempt = 0
         self.retry_timer = None
 
-    def on_syn(self, eng, now, pkt):
+    def on_syn(self, now, pkt):
         pair = UdpPorts(pkt.udp_src, pkt.udp_dst)
         if self.mode == MODE_NAIVE:
             # Reply to every correctly-landed SYN: the chance that any one
             # reversed pair reaches the client's engine is what the batch
             # size was computed for. Only the first reply arms the retry.
             if pair in self.replied_pairs:
-                eng.stats.duplicate_syns += 1
+                self.eng.stats.duplicate_syns += 1
                 return
             self.replied_pairs.add(pair)
             answered = self.accepted_pair is not None
             self.accepted_pair = pair
             if answered:
-                self._emit_synack(eng, pair.dst, pair.src)
+                self._emit_synack(pair.dst, pair.src)
             else:
-                self._spray_synacks(eng, now)
+                self._spray_synacks(now)
             return
         if pkt.seq <= self.last_client_attempt:
-            eng.stats.duplicate_syns += 1
+            self.eng.stats.duplicate_syns += 1
             return
         # First SYN of a (re)try that landed correctly: answer with a fresh
         # spray sized for the client's engine count, carried in the SYN.
         self.last_client_attempt = pkt.seq
         self.accepted_pair = pair
-        self._spray_synacks(eng, now)
+        self._spray_synacks(now)
 
-    def _spray_synacks(self, eng, now):
+    def _spray_synacks(self, now):
         """One answer to the accepted SYN, first or retry, then re-arm the
         retry timer. Naive mode answers on the reversed accepted pair,
         optimized mode with a fresh spray."""
@@ -252,35 +250,33 @@ class ServerHandshake:
         if self.mode == MODE_NAIVE:
             pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
         else:
-            pairs = draw_udp_pairs(eng.rng,
+            pairs = draw_udp_pairs(self.eng.rng,
                                    optimized_batch_size(self.client_engines),
                                    self.sprayed)
         for src, dst in pairs:
-            self._emit_synack(eng, src, dst)
+            self._emit_synack(src, dst)
         if self.retry_timer is not None:
             self.retry_timer.cancel()
-        self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
-                                         lambda t: self.on_timeout(eng, t))
+        self.retry_timer = self.eng.arm_timer(now + RETRY_TIMEOUT_US,
+                                              self.on_timeout)
 
-    def _emit_synack(self, eng, udp_src, udp_dst):
-        remote_ip, remote_port, local_port = self.key
+    def _emit_synack(self, udp_src, udp_dst):
+        eng = self.eng
         payload = wire.pack_synack_payload(
             self.accepted_pair.src, self.accepted_pair.dst, eng.engine_id)
-        eng.emit(wire.build_frame(
-            eng.local_ip, remote_ip, udp_src, udp_dst,
-            wire.PKT_SYNACK, local_port, remote_port,
-            payload=payload, seq=self.attempts))
+        eng.emit(frame(self.handle, udp_src, udp_dst, wire.PKT_SYNACK,
+                       payload, seq=self.attempts))
         eng.stats.synacks_sent += 1
 
-    def on_timeout(self, eng, now):
+    def on_timeout(self, now):
         """The final ACK never arrived: answer again so a half-open peer
         recovers."""
         if self.attempts >= MAX_ATTEMPTS:
-            eng.server_handshakes.pop(self.key, None)
+            self.eng.server_handshakes.pop(self.handle.key, None)
             return
-        self._spray_synacks(eng, now)
+        self._spray_synacks(now)
 
-    def on_ack(self, eng, now, pkt):
+    def on_ack(self, now, pkt):
         chosen = wire.unpack_ack_payload(pkt.payload)
         if chosen is None:
             return
@@ -288,11 +284,8 @@ class ServerHandshake:
             self.retry_timer.cancel()
         # From here on the flow answers for this key; a late SYN or ACK
         # finds it in the engine's flow table.
-        eng.server_handshakes.pop(self.key, None)
-        remote_ip, remote_port, local_port = self.key
-        handle = FlowHandle(eng.local_ip, remote_ip, local_port, remote_port,
-                            self.listener.channel)
+        self.eng.server_handshakes.pop(self.handle.key, None)
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
         # client's TX direction is whatever pair its ACK just arrived on.
-        eng.establish(handle, UdpPorts(chosen[0], chosen[1]),
-                      UdpPorts(pkt.udp_src, pkt.udp_dst))
+        self.eng.establish(self.handle, UdpPorts(chosen[0], chosen[1]),
+                           UdpPorts(pkt.udp_src, pkt.udp_dst))

@@ -19,22 +19,15 @@ MIN_FRAME_LEN = 14  # bare Ethernet header
 
 @dataclass
 class NicConfig:
-    """Static NIC shape. queue_depth and mtu are fixed by the device model."""
+    """Static NIC shape: the queue count is all a host chooses. The ring
+    depth (QUEUE_DEPTH) and the MTU are fixed by the device model."""
 
     num_queues: int
     local_ip: str
-    queue_depth: int = QUEUE_DEPTH
-    mtu: int = MTU
-    host_cores: int = 0  # 0 means "same as num_queues"
 
     def __post_init__(self):
-        if self.queue_depth != QUEUE_DEPTH:
-            raise ValueError("queue depth is fixed at %d descriptors" % QUEUE_DEPTH)
-        if self.mtu != MTU:
-            raise ValueError("mtu is fixed at %d" % MTU)
-        cores = self.host_cores or self.num_queues
-        if not 1 <= self.num_queues <= cores:
-            raise ValueError("num_queues must be in [1, %d]" % cores)
+        if self.num_queues < 1:
+            raise ValueError("num_queues must be at least 1")
 
 
 @dataclass

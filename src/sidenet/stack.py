@@ -72,7 +72,7 @@ class Stack:
         with self._lock:
             if port in self._listen_ports:
                 raise StackError("port %d already bound" % port)
-            listener = Listener(port, channel.owner_engine, channel)
+            listener = Listener(port, channel)
             self._listen_ports[port] = listener
         # Replicate to every engine: sprayed SYNs may land on any queue, and
         # each engine decides for itself whether it is the target.
@@ -128,7 +128,7 @@ class Stack:
         return channel.recv(block=blocking, timeout=timeout)
 
     def close(self, flow):
-        self.engines[flow.owner_engine].submit(("close", flow.key))
+        self.engines[flow.channel.owner_engine].submit(("close", flow.key))
 
     def stats_rows(self):
         """One mapping per engine (NIC queue), for the bench CSV export."""

@@ -35,8 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import wire
-from .channel import ESTABLISHED, RESET, CLOSED, Message
-from .handshake import FlowPorts
+from .channel import ESTABLISHED, RESET, CLOSED, Message, frame
 
 SEND_WINDOW = 64
 RECEIVE_WINDOW = 256
@@ -78,18 +77,14 @@ class Flow:
     """One established connection's engine-local sequencing/reassembly state.
 
     Owned by exactly one engine; the application only ever sees the paired
-    FlowHandle and whole messages crossing the channel.
+    FlowHandle, which addresses its frames, and whole messages.
     """
 
     def __init__(self, eng, handle, tx_udp, rx_udp):
         self.eng = eng
         self.handle = handle
-        self.ports = FlowPorts(local=handle.local_port,
-                               remote=handle.remote_port)
-        self.remote_ip = handle.remote_ip
         self.tx_udp = tx_udp
         self.rx_udp = rx_udp
-        self.channel = handle.channel
         self.stats = FlowStats()
         self.reap_timer = None  # armed by start_close
         self.final_ack = None  # a client flow's last handshake frame
@@ -147,18 +142,16 @@ class Flow:
         msg_id = self.next_msg_id
         self.next_msg_id += 1
         msg_len = len(payload)
+        handle, udp = self.handle, self.tx_udp
         for off in range(0, msg_len, wire.FRAGMENT_PAYLOAD):
             chunk = payload[off:off + wire.FRAGMENT_PAYLOAD]
             last = off + len(chunk) >= msg_len
             seq = self.next_tx_seq
             self.next_tx_seq += 1
-            frame = wire.build_frame(
-                self.eng.local_ip, self.remote_ip, self.tx_udp.src,
-                self.tx_udp.dst, wire.PKT_DATA, self.ports.local,
-                self.ports.remote, payload=chunk, seq=seq, msg_id=msg_id,
-                frag_offset=off, msg_len=msg_len,
-                flags=wire.FLAG_LAST_FRAGMENT if last else 0)
-            self.pending.append((seq, frame))
+            self.pending.append((seq, frame(
+                handle, udp.src, udp.dst, wire.PKT_DATA, chunk, seq=seq,
+                msg_id=msg_id, frag_offset=off, msg_len=msg_len,
+                flags=wire.FLAG_LAST_FRAGMENT if last else 0)))
         self.pump(now)
         return msg_id
 
@@ -297,7 +290,7 @@ class Flow:
                 pto += ACK_DELAY_US  # its ack may wait for the delayed ack
             if now + pto < due:
                 due = now + pto
-                fn = lambda t: self._on_loss_timer(t, probe=True)
+                fn = self._on_probe_timer
         self.loss_timer = self.eng.arm_timer(due, fn)
 
     def _on_loss_timer(self, now, probe=False):
@@ -319,16 +312,18 @@ class Flow:
                 return
         self._arm_loss_timer(now, reorder_at)
 
+    def _on_probe_timer(self, now):
+        self._on_loss_timer(now, probe=True)
+
     def on_rto(self, now):
-        """The retransmission timeout: re-send the oldest unacked fragment
-        and double the timeout."""
+        """The retransmission timeout: re-send the oldest unacked fragment,
+        double the timeout and re-arm for it (the resend is marked lost)."""
         seq, oldest = next(iter(self.unacked.items()))
         self._retransmit(seq, oldest, now)
         if self.handle.state != ESTABLISHED:
             return
         self.rto_us = min(self.rto_us * 2, RTO_CAP_US)
-        self.loss_timer = self.eng.arm_timer(now + self.rto_us,
-                                             self._on_loss_timer)
+        self._arm_loss_timer(now)
 
     def _retransmit(self, seq, entry, now):
         if self.handle.state != ESTABLISHED:
@@ -376,8 +371,8 @@ class Flow:
         if self.frames_since_ack >= ACK_EVERY_FRAMES:
             self._emit_sack(now)
         elif self.ack_timer is None or not self.ack_timer.live:
-            self.ack_timer = self.eng.arm_timer(
-                now + ACK_DELAY_US, lambda t: self._on_ack_timer(t))
+            self.ack_timer = self.eng.arm_timer(now + ACK_DELAY_US,
+                                                self._on_ack_timer)
 
     def _consume(self):
         """Consume the in-order run at rx_next; False if it reset the flow."""
@@ -398,7 +393,8 @@ class Flow:
                 self.rx_parts = []
                 self.rx_msg_id += 1
                 self.stats.msgs_delivered += 1
-                self.channel._push_rx(Message(self.handle, b"".join(parts)))
+                self.handle.channel._push_rx(
+                    Message(self.handle, b"".join(parts)))
         return True
 
     def _on_ack_timer(self, now):
@@ -409,12 +405,9 @@ class Flow:
         self.frames_since_ack = 0
         if self.ack_timer is not None:
             self.ack_timer.cancel()
-        ranges = self._sack_ranges()
-        self.eng.emit(wire.build_frame(
-            self.eng.local_ip, self.remote_ip, self.tx_udp.src,
-            self.tx_udp.dst, wire.PKT_SACK, self.ports.local,
-            self.ports.remote, payload=wire.pack_sack_payload(ranges),
-            ack=self.rx_next))
+        self.eng.emit(frame(
+            self.handle, self.tx_udp.src, self.tx_udp.dst, wire.PKT_SACK,
+            wire.pack_sack_payload(self._sack_ranges()), ack=self.rx_next))
         self.stats.sacks_sent += 1
 
     def _sack_ranges(self):
@@ -436,24 +429,23 @@ class Flow:
     # Teardown.
 
     def on_fin(self, pkt, now):
-        self.eng.emit(wire.build_frame(
-            self.eng.local_ip, self.remote_ip, self.tx_udp.src,
-            self.tx_udp.dst, wire.PKT_FINACK, self.ports.local,
-            self.ports.remote))
+        self.eng.emit(frame(self.handle, self.tx_udp.src, self.tx_udp.dst,
+                            wire.PKT_FINACK))
         self._teardown(CLOSED)
 
     def on_finack(self, pkt, now):
         self._teardown(CLOSED)
 
     def start_close(self, now):
-        self.eng.emit(wire.build_frame(
-            self.eng.local_ip, self.remote_ip, self.tx_udp.src,
-            self.tx_udp.dst, wire.PKT_FIN, self.ports.local,
-            self.ports.remote))
+        self.eng.emit(frame(self.handle, self.tx_udp.src, self.tx_udp.dst,
+                            wire.PKT_FIN))
         # Peer or the idle reaper finishes the job if the FIN-ACK is lost.
         if self.reap_timer is None:
-            self.reap_timer = self.eng.arm_timer(
-                now + IDLE_REAP_US, lambda t: self._teardown(CLOSED))
+            self.reap_timer = self.eng.arm_timer(now + IDLE_REAP_US,
+                                                 self._on_reap_timer)
+
+    def _on_reap_timer(self, now):
+        self._teardown(CLOSED)
 
     def _teardown(self, state, reason=None):
         """The one way a flow ends: settle the handle (a reset always, a

@@ -58,6 +58,8 @@ def test_scenario_parses():
     ("loss = 0.0", "jitter_us = -3"),
     ("msg_size = 64", "msg_size = 3"),  # below the 8-byte tag
     ("inflight = 2", 'mode = "polling"'),  # a receive mode, not a handshake
+    ('ip = "10.0.0.1"', 'ip = "banana"'),
+    ('ip = "10.0.0.1"', 'ip = "10.0.0.300"'),
 ])
 def test_schema_violations_carry_line_numbers(mutation, fragment):
     _assert_rejected_at(GOOD_ECHO.replace(mutation, fragment, 1), fragment)

@@ -46,10 +46,11 @@ def _assert_flows_steer_to_owners(sim, *stacks):
               for stack in stacks for eng in stack.engines
               for key, flow in eng.flows.items()}
     for (ip, key), (engine_id, flow) in owners.items():
-        peer_key = (ip, flow.ports.local, flow.ports.remote)
-        peer_engine, _ = owners[(flow.remote_ip, peer_key)]
-        assert _steer(sim, flow.remote_ip, ip, flow.rx_udp) == engine_id, key
-        assert _steer(sim, ip, flow.remote_ip, flow.tx_udp) == peer_engine, key
+        h = flow.handle
+        peer_key = (ip, h.local_port, h.remote_port)
+        peer_engine, _ = owners[(h.remote_ip, peer_key)]
+        assert _steer(sim, h.remote_ip, ip, flow.rx_udp) == engine_id, key
+        assert _steer(sim, ip, h.remote_ip, flow.tx_udp) == peer_engine, key
     return len(owners)
 
 
@@ -171,7 +172,7 @@ def test_listener_replicated_to_every_engine():
     sim.run_for(2 * CONTROL_INTERVAL_US)
     for eng in server.engines:
         assert 80 in eng.listeners
-        assert eng.listeners[80].target_engine == 1
+        assert eng.listeners[80].channel.owner_engine == 1
 
 
 def test_connect_requests_serviced_on_50us_grid():

@@ -11,9 +11,9 @@ import pytest
 from conftest import connect_established, make_pair
 
 from sidenet import wire
-from sidenet.channel import ConnectError
-from sidenet.handshake import (EPHEMERAL_HI, EPHEMERAL_LO, MODE_NAIVE,
-                               MODE_OPTIMIZED, RETRY_TIMEOUT_US,
+from sidenet.channel import CLOSED, ConnectError
+from sidenet.handshake import (EPHEMERAL_HI, EPHEMERAL_LO, MAX_ATTEMPTS,
+                               MODE_NAIVE, MODE_OPTIMIZED, RETRY_TIMEOUT_US,
                                draw_udp_pairs)
 from sidenet.stack import Stack
 
@@ -345,20 +345,42 @@ def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
         "synacks_rx": 1, "unknown_synacks": 1}
 
 
+def test_close_while_connecting_cancels_the_handshake():
+    """A close serviced before establishment stops the client's spray and
+    settles the handle closed; neither side is left holding a flow, and
+    the server's half-open handshake runs out its retries and is freed."""
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    handle = client.connect(cch, "10.0.0.2", 80)
+    client.close(handle)
+    sim.run_for(1_000_000)
+    assert handle.state == CLOSED
+    syns = engine_stat(client, "syns_sent")
+    assert syns > 0 and engine_stat(client, "handshake_retries") == 0
+    sim.run_for(MAX_ATTEMPTS * RETRY_TIMEOUT_US)
+    assert engine_stat(client, "syns_sent") == syns
+    for stack in (client, server):
+        for eng in stack.engines:
+            assert not (eng.flows or eng.client_handshakes
+                        or eng.server_handshakes)
+
+
 def test_retired_set_up_names_are_gone():
     """One flow key per handle and one establish path: neither handshake
     keeps a key method or flow ports, the client keeps no winning SYN-ACK,
-    and no peer engine id is stored."""
+    and no peer engine id is stored. The handle is the one description of
+    a connection: no flow copies its ports, and no listener copies its
+    channel's engine."""
     retired = ("establish_client_flow", "establish_server_flow",
                "drop_client_handshake", "drop_server_handshake",
                "_winning_synack", "_emit_ack", "client_engine_id",
-               "remote_engine")
+               "remote_engine", "FlowPorts", "target_engine", "self.ports")
     for path in SRC.glob("*.py"):
         text = path.read_text()
         for name in retired:
-            assert not re.search(r"\b%s\b" % name, text), (path.name, name)
+            assert not re.search(r"\b%s\b" % re.escape(name), text), (
+                path.name, name)
     text = (SRC / "handshake.py").read_text()
-    assert "def key(" not in text and "self.ports" not in text
+    assert "def key(" not in text
 
 
 def test_removed_connect_options_are_gone():

@@ -5,6 +5,9 @@ import types
 from pathlib import Path
 
 import sidenet
+from sidenet import wire
+
+from conftest import connect_established, make_pair
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -28,3 +31,21 @@ def test_every_traced_entry_point_resolves_on_sidenet():
         # The tracer reads vars(target)[attr]: an inherited or missing name
         # raises KeyError there.
         assert callable(vars(target)[attr]), name
+
+
+def test_traced_handshake_frames_match_engine_counters():
+    """What `perfbench/run.py --trace 1` cross-checks: with the tracer
+    installed, the SYN and SYN-ACK frames it sees built equal the engines'
+    counts of those sent."""
+    tracer = _load_tracing().Tracer(lambda: 0)
+    tracer.install(sidenet, [])
+    try:
+        sim, client, server, cch, sch = make_pair(seed=1, engines=4)
+        connect_established(sim, client, cch, mode=sidenet.MODE_OPTIMIZED)
+    finally:
+        tracer.uninstall()
+    syns = sum(eng.stats.syns_sent for eng in client.engines)
+    synacks = sum(eng.stats.synacks_sent for eng in server.engines)
+    assert syns and synacks
+    assert tracer.built[wire.PKT_SYN] == syns
+    assert tracer.built[wire.PKT_SYNACK] == synacks
