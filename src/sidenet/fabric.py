@@ -193,8 +193,15 @@ class Fabric:
             self.stats.lost += 1
             return
         delay = cfg.base_delay_us
-        if cfg.delay_jitter_us:
-            delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
+        jitter = cfg.delay_jitter_us
+        if jitter:
+            # randint(-jitter, jitter), with its getrandbits draws inlined.
+            span = 2 * jitter + 1
+            bits = span.bit_length()
+            r = self._rng.getrandbits(bits)
+            while r >= span:
+                r = self._rng.getrandbits(bits)
+            delay += r - jitter
         self._seq += 1
         event = _Event(frame, host, self._queue(host, frame))
         heapq.heappush(self._heap,

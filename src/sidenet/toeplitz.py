@@ -9,6 +9,8 @@ Only the simulated fabric may import this module; the stack proper never
 sees the key (checked by the module-visibility audit in the test suite).
 """
 
+from functools import lru_cache
+
 KEY_LEN = 40
 
 
@@ -31,28 +33,41 @@ def toeplitz_hash(key, data):
     return result
 
 
-class ToeplitzHasher:
-    """Table-driven hasher for the fixed-layout 12-byte IPv4/UDP input.
+# A fabric derives its RSS key from its seed, so set-ups that revisit a seed
+# share one table set. The bound covers 1000 seeds swept once per
+# configuration; at about 120 KiB per key it holds at most ~120 MiB.
+ROW_CACHE_KEYS = 1024
 
-    The hash is linear over XOR, so it splits into one 256-entry table per
+
+@lru_cache(maxsize=ROW_CACHE_KEYS)
+def _rows(key):
+    """The 12 x 256 table set of `key`, as tuples so hashers can share it.
+
+    The hash is linear over XOR, so it splits into one 256-entry row per
     input byte: row[pos][value] is the hash of `value` alone at byte `pos`.
-    Each row is built by doubling, one XOR per entry, so all 12 x 256
-    entries take well under a millisecond. toeplitz_hash above stays as the
-    bit-serial reference.
+    Each row is built by doubling, one XOR per entry."""
+    key_int = int.from_bytes(key, "big")
+    top = KEY_LEN * 8 - 32
+    rows = []
+    for pos in range(12):
+        row = [0]
+        for bit in range(pos * 8 + 7, pos * 8 - 1, -1):  # LSB first
+            window = (key_int >> (top - bit)) & 0xFFFFFFFF
+            row += [h ^ window for h in row]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class ToeplitzHasher:
+    """Table-driven hasher for the fixed-layout 12-byte IPv4/UDP input,
+    reading the table set `_rows` caches for its key. toeplitz_hash above
+    stays as the bit-serial reference.
     """
 
     def __init__(self, key):
         if len(key) != KEY_LEN:
             raise ValueError("key must be %d bytes" % KEY_LEN)
-        key_int = int.from_bytes(key, "big")
-        top = KEY_LEN * 8 - 32
-        self._rows = []
-        for pos in range(12):
-            row = [0]
-            for bit in range(pos * 8 + 7, pos * 8 - 1, -1):  # LSB first
-                window = (key_int >> (top - bit)) & 0xFFFFFFFF
-                row += [h ^ window for h in row]
-            self._rows.append(row)
+        self._rows = _rows(bytes(key))
 
     def hash_bytes(self, data):
         if len(data) != 12:

@@ -21,10 +21,14 @@ the resend. It narrows back after 16 loss episodes without one. While
 nothing is marked lost, the timer is a tail-loss probe, armed where the RTO
 would be (on a send while no timer runs, on each ack that advances the
 cumulative ack) for 2 x SRTT, plus the receiver's ack delay when one
-fragment is in flight; it re-sends the highest-seq unacked fragment, whose
-ack then lets RACK see any other loss. There is one probe per tail and none
-before the first RTT sample. The retransmission timeout (10 ms, doubling to
-1 s) stays as the backstop; no deadline is ever later than it.
+fragment is in flight (the PTO); it re-sends the highest-seq unacked
+fragment, whose ack then lets RACK see any other loss. While no reorder
+deadline is pending, it is a probe too when that fragment has been resent
+exactly once: if the tail and its resend (or the resend's ack) are both
+lost, the tail goes out again one PTO later, not at the RTO. So no probe is
+a fragment's third resend, and there is none before the first RTT sample.
+The retransmission timeout (10 ms, doubling to 1 s) stays as the backstop;
+no deadline is ever later than it, and a silent peer resets by it.
 
 A fixed 64-packet send window stands in for congestion control, which this
 stack deliberately does not have; the window constant is the seam where a
@@ -111,6 +115,7 @@ class Flow:
         # Receiver state.
         self.rx_next = 0
         self.rx_buffer = {}  # seq -> ParsedFrame, rx_next <= seq < window end
+        self.rx_runs = []  # (start, end) runs of rx_buffer's seqs, in order
         self.rx_msg_id = 0  # message being assembled
         self.rx_msg_len = 0
         self.rx_parts = []  # its payloads consumed so far
@@ -276,15 +281,23 @@ class Flow:
                 reorder_at = deadline
         return reorder_at
 
+    def _may_probe(self):
+        """A tail-loss probe is allowed while nothing is marked lost, or while
+        the highest-seq unacked fragment has been resent exactly once. So no
+        probe is a fragment's third resend; past its second, the RTO is the
+        backstop."""
+        return (not self.lost_out
+                or next(reversed(self.unacked.values())).retransmits == 1)
+
     def _arm_loss_timer(self, now, reorder_at=None):
         """Arm the flow's one loss timer, never later than the RTO: for a
         pending reorder deadline; else, once there is an RTT sample and
-        nothing is marked lost, for a tail-loss probe; else for the RTO."""
+        `_may_probe` allows it, for a tail-loss probe; else for the RTO."""
         due = next(iter(self.unacked.values())).sent_at + self.rto_us
         fn = self._on_loss_timer
         if reorder_at is not None:
             due = min(due, reorder_at)
-        elif self.srtt_us and not self.lost_out:
+        elif self.srtt_us and self._may_probe():
             pto = 2 * self.srtt_us
             if len(self.unacked) == 1:
                 pto += ACK_DELAY_US  # its ack may wait for the delayed ack
@@ -295,8 +308,9 @@ class Flow:
 
     def _on_loss_timer(self, now, probe=False):
         """The RTO if the oldest fragment is overdue; else RACK's reorder
-        deadlines; else, for a probe timer with nothing marked lost, re-send
-        the highest-seq unacked fragment. Then re-arm for what is left."""
+        deadlines; else, for a probe timer with no reorder deadline pending
+        and `_may_probe` still true, re-send the highest-seq unacked
+        fragment. Then re-arm for what is left."""
         if not self.unacked:
             return
         if now - next(iter(self.unacked.values())).sent_at >= self.rto_us:
@@ -305,7 +319,7 @@ class Flow:
         reorder_at = self._detect_losses(now)
         if self.handle.state != ESTABLISHED:
             return
-        if probe and reorder_at is None and not self.lost_out:
+        if probe and reorder_at is None and self._may_probe():
             seq, entry = next(reversed(self.unacked.items()))
             self._retransmit(seq, entry, now)
             if self.handle.state != ESTABLISHED:
@@ -365,8 +379,11 @@ class Flow:
             self.stats.rx_out_of_window += 1
             return
         self.rx_buffer[seq] = pkt
-        if seq == self.rx_next and not self._consume():
-            return
+        if seq == self.rx_next:
+            if not self._consume():
+                return
+        else:
+            self._add_run(seq)
         self.frames_since_ack += 1
         if self.frames_since_ack >= ACK_EVERY_FRAMES:
             self._emit_sack(now)
@@ -395,7 +412,28 @@ class Flow:
                 self.stats.msgs_delivered += 1
                 self.handle.channel._push_rx(
                     Message(self.handle, b"".join(parts)))
+        runs = self.rx_runs
+        if runs and runs[0][0] < self.rx_next:
+            del runs[0]  # the run that continued rx_next, consumed whole
         return True
+
+    def _add_run(self, seq):
+        """Add a buffered seq above rx_next to rx_runs, joining the runs it
+        touches. Most arrive at or near the top, so the search starts there."""
+        runs = self.rx_runs
+        i = len(runs)
+        while i and runs[i - 1][0] > seq:
+            i -= 1
+        joins_next = i < len(runs) and runs[i][0] == seq + 1
+        if i and runs[i - 1][1] == seq:
+            if joins_next:
+                runs[i - 1:i + 1] = [(runs[i - 1][0], runs[i][1])]
+            else:
+                runs[i - 1] = (runs[i - 1][0], seq + 1)
+        elif joins_next:
+            runs[i] = (seq, runs[i][1])
+        else:
+            runs.insert(i, (seq, seq + 1))
 
     def _on_ack_timer(self, now):
         if self.frames_since_ack > 0:
@@ -412,19 +450,7 @@ class Flow:
 
     def _sack_ranges(self):
         """Runs of buffered seqs, lowest first, at most SACK_MAX_RANGES."""
-        ranges = []
-        start = end = None
-        for seq in sorted(self.rx_buffer):
-            if seq != end:
-                if start is not None:
-                    ranges.append((start, end))
-                    if len(ranges) == SACK_MAX_RANGES:
-                        return ranges
-                start = seq
-            end = seq + 1
-        if start is not None:
-            ranges.append((start, end))
-        return ranges
+        return self.rx_runs[:SACK_MAX_RANGES]
 
     # Teardown.
 

@@ -9,6 +9,7 @@ end to end. Layouts are bit-exact and documented in docs/wire.md.
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 MTU = 1514
 ETH_HEADER_LEN = 14
@@ -69,7 +70,6 @@ _UDP_LEN_0 = UDP_HEADER_LEN + HEADER_LEN
 _SYN_PAYLOAD = struct.Struct(">HH")  # engine count, engine id
 _SYNACK_PAYLOAD = struct.Struct(">HHH")  # accepted SYN udp src/dst, engine id
 _ACK_PAYLOAD = struct.Struct(">HH")  # successful SYN-ACK udp src/dst
-_SACK_RANGE = struct.Struct(">II")
 
 
 def pack_ip(dotted):
@@ -186,22 +186,23 @@ def unpack_ack_payload(payload):
     return _ACK_PAYLOAD.unpack_from(payload)
 
 
+@lru_cache(maxsize=256)
+def _sack_layout(count):
+    """A SACK payload of `count` ranges: u16 count, then u32 start, u32 end
+    per range."""
+    return struct.Struct(">H%dI" % (2 * count))
+
+
 def pack_sack_payload(ranges):
-    out = [struct.pack(">H", len(ranges))]
-    for start, end in ranges:
-        out.append(_SACK_RANGE.pack(start, end))
-    return b"".join(out)
+    return _sack_layout(len(ranges)).pack(len(ranges),
+                                          *chain.from_iterable(ranges))
 
 
 def unpack_sack_payload(payload):
+    """The ranges a SACK payload lists; a count that runs past the payload
+    yields only the whole ranges present."""
     if len(payload) < 2:
         return []
-    (count,) = struct.unpack_from(">H", payload)
-    ranges = []
-    off = 2
-    for _ in range(count):
-        if off + _SACK_RANGE.size > len(payload):
-            break
-        ranges.append(_SACK_RANGE.unpack_from(payload, off))
-        off += _SACK_RANGE.size
-    return ranges
+    count = min(payload[0] << 8 | payload[1], (len(payload) - 2) // 8)
+    flat = _sack_layout(count).unpack_from(payload)
+    return list(zip(flat[1::2], flat[2::2]))

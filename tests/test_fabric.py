@@ -415,3 +415,23 @@ def test_fabric_matches_key_swapping_reference(seed, loss, reorder, jitter,
         assert fab.now == ref.now
         assert fab.conservation_ok()
     assert fab.in_flight() == 0
+
+
+@pytest.mark.parametrize("jitter", [1, 5, 10])
+def test_jitter_draws_equal_randint(jitter):
+    """Each frame's delay is base + randint(-jitter, jitter), drawn after the
+    loss draw from the fabric's own seeded stream."""
+    seed, base = 17, 20
+    fab = Fabric(FabricConfig(rng_seed=seed, base_delay_us=base,
+                              delay_jitter_us=jitter))
+    fab.add_host("10.0.0.2", 1)
+    frame = data_frame()
+    for _ in range(10_000):
+        fab.send("10.0.0.1", frame)
+    got = [due - base for due, _, _ in sorted(fab._heap, key=lambda e: e[1])]
+    ref = random.Random("fabric/%d" % seed)
+    want = []
+    for _ in range(10_000):
+        ref.random()  # the loss draw
+        want.append(ref.randint(-jitter, jitter))
+    assert got == want

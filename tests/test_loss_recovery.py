@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import PollApp, connect_established, make_pair
 
 from sidenet import transport, wire
-from sidenet.channel import ESTABLISHED
-from sidenet.transport import RTO_BASE_US
+from sidenet.channel import ESTABLISHED, RESET
+from sidenet.transport import (MAX_FRAGMENT_RETRANSMITS, RTO_BASE_US,
+                               RTO_CAP_US)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
 
@@ -26,27 +27,41 @@ def _echo_server(sim, server, sch):
     sim.add_app(PollApp(echo))
 
 
-def test_lone_lost_last_fragment_recovered_by_probe_within_1ms():
+def _warm_flow():
+    """An echo pair on 1x1 engines whose client flow has RTT samples, so a
+    probe may be armed."""
     sim, client, server, cch, sch = make_pair(seed=21, engines=1)
     handle = connect_established(sim, client, cch)
     _echo_server(sim, server, sch)
-    for _ in range(3):  # RTT samples, so a probe may be armed
+    for _ in range(3):
         cch.send(handle, b"warm-up")
         assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
         cch.recv()
     (flow,) = client.engines[0].flows.values()
     assert flow.srtt_us > 0 and flow.stats.retransmits == 0
+    return sim, cch, handle, flow
+
+
+def _drop_client_data(sim, count=None):
+    """Force-drop the client's next `count` DATA frames (all if None); the
+    returned list gets each dropped frame's (virtual time, seq)."""
     dropped = []
 
-    def drop_next_data(frame):
+    def tap(frame):
         pkt = wire.parse_frame(frame)
-        if (not dropped and pkt.pkt_type == wire.PKT_DATA
-                and pkt.src_ip == "10.0.0.1"):
-            dropped.append(pkt.seq)
+        if (pkt.pkt_type == wire.PKT_DATA and pkt.src_ip == "10.0.0.1"
+                and (count is None or len(dropped) < count)):
+            dropped.append((sim.now, pkt.seq))
             return True
         return False
 
-    sim.fabric._tap = drop_next_data
+    sim.fabric._tap = tap
+    return dropped
+
+
+def test_lone_lost_last_fragment_recovered_by_probe_within_1ms():
+    sim, cch, handle, flow = _warm_flow()
+    dropped = _drop_client_data(sim, 1)
     sent_at = sim.now
     cch.send(handle, b"tail")
     assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
@@ -54,6 +69,46 @@ def test_lone_lost_last_fragment_recovered_by_probe_within_1ms():
     assert dropped and flow.stats.retransmits == 1
     assert sim.now - sent_at <= 1000 < RTO_BASE_US
     assert flow.rto_us == RTO_BASE_US  # no timeout fired
+
+
+def test_lost_tail_and_its_resend_recovered_by_second_probe_within_2ms():
+    sim, cch, handle, flow = _warm_flow()
+    dropped = _drop_client_data(sim, 2)
+    sent_at = sim.now
+    cch.send(handle, b"tail")
+    assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
+    assert cch.recv().payload == b"tail"
+    assert [seq for _, seq in dropped] == [3, 3]  # the tail, then its resend
+    assert flow.stats.retransmits == 2
+    assert sim.now - sent_at < 2000 < RTO_BASE_US
+    assert flow.rto_us == RTO_BASE_US  # no timeout fired
+
+
+def test_silent_peer_still_resets_by_the_rto_ladder():
+    sim, cch, handle, flow = _warm_flow()
+    probes = []
+    on_probe = flow._on_probe_timer
+
+    def counted_probe(now):
+        probes.append((now, flow.stats.retransmits))
+        on_probe(now)
+
+    flow._on_probe_timer = counted_probe
+    dropped = _drop_client_data(sim)
+    sent_at = sim.now
+    cch.send(handle, b"lost")
+    assert sim.run_until(lambda: handle.state != ESTABLISHED,
+                         max_us=60_000_000)
+    assert handle.state == RESET
+    assert sim.now - sent_at >= 5_000_000
+    # The original, two probes, then one resend per RTO until the reset.
+    assert len(dropped) == 1 + MAX_FRAGMENT_RETRANSMITS
+    assert [r for _, r in probes] == [0, 1]
+    gaps = [b - a for (a, _), (b, _) in zip(dropped[2:], dropped[3:])]
+    rto = RTO_BASE_US
+    for gap in gaps:
+        assert gap == rto
+        rto = min(2 * rto, RTO_CAP_US)
 
 
 def test_retired_heuristics_are_gone():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from sidenet import wire
 from sidenet.fabric import Fabric, FabricConfig, FourTuple, toeplitz_hash
-from sidenet.toeplitz import ToeplitzHasher
+from sidenet import toeplitz
+from sidenet.toeplitz import ROW_CACHE_KEYS, ToeplitzHasher
 
 
 def reference_hash(key, data):
@@ -112,6 +113,20 @@ def test_fabric_steering_agrees_with_reference(key, src, ports, byteswap):
     fab.send(src_ip, frame)
     fab.advance(FabricConfig.base_delay_us)
     assert nic.rx_pending(want % 128) == 1
+
+
+def test_hashers_of_one_key_share_rows_and_the_cache_is_bounded():
+    key = bytes(range(40))
+    a, b = ToeplitzHasher(key), ToeplitzHasher(bytearray(key))
+    assert a._rows is b._rows
+    assert all(type(row) is tuple and len(row) == 256 for row in a._rows)
+    for i in range(ROW_CACHE_KEYS + 1):
+        ToeplitzHasher(i.to_bytes(40, "big"))
+    info = toeplitz._rows.cache_info()
+    assert info.maxsize == ROW_CACHE_KEYS
+    assert info.currsize == ROW_CACHE_KEYS
+    assert ToeplitzHasher(key)._rows is not a._rows  # evicted, rebuilt
+    assert ToeplitzHasher(key)._rows == a._rows
 
 
 def test_hasher_rejects_bad_shapes():

@@ -13,7 +13,8 @@ from sidenet.engine import EngineStats, Timer
 from sidenet.handshake import UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
-                               SEND_WINDOW, Flow, MessageTooLarge)
+                               SACK_MAX_RANGES, SEND_WINDOW, Flow,
+                               MessageTooLarge)
 
 
 class StubEngine:
@@ -398,6 +399,30 @@ def test_sack_ranges_capped_at_eight():
     ranges = flow._sack_ranges()
     assert len(ranges) == 8
     assert ranges == [(s, s + 1) for s in range(1, 17, 2)]
+
+
+def sorted_runs(seqs):
+    """Runs of `seqs` rebuilt by sorting them, as SACKs once were."""
+    runs = []
+    for seq in sorted(seqs):
+        if runs and runs[-1][1] == seq:
+            runs[-1] = (runs[-1][0], seq + 1)
+        else:
+            runs.append((seq, seq + 1))
+    return runs
+
+
+@settings(max_examples=200)
+@given(order=st.permutations(range(40)) | st.lists(
+    st.integers(0, RECEIVE_WINDOW + 40), max_size=300))
+def test_sack_runs_equal_a_sorted_rebuild_for_any_arrival_order(order):
+    flow, _, _ = make_flow()
+    for seq in order:  # one single-fragment message per seq
+        flow.on_data(data_pkt(seq, seq, 0, 1, b"s"), 0)
+        want = sorted_runs(flow.rx_buffer)
+        assert flow.rx_runs == want
+        assert flow._sack_ranges() == want[:SACK_MAX_RANGES]
+    assert flow.stats.protocol_errors == 0
 
 
 FP = wire.FRAGMENT_PAYLOAD
