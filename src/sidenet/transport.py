@@ -9,6 +9,13 @@ its message resets the flow, and a DATA header no honest sender could emit
 is counted and dropped. Acks are cumulative plus up to eight selective
 ranges.
 
+The receiver sends at most one SACK per flow per RX burst: a new DATA frame
+moves the flow's one ack timer, which the engine fires after the burst, to
+`now` when two or more frames are unacked or the frame arrived out of order
+or filled part of a hole (RFC 5681, section 4.2); otherwise the ack waits
+up to 100 us (ACK_DELAY_US) for a second frame. A duplicate is re-acked at
+once.
+
 Loss recovery is RACK-TLP (RFC 8985), driven by one timer per flow. RACK
 keeps a mark: the most recently sent fragment known delivered. An unacked
 fragment sent before the mark (earlier, or at the same instant with a
@@ -16,7 +23,7 @@ lower seq) is lost once the mark's RTT plus a reorder window has passed
 since its own send; one not yet past that deadline arms the timer for it.
 The window starts at a quarter of the min RTT, capped by the smoothed RTT,
 and widens a quarter at a time, at most once per round trip, when a resend
-proves spurious: the original's ack comes back within one such quarter of
+proves spurious: the original's ack comes back within half the min RTT of
 the resend. It narrows back after 16 loss episodes without one. While
 nothing is marked lost, the timer is a tail-loss probe, armed where the RTO
 would be (on a send while no timer runs, on each ack that advances the
@@ -216,11 +223,11 @@ class Flow:
                 self.lost_out -= 1
                 # Karn: no RTT sample. An ack sooner than the min RTT after
                 # the resend (or before any RTT is known) may be for the
-                # original, so RACK skips it. One within a window step means
-                # one more step would have spared the resend: widen the
-                # window, at most once per round trip.
+                # original, so RACK skips it. One within two window steps
+                # (half the min RTT) means a wider window would have spared
+                # the resend: widen it, at most once per round trip.
                 if not self.min_rtt_us or rtt < self.min_rtt_us:
-                    if (rtt < self.min_rtt_us // 4
+                    if (rtt < self.min_rtt_us // 2
                             and self.acked_upto > self.reo_round_end):
                         self.reo_wnd_mult += 1
                         self.reo_persist = REO_WND_PERSIST
@@ -379,17 +386,23 @@ class Flow:
             self.stats.rx_out_of_window += 1
             return
         self.rx_buffer[seq] = pkt
+        # Out of order, or filling part of a hole: the sender needs to know.
+        urgent = seq > self.rx_next or bool(self.rx_runs)
         if seq == self.rx_next:
             if not self._consume():
                 return
         else:
             self._add_run(seq)
         self.frames_since_ack += 1
-        if self.frames_since_ack >= ACK_EVERY_FRAMES:
-            self._emit_sack(now)
-        elif self.ack_timer is None or not self.ack_timer.live:
-            self.ack_timer = self.eng.arm_timer(now + ACK_DELAY_US,
-                                                self._on_ack_timer)
+        # The engine fires due timers after the RX burst, so an ack due now
+        # goes out once, covering the whole burst.
+        due = (now if urgent or self.frames_since_ack >= ACK_EVERY_FRAMES
+               else now + ACK_DELAY_US)
+        timer = self.ack_timer
+        if timer is None or not timer.live or timer.due > due:
+            if timer is not None:
+                timer.cancel()
+            self.ack_timer = self.eng.arm_timer(due, self._emit_sack)
 
     def _consume(self):
         """Consume the in-order run at rx_next; False if it reset the flow."""
@@ -434,10 +447,6 @@ class Flow:
             runs[i] = (seq, runs[i][1])
         else:
             runs.insert(i, (seq, seq + 1))
-
-    def _on_ack_timer(self, now):
-        if self.frames_since_ack > 0:
-            self._emit_sack(now)
 
     def _emit_sack(self, now):
         self.frames_since_ack = 0

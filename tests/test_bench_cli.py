@@ -235,8 +235,8 @@ PINNED_CSV_SHA256 = {
         "e25d35ccab490b9ab4f5f7c5adadafe38c5edb9ee4d94cab80b5d142db0f3742",
         "bfbf1781ec6f77c4398980ad8b7a0767def5a44061207f44aa8ca78b0c1727b2"),
     "echo_lossy": (
-        "b7526814b9911de74babdaf065f189f9e4515db1fa1ba1ce38ef42a832479c24",
-        "1e142e05affb7e4121001eb83850cdaa2a9a1c392d5fe72f23af28447b8cfdf4"),
+        "2390afd0b3475be879b4859201fd5aa167a5f4c729b68e0a51721477364a00da",
+        "4f5d3ff203850cc192fa94e611492d20ad0d7c6ff33861f2e93e9b077a50390e"),
     "conn_setup_8x8": (
         "56b84b455cfe1c91913c82801e2d578fe4519dffaee39c7656c1ffe1b124fd62",
         "9faf0d93f62a174282b7cad6350425a061ba593ed49ad05ad01701ae60dfd543"),

@@ -273,7 +273,7 @@ def test_every_flow_frame_steers_to_the_owning_engines():
     sim.run_for(2000)
     captured = []
     sim.fabric._tap = lambda frame: captured.append(frame) and False
-    client.send(cch, handle, b"z" * 50_000)
+    client.send(cch, handle, b"z" * 100_000)
     echoed = []
 
     def echo(sim_):
@@ -295,6 +295,31 @@ def test_every_flow_frame_steers_to_the_owning_engines():
         assert sim.fabric.steer(pkt.dst_ip, frame) == expected
         checked += 1
     assert checked > 80  # both directions: data, echo, and their sacks
+
+
+def test_one_rx_burst_of_in_order_data_gets_one_sack():
+    """Ten in-order DATA frames for one flow, taken in one RX burst, put
+    exactly one SACK, covering all ten, on the fabric."""
+    sim, client, server, cch, sch = make_pair(seed=5)
+    handle = connect_established(sim, client, cch)
+    sim.run_for(2000)
+    eng = server.engines[0]
+    flow = eng.flows[("10.0.0.1", handle.local_port, 80)]
+    first = flow.rx_next
+    for i in range(10):
+        eng.nic._deliver(0, wire.build_frame(
+            "10.0.0.1", "10.0.0.2", flow.rx_udp.src, flow.rx_udp.dst,
+            wire.PKT_DATA, handle.local_port, 80, payload=b"d",
+            seq=first + i, msg_id=flow.rx_msg_id + i, frag_offset=0,
+            msg_len=1, flags=wire.FLAG_LAST_FRAGMENT))
+    captured = []
+    sim.fabric._tap = lambda frame: captured.append(frame) and False
+    eng.run_iteration(sim.now)
+    sim.fabric.collect_tx()
+    sacks = [p for p in map(wire.parse_frame, captured)
+             if p.pkt_type == wire.PKT_SACK]
+    assert [p.ack for p in sacks] == [first + 10]
+    assert sch.rx_pending() == 10
 
 
 def test_whole_run_shared_nothing_audit():

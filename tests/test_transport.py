@@ -100,6 +100,18 @@ def emitted_data(eng):
             if wire.parse_frame(f).pkt_type == wire.PKT_DATA]
 
 
+def one_fragment(seq):
+    """The peer's single-fragment message `seq` (its msg_id is its seq)."""
+    return data_pkt(seq, seq, 0, 1, b"x")
+
+
+def emitted_sacks(eng):
+    """The (ack, ranges) of every SACK the flow has emitted."""
+    return [(p.ack, wire.unpack_sack_payload(p.payload))
+            for p in map(wire.parse_frame, eng.outbox)
+            if p.pkt_type == wire.PKT_SACK]
+
+
 def test_one_byte_message_is_one_final_fragment():
     flow, eng, _ = make_flow()
     flow.send_message(b"x", now=0)
@@ -186,7 +198,7 @@ def test_gap_produces_cumulative_stop_and_sack_range():
     rx.on_data(frames[0], 0)  # seq 0
     rx.on_data(frames[1], 0)  # seq 1
     rx.on_data(frames[3], 0)  # seq 3; seq 2 missing
-    rx_eng.fire_due(200)  # the lone out-of-order frame rides the delayed ack
+    rx_eng.fire_due(200)
     sacks = [wire.parse_frame(f) for f in rx_eng.outbox
              if wire.parse_frame(f).pkt_type == wire.PKT_SACK]
     assert sacks, "expected an ack after two data frames"
@@ -202,8 +214,45 @@ def test_duplicate_fragment_idempotent_and_reacked():
     for pkt in frames + [frames[0]]:  # replay first fragment
         rx.on_data(pkt, 0)
     assert rx.stats.rx_duplicates == 1
+    # The duplicate is re-acked at once, and that ack covers all three.
+    assert emitted_sacks(rx_eng) == [(3, [])]
+    assert rx_eng.next_timer() is None
     assert rx_ch.rx_pending() == 1
     assert rx_ch.recv().payload == b"q" * 3000
+
+
+def test_in_order_frames_at_one_instant_get_one_sack():
+    flow, eng, _ = make_flow()
+    for seq in range(5):
+        flow.on_data(one_fragment(seq), 100)
+    assert emitted_sacks(eng) == []  # due now, sent when timers fire
+    eng.fire_due(100)
+    assert emitted_sacks(eng) == [(5, [])]
+    assert eng.next_timer() is None
+
+
+def test_lone_in_order_frame_is_acked_after_the_ack_delay():
+    flow, eng, _ = make_flow()
+    flow.on_data(one_fragment(0), 100)
+    eng.fire_due(100 + ACK_DELAY_US - 1)
+    assert emitted_sacks(eng) == []
+    eng.fire_due(100 + ACK_DELAY_US)
+    assert emitted_sacks(eng) == [(1, [])]
+
+
+def test_out_of_order_frame_and_hole_fills_are_acked_at_once():
+    flow, eng, _ = make_flow()
+    flow.on_data(one_fragment(2), 100)  # 0 and 1 missing
+    eng.fire_due(100)
+    assert emitted_sacks(eng) == [(0, [(2, 3)])]
+    eng.outbox.clear()
+    flow.on_data(one_fragment(0), 200)  # fills part of the hole
+    eng.fire_due(200)
+    assert emitted_sacks(eng) == [(1, [(2, 3)])]
+    eng.outbox.clear()
+    flow.on_data(one_fragment(1), 300)  # fills the rest
+    eng.fire_due(300)
+    assert emitted_sacks(eng) == [(3, [])]
 
 
 def sack_pkt(ack, ranges):
@@ -248,19 +297,32 @@ def test_burst_reordered_within_reorder_window_not_retransmitted():
     assert not flow.unacked and eng.next_timer() is None
 
 
-def test_resend_acked_within_a_window_step_widens_the_window():
+def _resend_then_ack(ack_after):
+    """Seqs 0..7 sent at 0 and acked at 100 (min RTT 100, window 25) but for
+    3 and 4, resent at 125; the originals' ack then comes `ack_after` us
+    after the resends. Returns the flow."""
     flow, eng, _ = make_flow()
     for _ in range(8):
         flow.send_message(b"w", now=0)
     flow.on_sack(sack_pkt(3, [(5, 8)]), now=100)
     eng.fire_due(125)  # 3 and 4 resent
-    assert flow.reo_wnd_mult == 1
-    # The originals' ack comes 5 us after the resends: spurious, and one
-    # more step (25 us) of window would have spared them.
-    flow.on_sack(sack_pkt(8, []), now=130)
-    assert flow.reo_wnd_mult == 2
+    assert flow.reo_wnd_mult == 1 and flow.stats.retransmits == 2
+    flow.on_sack(sack_pkt(8, []), now=125 + ack_after)
     assert flow.rack_seq == 7  # the ambiguous acks did not move the mark
     assert not flow.unacked and flow.lost_out == 0
+    return flow
+
+
+def test_resend_acked_within_a_window_step_widens_the_window():
+    # 5 us after the resends: spurious, and one more step (25 us) of window
+    # would have spared them.
+    assert _resend_then_ack(5).reo_wnd_mult == 2
+    # Within two steps (half the min RTT): it widens too.
+    assert _resend_then_ack(30).reo_wnd_mult == 2
+    assert _resend_then_ack(49).reo_wnd_mult == 2
+    # From half the min RTT on, the ack may be the resend's own: no change.
+    assert _resend_then_ack(50).reo_wnd_mult == 1
+    assert _resend_then_ack(99).reo_wnd_mult == 1
 
 
 @settings(max_examples=200)
