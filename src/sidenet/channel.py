@@ -148,7 +148,7 @@ class Channel:
             if len(self._tx) > self.stats.tx_highwater:
                 self.stats.tx_highwater = len(self._tx)
         if self._engine is not None:
-            self._engine.notify_app_tx()
+            self._engine.wake = True
         return True
 
     def recv(self, block=False, timeout=None):

@@ -15,7 +15,9 @@ work: the earliest of its waiting frames and messages (ready at once), its
 first live timer and its control gate, held back to the end of its tick
 throttle; None when nothing is pending. The deterministic driver reads
 that attribute on every pass instead of asking each engine. `_refresh`
-recomputes it only when the engine's `wake` flag is set, and clears the flag.
+recomputes it only when the engine's `wake` flag is set, and clears the
+flag. It reads what waits from the queues themselves: the RX ring, the TX
+backlog and its channels' TX queues, so no flag mirrors them.
 The engine sets the flag itself after each iteration. Everything else
 that gives an engine work from outside its own iteration must set it:
 
@@ -105,20 +107,17 @@ class EngineStats:
 
 
 class Timer:
-    __slots__ = ("due", "fn", "cancelled", "fired")
+    """A callback due at `due`; `live` until it is cancelled or fires."""
+
+    __slots__ = ("due", "fn", "live")
 
     def __init__(self, due, fn):
         self.due = due
         self.fn = fn
-        self.cancelled = False
-        self.fired = False
-
-    @property
-    def live(self):
-        return not (self.cancelled or self.fired)
+        self.live = True
 
     def cancel(self):
-        self.cancelled = True
+        self.live = False
 
 
 @dataclass
@@ -149,7 +148,6 @@ class Engine:
         self._timers = []
         self._timer_seq = 0
         self._control_gate = None  # next 50 us grid point once requests wait
-        self._app_tx = False  # a channel may hold messages to transmit
         self._next_allowed = 0
         self.ready_at = None  # next instant with work; valid while not `wake`
         self.wake = True
@@ -166,11 +164,6 @@ class Engine:
         """Queue a connect, listen or close request for the next 50 us grid
         point."""
         self.control_inbox.append(request)
-        self.wake = True
-
-    def notify_app_tx(self):
-        """A channel queued a message for transmission."""
-        self._app_tx = True
         self.wake = True
 
     # Scheduling interface used by the deterministic driver.
@@ -196,16 +189,16 @@ class Engine:
         return None
 
     def _refresh(self, now):
-        """Recompute `ready_at`: `now` if frames or messages wait, else the
-        first live timer or control gate, held back to the end of the tick
-        throttle."""
+        """Recompute `ready_at`: `now` if frames wait in the RX ring or the
+        TX backlog or messages in a channel's TX queue, else the first live
+        timer or control gate, held back to the end of the tick throttle."""
         self.wake = False
         due = self._next_timer_due()
         gate = self._control_time(now)
         if gate is not None and (due is None or gate < due):
             due = gate
-        if ((self._app_tx or self.tx_backlog
-             or self.nic.rx_pending(self.engine_id))
+        if ((self.tx_backlog or self.nic.rx_pending(self.engine_id)
+             or any(ch.tx_pending() for ch in self.channels))
                 and (due is None or now < due)):
             due = now
         if due is not None and due < self._next_allowed:
@@ -249,20 +242,17 @@ class Engine:
             self._dispatch(frame, now)
             work += 1
 
-        app_tx = False
         for ch in self.channels:
             for handle, payload in ch._pop_tx(CHANNEL_MSG_BURST):
                 self._app_send(handle, payload, now)
                 work += 1
-            app_tx = app_tx or ch.tx_pending() > 0  # beyond one burst
-        self._app_tx = app_tx
 
         while True:
             due = self._next_timer_due()
             if due is None or due > now:
                 break
             _, _, timer = heapq.heappop(self._timers)
-            timer.fired = True
+            timer.live = False
             timer.fn(now)
             work += 1
 

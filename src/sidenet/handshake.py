@@ -19,7 +19,8 @@ Two spray strategies are provided:
 Every batch is sized for DEFAULT_TARGET_P. The client sizes its SYN batch
 from its own engine count, as if the server ran as many engines, and
 carries that count in the SYN, from which the server sizes its SYN-ACK
-spray.
+spray, capped at BATCH_CAP as the client's retry batches are: a forged
+engine count costs the listener at most that many SYN-ACKs per answer.
 
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
@@ -250,9 +251,10 @@ class ServerHandshake:
         if self.mode == MODE_NAIVE:
             pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
         else:
-            pairs = draw_udp_pairs(self.eng.rng,
-                                   optimized_batch_size(self.client_engines),
-                                   self.sprayed)
+            pairs = draw_udp_pairs(
+                self.eng.rng,
+                min(optimized_batch_size(self.client_engines), BATCH_CAP),
+                self.sprayed)
         for src, dst in pairs:
             self._emit_synack(src, dst)
         if self.retry_timer is not None:
@@ -279,6 +281,7 @@ class ServerHandshake:
     def on_ack(self, now, pkt):
         chosen = wire.unpack_ack_payload(pkt.payload)
         if chosen is None:
+            self.eng.stats.rx_malformed += 1
             return
         if self.retry_timer is not None:
             self.retry_timer.cancel()

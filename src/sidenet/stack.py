@@ -14,7 +14,7 @@ non-blocking forms and step the simulation.
 import threading
 from random import Random
 
-from . import handshake
+from . import handshake, wire
 from .channel import Channel, ConnectError, FAILED, CONNECTING, FlowHandle
 from .engine import DEFAULT_TICK_US, Engine, Listener, pick_engine
 
@@ -88,8 +88,18 @@ class Stack:
         connect-processing interval. `mode` is MODE_OPTIMIZED (the default)
         or MODE_NAIVE; the spray is sized for the handshake's 95% target
         from this host's engine count. Returns the flow handle immediately
-        unless blocking."""
+        unless blocking. A bad address, port or mode raises ValueError here,
+        before anything is allocated or queued."""
         self._require_init()
+        if not 0 < remote_port < 65536:
+            raise ValueError("port must be in [1, 65535]")
+        try:
+            wire.pack_ip(remote_ip)
+        except ValueError:
+            raise ValueError("%r is not a dotted-quad IPv4 address"
+                             % (remote_ip,)) from None
+        if mode not in (None, handshake.MODE_NAIVE, handshake.MODE_OPTIMIZED):
+            raise ValueError("unknown mode %r" % (mode,))
         with self._lock:
             local_port = self._alloc_flow_port(remote_ip, remote_port)
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,

@@ -122,7 +122,6 @@ class Flow:
         # Receiver state.
         self.rx_next = 0
         self.rx_buffer = {}  # seq -> ParsedFrame, rx_next <= seq < window end
-        self.rx_runs = []  # (start, end) runs of rx_buffer's seqs, in order
         self.rx_msg_id = 0  # message being assembled
         self.rx_msg_len = 0
         self.rx_parts = []  # its payloads consumed so far
@@ -249,8 +248,6 @@ class Flow:
         if progressed:
             self.rto_us = RTO_BASE_US
         reorder_at = self._detect_losses(now)
-        if self.handle.state != ESTABLISHED:
-            return
         timer = self.loss_timer
         if timer is not None and (progressed or (
                 reorder_at is not None and reorder_at < timer.due)):
@@ -282,8 +279,6 @@ class Flow:
             deadline = sent_at + wait
             if now >= deadline:
                 self._retransmit(seq, entry, now)
-                if self.handle.state != ESTABLISHED:
-                    return None
             elif reorder_at is None or deadline < reorder_at:
                 reorder_at = deadline
         return reorder_at
@@ -299,7 +294,10 @@ class Flow:
     def _arm_loss_timer(self, now, reorder_at=None):
         """Arm the flow's one loss timer, never later than the RTO: for a
         pending reorder deadline; else, once there is an RTT sample and
-        `_may_probe` allows it, for a tail-loss probe; else for the RTO."""
+        `_may_probe` allows it, for a tail-loss probe; else for the RTO.
+        A torn-down flow arms nothing."""
+        if self.handle.state != ESTABLISHED:
+            return
         due = next(iter(self.unacked.values())).sent_at + self.rto_us
         fn = self._on_loss_timer
         if reorder_at is not None:
@@ -324,13 +322,9 @@ class Flow:
             self.on_rto(now)
             return
         reorder_at = self._detect_losses(now)
-        if self.handle.state != ESTABLISHED:
-            return
         if probe and reorder_at is None and self._may_probe():
             seq, entry = next(reversed(self.unacked.items()))
             self._retransmit(seq, entry, now)
-            if self.handle.state != ESTABLISHED:
-                return
         self._arm_loss_timer(now, reorder_at)
 
     def _on_probe_timer(self, now):
@@ -341,8 +335,6 @@ class Flow:
         double the timeout and re-arm for it (the resend is marked lost)."""
         seq, oldest = next(iter(self.unacked.items()))
         self._retransmit(seq, oldest, now)
-        if self.handle.state != ESTABLISHED:
-            return
         self.rto_us = min(self.rto_us * 2, RTO_CAP_US)
         self._arm_loss_timer(now)
 
@@ -385,14 +377,11 @@ class Flow:
         if seq >= self.rx_next + RECEIVE_WINDOW:
             self.stats.rx_out_of_window += 1
             return
-        self.rx_buffer[seq] = pkt
         # Out of order, or filling part of a hole: the sender needs to know.
-        urgent = seq > self.rx_next or bool(self.rx_runs)
-        if seq == self.rx_next:
-            if not self._consume():
-                return
-        else:
-            self._add_run(seq)
+        urgent = seq > self.rx_next or bool(self.rx_buffer)
+        self.rx_buffer[seq] = pkt
+        if seq == self.rx_next and not self._consume():
+            return
         self.frames_since_ack += 1
         # The engine fires due timers after the RX burst, so an ack due now
         # goes out once, covering the whole burst.
@@ -425,28 +414,7 @@ class Flow:
                 self.stats.msgs_delivered += 1
                 self.handle.channel._push_rx(
                     Message(self.handle, b"".join(parts)))
-        runs = self.rx_runs
-        if runs and runs[0][0] < self.rx_next:
-            del runs[0]  # the run that continued rx_next, consumed whole
         return True
-
-    def _add_run(self, seq):
-        """Add a buffered seq above rx_next to rx_runs, joining the runs it
-        touches. Most arrive at or near the top, so the search starts there."""
-        runs = self.rx_runs
-        i = len(runs)
-        while i and runs[i - 1][0] > seq:
-            i -= 1
-        joins_next = i < len(runs) and runs[i][0] == seq + 1
-        if i and runs[i - 1][1] == seq:
-            if joins_next:
-                runs[i - 1:i + 1] = [(runs[i - 1][0], runs[i][1])]
-            else:
-                runs[i - 1] = (runs[i - 1][0], seq + 1)
-        elif joins_next:
-            runs[i] = (seq, runs[i][1])
-        else:
-            runs.insert(i, (seq, seq + 1))
 
     def _emit_sack(self, now):
         self.frames_since_ack = 0
@@ -458,8 +426,21 @@ class Flow:
         self.stats.sacks_sent += 1
 
     def _sack_ranges(self):
-        """Runs of buffered seqs, lowest first, at most SACK_MAX_RANGES."""
-        return self.rx_runs[:SACK_MAX_RANGES]
+        """Runs of buffered seqs as (start, end) tuples, lowest first, at
+        most SACK_MAX_RANGES."""
+        runs = []
+        start = end = None
+        for seq in sorted(self.rx_buffer):
+            if seq != end:
+                if end is not None:
+                    runs.append((start, end))
+                    if len(runs) == SACK_MAX_RANGES:
+                        return runs
+                start = seq
+            end = seq + 1
+        if end is not None:
+            runs.append((start, end))
+        return runs
 
     # Teardown.
 

@@ -23,7 +23,7 @@ def _polled_due_at(eng, now):
         gate = eng._control_time(now)
         if gate is not None and (due is None or gate < due):
             due = gate
-        if ((eng._app_tx or eng.tx_backlog
+        if ((any(ch.tx_pending() for ch in eng.channels) or eng.tx_backlog
              or eng.nic.rx_pending(eng.engine_id))
                 and (due is None or now < due)):
             due = now

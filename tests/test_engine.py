@@ -211,14 +211,17 @@ def test_liveness_work_reported_while_anything_pending():
 
 
 def test_timer_wheel_fires_overdue_timer_exactly_once():
-    """A 300,000 us timer survives a 300,001 us jump and fires once."""
+    """A 300,000 us timer survives a 300,001 us jump and fires once; firing
+    ends its life as cancel() does."""
     sim, client, server, cch, sch = make_pair(seed=10, engines=1)
     eng = client.engines[0]
     fired = []
-    eng.arm_timer(300_000, lambda now: fired.append(now))
+    timer = eng.arm_timer(300_000, lambda now: fired.append(now))
     sim.fabric.advance_to(300_001)
+    assert timer.live
     eng.run_iteration(sim.now)
     assert fired == [300_001]
+    assert not timer.live
     eng.run_iteration(sim.now + eng.tick_us)
     assert fired == [300_001]
 

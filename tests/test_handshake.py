@@ -12,9 +12,10 @@ from conftest import connect_established, make_pair
 
 from sidenet import wire
 from sidenet.channel import CLOSED, ConnectError
-from sidenet.handshake import (EPHEMERAL_HI, EPHEMERAL_LO, MAX_ATTEMPTS,
-                               MODE_NAIVE, MODE_OPTIMIZED, RETRY_TIMEOUT_US,
-                               draw_udp_pairs)
+from sidenet.handshake import (BATCH_CAP, EPHEMERAL_HI, EPHEMERAL_LO,
+                               MAX_ATTEMPTS, MODE_NAIVE, MODE_OPTIMIZED,
+                               RETRY_TIMEOUT_US, draw_udp_pairs,
+                               optimized_batch_size)
 from sidenet.stack import Stack
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
@@ -436,3 +437,66 @@ def test_spray_draws_skip_used_pairs_like_the_reference():
     assert len(set(got)) == 30
     assert fast_used == ref_used
     assert fast.getrandbits(32) == ref.getrandbits(32)
+
+
+def _forged_syn(client_engines):
+    """An optimized first-attempt SYN for port 80 from a host that is not
+    on the fabric, claiming `client_engines` engines."""
+    return wire.build_frame(
+        "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
+        payload=wire.pack_syn_payload(client_engines, 0), seq=1,
+        flags=wire.FLAG_OPTIMIZED)
+
+
+def test_forged_engine_count_gets_at_most_batch_cap_synacks_per_answer():
+    """A SYN claiming 65,535 engines would size a spray of 240,914
+    SYN-ACKs. The server caps each answer, first and retry, at BATCH_CAP,
+    as the client's own batches are capped."""
+    assert optimized_batch_size(65535) == 240_914
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    eng._dispatch(_forged_syn(65535), sim.now)
+    (hs,) = eng.server_handshakes.values()
+    assert eng.stats.synacks_sent == len(hs.sprayed) == BATCH_CAP
+    assert sim.run_until(lambda: eng.stats.synacks_sent > BATCH_CAP,
+                         max_us=2 * RETRY_TIMEOUT_US)
+    assert eng.stats.synacks_sent == len(hs.sprayed) == 2 * BATCH_CAP
+
+
+def test_malformed_final_ack_is_counted_and_leaves_the_handshake_pending():
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)
+    eng = server.engines[0]
+    eng._dispatch(_forged_syn(1), sim.now)
+    (key, hs), = eng.server_handshakes.items()
+    short_ack = wire.build_frame(
+        "10.0.0.9", "10.0.0.2", 5001, 6001, wire.PKT_ACK, 4242, 80,
+        payload=b"\x01", seq=1)
+    assert _stats_delta(eng, short_ack, sim.now) == {"acks_rx": 1,
+                                                     "rx_malformed": 1}
+    assert eng.server_handshakes == {key: hs}
+    assert hs.retry_timer.live
+    assert not eng.flows
+
+
+@pytest.mark.parametrize("remote_ip, port, mode", [
+    ("10.0.0.2", 70000, None),
+    ("10.0.0.2", 65536, None),
+    ("10.0.0.2", 0, None),
+    ("10.0.0.300", 80, None),
+    ("banana", 80, None),
+    ("10.0.0", 80, None),
+    ("10.0.0.2", 80, "turbo"),
+])
+def test_bad_connect_arguments_raise_at_the_call_and_queue_nothing(
+        remote_ip, port, mode):
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    next_port = client._next_flow_port
+    with pytest.raises(ValueError):
+        client.connect(cch, remote_ip, port, mode=mode)
+    assert client._next_flow_port == next_port
+    assert not any(eng.control_inbox for eng in client.engines)
+    handle = connect_established(sim, client, cch)  # the stack still works
+    assert handle.local_port == next_port
+    assert sum(eng.stats.connects_requested for eng in client.engines) == 1
