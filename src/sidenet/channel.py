@@ -99,7 +99,15 @@ class FlowHandle:
 def frame(handle, udp_src, udp_dst, pkt_type, payload=b"", seq=0, ack=0,
           msg_id=0, frag_offset=0, msg_len=0, flags=0):
     """A frame of the handle's connection, sent from its local end over the
-    UDP pair (udp_src, udp_dst)."""
+    UDP pair (udp_src, udp_dst).
+
+    Every frame the stack sends is built here, and a payload longer than
+    wire.MAX_FRAME_PAYLOAD raises ValueError, so each is within the NIC's
+    frame bounds (the 14-byte Ethernet header up to the MTU) and the
+    engine puts it on its TX ring unchecked."""
+    if len(payload) > wire.MAX_FRAME_PAYLOAD:
+        raise ValueError("payload of %d bytes exceeds the %d a frame carries"
+                         % (len(payload), wire.MAX_FRAME_PAYLOAD))
     return wire.build_frame(handle.local_ip, handle.remote_ip, udp_src,
                             udp_dst, pkt_type, handle.local_port,
                             handle.remote_port, payload, seq, ack, msg_id,

@@ -1,10 +1,13 @@
 """Per-core engines: shared-nothing run-to-completion packet processing.
 
 Each engine owns exactly one NIC queue pair and every flow whose packets
-steer there; engines never exchange state. One iteration drains a bounded
-burst from the RX ring, services its channels' TX queues, fires due timers,
-and (on a 50 microsecond grid) carries out the connect, listen and close
-requests queued on its control inbox.
+steer there; engines never exchange state. It binds the pair's rings once,
+at construction, and moves frames through them in bursts: emit() appends
+to the TX ring (or, while the ring is full, to a backlog the next
+iteration drains first), and one iteration pops a bounded burst off the RX
+ring, services its channels' TX queues, fires due timers, and (on a 50
+microsecond grid) carries out the connect, listen and close requests
+queued on its control inbox.
 
 Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
@@ -21,7 +24,8 @@ backlog and its channels' TX queues, so no flag mirrors them.
 The engine sets the flag itself after each iteration. Everything else
 that gives an engine work from outside its own iteration must set it:
 
-* the NIC, for each frame delivered into the engine's RX ring;
+* the fabric, for each frame it delivers into the engine's RX ring (its
+  delivery loop sets the flag of the queue's owner);
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
   arrive on the engine's one control inbox;
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 
 from . import handshake, transport, wire
 from .channel import ESTABLISHED, FlowHandle
+from .nic import QUEUE_DEPTH
 
 RX_BURST = 32
 CHANNEL_MSG_BURST = 32
@@ -151,7 +156,10 @@ class Engine:
         self._next_allowed = 0
         self.ready_at = None  # next instant with work; valid while not `wake`
         self.wake = True
-        nic._set_owner(engine_id, self)
+        queue = nic._bind(engine_id, self)
+        self._tx_ring = queue.tx
+        self._rx_ring = queue.rx
+        self._queue_stats = queue.stats
 
     # Producers from outside the engine's iteration (see the wake contract).
 
@@ -197,8 +205,8 @@ class Engine:
         gate = self._control_time(now)
         if gate is not None and (due is None or gate < due):
             due = gate
-        if ((self.tx_backlog or self.nic.rx_pending(self.engine_id)
-             or any(ch.tx_pending() for ch in self.channels))
+        if ((self.tx_backlog or self._rx_ring
+             or any(ch._tx for ch in self.channels))
                 and (due is None or now < due)):
             due = now
         if due is not None and due < self._next_allowed:
@@ -231,16 +239,25 @@ class Engine:
         work = 0
         self.stats.iterations += 1
 
-        while self.tx_backlog:
-            if not self.nic._tx_one(self.engine_id, self.tx_backlog[0]):
-                break
-            self.tx_backlog.popleft()
-            work += 1
+        backlog = self.tx_backlog
+        if backlog:
+            ring = self._tx_ring
+            moved = min(len(backlog), QUEUE_DEPTH - len(ring))
+            if moved > 0:
+                for _ in range(moved):
+                    ring.append(backlog.popleft())
+                self._queue_stats.tx_frames += moved
+                work += moved
 
-        for frame in self.nic.rx_burst(self.engine_id, RX_BURST):
-            self.stats.frames_rx += 1
-            self._dispatch(frame, now)
-            work += 1
+        # Frames the fabric appends meanwhile wait for the next burst.
+        burst = min(len(self._rx_ring), RX_BURST)
+        if burst:
+            self.stats.frames_rx += burst
+            popleft = self._rx_ring.popleft
+            dispatch = self._dispatch
+            for _ in range(burst):
+                dispatch(popleft(), now)
+            work += burst
 
         for ch in self.channels:
             for handle, payload in ch._pop_tx(CHANNEL_MSG_BURST):
@@ -271,10 +288,17 @@ class Engine:
         return work
 
     def emit(self, frame):
+        """Queue a frame built by channel.frame, so within frame bounds:
+        onto the TX ring while nothing is backlogged and the ring has room,
+        else onto the backlog, which the next iteration drains in order."""
         self.stats.frames_tx += 1
-        if self.tx_backlog or not self.nic._tx_one(self.engine_id, frame):
+        ring = self._tx_ring
+        if self.tx_backlog or len(ring) >= QUEUE_DEPTH:
             self.tx_backlog.append(frame)
             self.wake = True
+        else:
+            ring.append(frame)
+            self._queue_stats.tx_frames += 1
 
     # RX dispatch.
 

@@ -7,34 +7,46 @@ injects configurable loss, adjacent-pair reordering, and delay, all on a
 virtual microsecond clock. A full run is a pure function of (configs,
 seeds, input schedule).
 
-Each frame's header is read once, in send(), straight from the raw bytes:
-the Ethernet type, IP version/IHL and protocol bytes are checked, the
-destination host is found by its 4-byte address, and the 12 bytes
-src_ip | dst_ip | src_port | dst_port at offset 26 are hashed through the
-hasher's precomputed 12 x 256 table. The event keeps the host and queue,
-so delivery decodes nothing.
+Frames move in bursts. collect_tx hands each non-empty TX ring to one
+admission loop, which binds the configuration, the random draws, the
+hasher's 12 x 256 table, the heap and the clock once per ring; send() runs
+the same loop over a one-frame batch. Each frame's header is read once
+there, straight from the raw bytes: the Ethernet type, IP version/IHL and
+protocol bytes are checked, the destination host is found by its 4-byte
+address, and the 12 bytes src_ip | dst_ip | src_port | dst_port at offset
+26 are hashed through the table (the 8 address bytes once per address
+pair, the 4 port bytes per frame). The event keeps the frame and the
+destination queue pair, so delivery decodes nothing: advance_to appends
+each due frame straight into its RX ring. Under ThreadedRuntime the clock
+is read once per collected ring, so a ring's frames share one send time.
 
 Each accepted frame is one heap entry, keyed (due, send order) when it is
 pushed and never re-keyed. A reorder swaps a new frame with the frame sent
 just before it, if that one is still in flight: the two events exchange
-frame, host and queue, so the newer frame takes the older slot, and that
+frame and queue, so the newer frame takes the older slot, and that
 slot is the one the next reorder swaps with. The swap moves frames, not
 times, so two frames due at the same instant flip as well. Once that slot
 is delivered, the next frame has nothing to swap with.
 """
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from .nic import Nic, NicConfig
+from .nic import QUEUE_DEPTH, Nic, NicConfig
 from .toeplitz import ToeplitzHasher, KEY_LEN
 from .toeplitz import toeplitz_hash as _toeplitz_hash
 from .wire import (IP_PROTO_UDP, IPV4_IHL5, MIN_UDP_FRAME, PROTO_AT, TUPLE_AT,
                    extract_four_tuple, pack_ip)
 
 INDIRECTION_ENTRIES = 128
-_DST_IP_AT = TUPLE_AT + 4
+# Address pairs whose route the admission loop keeps; past this many (only
+# forged sources get there) it starts over.
+ROUTE_CACHE_PAIRS = 4096
+# The admission loop reads the destination address (30-33) and the tuple
+# (26-37) at literal offsets.
+assert TUPLE_AT == 26
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,23 +113,6 @@ class FabricStats:
     dropped_unroutable: int = 0
 
 
-class _Host:
-    __slots__ = ("nic", "table")
-
-    def __init__(self, nic, table):
-        self.nic = nic
-        self.table = table
-
-
-class _Event:
-    __slots__ = ("frame", "host", "queue")
-
-    def __init__(self, frame, host, queue):
-        self.frame = frame
-        self.host = host
-        self.queue = queue
-
-
 class Fabric:
     def __init__(self, config=None, clock=None):
         self._cfg = config or FabricConfig()
@@ -127,11 +122,16 @@ class Fabric:
         if key is None:
             key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
         self._hasher = ToeplitzHasher(key)
-        self._hosts = {}  # 4-byte IPv4 address -> _Host
-        self._tx_rings = []  # (host ip, TX ring) in host, then queue order
+        # 4-byte IPv4 address -> the host's indirection table, one NIC queue
+        # pair per entry.
+        self._hosts = {}
+        # Source | destination address (bytes 26-33 of a routed frame) ->
+        # (the destination's table, the hash of those 8 bytes alone).
+        self._routes = {}
+        self._tx_rings = []  # in host, then queue order
         self._heap = []
         self._seq = 0
-        self._last_pending = None  # slot of the newest frame in flight
+        self._last_pending = None  # event of the newest frame in flight
         self._tap = None  # test hook: callable(frame) -> True to force-drop
         self.stats = FabricStats()
 
@@ -145,116 +145,173 @@ class Fabric:
         if addr in self._hosts:
             raise ValueError("host %s already registered" % ip)
         nic = Nic(NicConfig(num_queues=num_queues, local_ip=ip))
-        table = [i % num_queues for i in range(INDIRECTION_ENTRIES)]
-        self._hosts[addr] = _Host(nic, table)
-        self._tx_rings.extend((ip, ring) for ring in nic._tx)
+        queues = nic._queues
+        self._hosts[addr] = [queues[i % num_queues]
+                             for i in range(INDIRECTION_ENTRIES)]
+        self._tx_rings.extend(q.tx for q in queues)
         return nic
 
     def steer(self, dst_ip, frame):
         """Queue the destination NIC would deliver this frame to.
 
         Unparseable frames fall back to queue 0. Tests use this as the
-        steering oracle; stack modules never call it (audited).
+        steering oracle; stack modules never call it (audited). It hashes
+        through ToeplitzHasher.hash_at, independently of the admission
+        loop's inlined row lookups.
         """
-        host = self._hosts[pack_ip(dst_ip)]
+        table = self._hosts[pack_ip(dst_ip)]
         if extract_four_tuple(frame) is None:
             return 0
-        return self._queue(host, frame)
-
-    def _route(self, frame):
-        """Destination host of an IPv4/UDP frame, or None if the frame is
-        short, not IPv4 without options, not UDP, or for no known host."""
-        if (len(frame) < MIN_UDP_FRAME
-                or frame[12:15] != IPV4_IHL5
-                or frame[PROTO_AT] != IP_PROTO_UDP):
-            return None
-        return self._hosts.get(frame[_DST_IP_AT:_DST_IP_AT + 4])
-
-    def _queue(self, host, frame):
-        """RX queue of a routed frame, from its 12 tuple bytes hashed where
-        they lie in the frame."""
         h = self._hasher.hash_at(frame, TUPLE_AT)
         if self._cfg.hash_byteswap:
             h = int.from_bytes(h.to_bytes(4, "big"), "little")
-        return host.table[h % INDIRECTION_ENTRIES]
+        return table[h % INDIRECTION_ENTRIES].index
 
     def send(self, src_ip, frame):
-        """Accept a frame from a host at the current virtual time."""
-        cfg = self._cfg
-        self.stats.sent += 1
-        host = self._route(frame)
-        if host is None:
-            self.stats.dropped_unroutable += 1
-            return
-        if self._tap is not None and self._tap(frame):
-            self.stats.lost += 1
-            return
-        if self._rng.random() < cfg.loss_probability:
-            self.stats.lost += 1
-            return
-        delay = cfg.base_delay_us
-        jitter = cfg.delay_jitter_us
-        if jitter:
-            # randint(-jitter, jitter), with its getrandbits draws inlined.
-            span = 2 * jitter + 1
-            bits = span.bit_length()
-            r = self._rng.getrandbits(bits)
-            while r >= span:
-                r = self._rng.getrandbits(bits)
-            delay += r - jitter
-        self._seq += 1
-        event = _Event(frame, host, self._queue(host, frame))
-        heapq.heappush(self._heap,
-                       (self.clock.now + max(0, delay), self._seq, event))
-        if cfg.reorder_probability:
-            prev = self._last_pending
-            if (prev is not None
-                    and self._rng.random() < cfg.reorder_probability):
-                # Swap the two adjacent frames, not their schedule keys.
-                prev.frame, event.frame = event.frame, prev.frame
-                prev.host, event.host = event.host, prev.host
-                prev.queue, event.queue = event.queue, prev.queue
-                event = prev
-        self._last_pending = event
+        """Accept one frame from a host at the current virtual time: the
+        admission loop over a one-frame batch."""
+        self._admit(deque((frame,)))
 
     def collect_tx(self):
         """Move every frame waiting in a TX ring into the delivery schedule,
-        host by host and queue by queue. Popping one frame at a time loses
-        nothing that an engine thread appends meanwhile."""
+        host by host and queue by queue; returns how many were taken."""
         moved = 0
-        for ip, ring in self._tx_rings:
-            while ring:
-                self.send(ip, ring.popleft())
-                moved += 1
+        for ring in self._tx_rings:
+            if ring:
+                moved += self._admit(ring)
         return moved
+
+    def _admit(self, ring):
+        """The admission loop: pop `ring` empty, one frame at a time, and
+        schedule each frame; returns how many were popped.
+
+        Everything a frame needs is bound once per ring. Per frame, in this
+        order: the raw-byte route test and route lookup, the tap, the loss
+        draw, the jitter draw, the Toeplitz row lookup, the heap push, then
+        the reorder draw and swap. The hash is linear over XOR, so a route
+        keeps the hash of the frame's 8 address bytes, and only the 4 port
+        bytes are looked up per frame. Popping one frame at a time loses
+        nothing that an engine thread appends meanwhile; that frame is
+        taken in this call or the next.
+        """
+        cfg = self._cfg
+        loss = cfg.loss_probability
+        reorder = cfg.reorder_probability
+        jitter = cfg.delay_jitter_us
+        low = cfg.base_delay_us - jitter
+        span = 2 * jitter + 1
+        bits = span.bit_length()
+        byteswap = cfg.hash_byteswap
+        random = self._rng.random
+        getrandbits = self._rng.getrandbits
+        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11 = self._hasher._rows
+        hosts = self._hosts
+        routes = self._routes
+        tap = self._tap
+        heap = self._heap
+        heappush = heapq.heappush
+        now = self.clock.now
+        seq = self._seq
+        prev = self._last_pending
+        popleft = ring.popleft
+        taken = lost = unroutable = 0
+        while ring:
+            frame = popleft()
+            taken += 1
+            if (len(frame) < MIN_UDP_FRAME
+                    or frame[12:15] != IPV4_IHL5
+                    or frame[PROTO_AT] != IP_PROTO_UDP):
+                unroutable += 1
+                continue
+            route = routes.get(frame[26:34])
+            if route is None:
+                table = hosts.get(frame[30:34])
+                if table is None:
+                    unroutable += 1
+                    continue
+                if len(routes) >= ROUTE_CACHE_PAIRS:
+                    routes.clear()
+                route = routes[frame[26:34]] = (
+                    table, r0[frame[26]] ^ r1[frame[27]] ^ r2[frame[28]]
+                    ^ r3[frame[29]] ^ r4[frame[30]] ^ r5[frame[31]]
+                    ^ r6[frame[32]] ^ r7[frame[33]])
+            table, h = route
+            if tap is not None and tap(frame):
+                lost += 1
+                continue
+            if random() < loss:
+                lost += 1
+                continue
+            if jitter:
+                # randint(-jitter, jitter), with its getrandbits draws
+                # inlined.
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                delay = low + r
+                due = now + delay if delay > 0 else now
+            else:
+                due = now + low
+            h ^= (r8[frame[34]] ^ r9[frame[35]] ^ r10[frame[36]]
+                  ^ r11[frame[37]])
+            if byteswap:
+                h = int.from_bytes(h.to_bytes(4, "big"), "little")
+            seq += 1
+            event = [frame, table[h % INDIRECTION_ENTRIES]]
+            heappush(heap, (due, seq, event))
+            if reorder:
+                if prev is not None and random() < reorder:
+                    # Swap the two adjacent frames, not their schedule keys.
+                    prev[0], event[0] = event[0], prev[0]
+                    prev[1], event[1] = event[1], prev[1]
+                    event = prev
+                prev = event
+        self._seq = seq
+        self._last_pending = prev
+        stats = self.stats
+        stats.sent += taken
+        stats.lost += lost
+        stats.dropped_unroutable += unroutable
+        return taken
 
     def next_event_time(self):
         return self._heap[0][0] if self._heap else None
 
     def advance_to(self, t):
-        """Deliver everything due in (now, t] in timestamp order; now becomes t.
-        The clock enforces monotonicity (a wall clock advances itself)."""
-        delivered = 0
+        """Deliver everything due in (now, t] in timestamp order, straight
+        into the RX rings; now becomes t. Returns the number of frames that
+        left the schedule. A frame for a full ring is dropped and counted
+        on both sides; one put in a ring wakes the queue's owner. The clock
+        enforces monotonicity (a wall clock advances itself)."""
         heap = self._heap
+        heappop = heapq.heappop
+        delivered = dropped = 0
         while heap and heap[0][0] <= t:
-            event = heapq.heappop(heap)[2]
+            event = heappop(heap)[2]
             if event is self._last_pending:
                 self._last_pending = None
-            self._deliver(event)
-            delivered += 1
+            frame, queue = event
+            ring = queue.rx
+            if len(ring) < QUEUE_DEPTH:
+                ring.append(frame)
+                queue.stats.rx_delivered += 1
+                owner = queue.owner
+                if owner is not None:
+                    owner.wake = True
+                delivered += 1
+            else:
+                queue.stats.rx_overflow_drops += 1
+                dropped += 1
+        if delivered or dropped:
+            self.stats.delivered += delivered
+            self.stats.dropped_ring_full += dropped
         self.clock.advance_to(t)
-        return delivered
+        return delivered + dropped
 
     def advance(self, delta):
         if delta < 0:
             raise ValueError("delta must be >= 0")
         return self.advance_to(self.clock.now + delta)
-
-    def _deliver(self, event):
-        if event.host.nic._deliver(event.queue, event.frame):
-            self.stats.delivered += 1
-        else:
-            self.stats.dropped_ring_full += 1
 
     def in_flight(self):
         return len(self._heap)

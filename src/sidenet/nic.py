@@ -6,6 +6,13 @@ stack can rely on: no flow steering, no RSS key or indirection-table access,
 no DMA registration, no descriptor coalescing. This module is the entire
 network surface of the stack; everything above it must cope with opaque
 flow-to-queue hashing.
+
+The rings are burst I/O in the device model too: each side binds a queue
+pair once and moves frames through its rings without a NIC call per frame.
+The engine that owns a queue appends to its TX ring and pops its RX ring;
+the fabric pops every TX ring and appends to the RX ring of the queue a
+frame steers to. tx_burst and rx_burst are the same moves for a caller
+that holds no binding.
 """
 
 from collections import deque
@@ -37,21 +44,32 @@ class QueueStats:
     tx_frames: int = 0
 
 
+class _Queue:
+    """One queue pair: its TX and RX rings (at most QUEUE_DEPTH frames
+    each), its counters, and the engine that each frame delivered into the
+    RX ring wakes."""
+
+    __slots__ = ("index", "tx", "rx", "stats", "owner")
+
+    def __init__(self, index):
+        self.index = index
+        self.tx = deque()
+        self.rx = deque()
+        self.stats = QueueStats()
+        self.owner = None
+
+
 class Nic:
     """Per-queue TX/RX rings of raw frames.
 
     Each queue id is owned by exactly one engine thread; the fabric is the
     single party on the other side of every ring, so each ring is SPSC.
-    The fabric pops the TX rings (`_tx`) directly.
     """
 
     def __init__(self, config):
         self.config = config
-        n = config.num_queues
-        self._rx = [deque() for _ in range(n)]
-        self._tx = [deque() for _ in range(n)]
-        self._owners = [None] * n  # engine woken by each RX delivery
-        self.queue_stats = [QueueStats() for _ in range(n)]
+        self._queues = [_Queue(i) for i in range(config.num_queues)]
+        self.queue_stats = [q.stats for q in self._queues]
 
     def num_queues(self):
         return self.config.num_queues
@@ -67,30 +85,24 @@ class Nic:
         bounds; frames are never partially enqueued or reordered.
         """
         self._check_queue(queue)
+        q = self._queues[queue]
+        ring = q.tx
         accepted = 0
         for frame in frames:
-            if not self._tx_one(queue, frame):
+            if (len(ring) >= QUEUE_DEPTH
+                    or not MIN_FRAME_LEN <= len(frame) <= MTU):
                 break
+            ring.append(frame)
             accepted += 1
+        q.stats.tx_frames += accepted
         return accepted
-
-    def _tx_one(self, queue, frame):
-        """tx_burst of one frame, without the list: True if it was taken.
-        The engine's per-frame send path."""
-        self._check_queue(queue)
-        ring = self._tx[queue]
-        if len(ring) >= QUEUE_DEPTH or not MIN_FRAME_LEN <= len(frame) <= MTU:
-            return False
-        ring.append(frame)
-        self.queue_stats[queue].tx_frames += 1
-        return True
 
     def rx_burst(self, queue, max_frames):
         """Remove and return up to max_frames frames in delivery order."""
         self._check_queue(queue)
         if max_frames < 1:
             raise ValueError("max_frames must be >= 1")
-        ring = self._rx[queue]
+        ring = self._queues[queue].rx
         out = []
         while ring and len(out) < max_frames:
             out.append(ring.popleft())
@@ -98,24 +110,27 @@ class Nic:
 
     def rx_pending(self, queue):
         self._check_queue(queue)
-        return len(self._rx[queue])
+        return len(self._queues[queue].rx)
 
-    def _set_owner(self, queue, engine):
-        """Called by the engine that owns a queue: each frame delivered to
-        the queue's RX ring then sets that engine's `wake` flag."""
+    def _bind(self, queue, engine):
+        """The queue pair an engine owns, bound once at its construction:
+        each frame delivered to its RX ring then sets the engine's `wake`
+        flag."""
         self._check_queue(queue)
-        self._owners[queue] = engine
-
-    # Fabric-side entry points; not part of the stack-facing surface.
+        q = self._queues[queue]
+        q.owner = engine
+        return q
 
     def _deliver(self, queue, frame):
-        ring = self._rx[queue]
-        if len(ring) >= QUEUE_DEPTH:
-            self.queue_stats[queue].rx_overflow_drops += 1
+        """Put one frame into an RX ring as the fabric's delivery loop does:
+        dropped and counted if the ring is full, else counted and the
+        owner woken. Tests inject frames with it."""
+        q = self._queues[queue]
+        if len(q.rx) >= QUEUE_DEPTH:
+            q.stats.rx_overflow_drops += 1
             return False
-        ring.append(frame)
-        self.queue_stats[queue].rx_delivered += 1
-        owner = self._owners[queue]
-        if owner is not None:
-            owner.wake = True
+        q.rx.append(frame)
+        q.stats.rx_delivered += 1
+        if q.owner is not None:
+            q.owner.wake = True
         return True

@@ -7,7 +7,9 @@ consumes fragments in seq order, so messages reach the application whole,
 in send order, never split or coalesced; a fragment that does not continue
 its message resets the flow, and a DATA header no honest sender could emit
 is counted and dropped. Acks are cumulative plus up to eight selective
-ranges.
+ranges. Seqs and message ids do not wrap: a message whose fragments would
+need a seq past U32_MAX - 1, or a message id past U32_MAX, resets the
+flow instead.
 
 The receiver sends at most one SACK per flow per RX burst: a new DATA frame
 moves the flow's one ack timer, which the engine fires after the burst, to
@@ -58,6 +60,10 @@ ACK_DELAY_US = 100
 SACK_MAX_RANGES = 8
 IDLE_REAP_US = 3_000_000
 REO_WND_PERSIST = 16
+# seq, ack and msg_id are u32 on the wire. A sender's last seq is
+# U32_MAX - 1, so the ack that covers it, seq + 1, fits as well; its last
+# msg id is U32_MAX.
+U32_MAX = 0xFFFFFFFF
 
 
 class MessageTooLarge(ValueError):
@@ -151,8 +157,13 @@ class Flow:
         if len(payload) > wire.MAX_MESSAGE_BYTES:
             raise MessageTooLarge("message of %d bytes exceeds 8 MiB" % len(payload))
         msg_id = self.next_msg_id
-        self.next_msg_id += 1
         msg_len = len(payload)
+        frags = -(-msg_len // wire.FRAGMENT_PAYLOAD)
+        if msg_id > U32_MAX or self.next_tx_seq + frags > U32_MAX:
+            self._teardown(RESET, "sequence space exhausted at seq %d, "
+                           "message id %d" % (self.next_tx_seq, msg_id))
+            return None
+        self.next_msg_id += 1
         handle, udp = self.handle, self.tx_udp
         for off in range(0, msg_len, wire.FRAGMENT_PAYLOAD):
             chunk = payload[off:off + wire.FRAGMENT_PAYLOAD]
@@ -376,6 +387,9 @@ class Flow:
             return
         if seq >= self.rx_next + RECEIVE_WINDOW:
             self.stats.rx_out_of_window += 1
+            return
+        if seq >= U32_MAX:  # no sender uses it: its ack would not fit
+            self.stats.protocol_errors += 1
             return
         # Out of order, or filling part of a hole: the sender needs to know.
         urgent = seq > self.rx_next or bool(self.rx_buffer)

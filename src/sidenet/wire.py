@@ -46,6 +46,8 @@ _ETH = struct.Struct(">6s6sH")
 # the UDP checksum and the header's reserved field.
 _HEAD = struct.Struct(">14sBxH4xBBxx8sHHHxxHBBHHIIIIIHxx")
 FRAME_HEAD_LEN = _HEAD.size
+# The longest payload a frame can carry within the MTU.
+MAX_FRAME_PAYLOAD = MTU - FRAME_HEAD_LEN
 # The receive side's one unpack, at offset 26: both addresses, both UDP
 # ports, then the transport header from pkt_type on (parse_frame tests magic
 # and version on the raw bytes, with the outer headers).

@@ -11,8 +11,10 @@ from conftest import PollApp, connect_established, make_pair
 from sidenet import wire
 from sidenet.channel import CLOSED
 from sidenet.driver import Sim
-from sidenet.engine import CONTROL_INTERVAL_US, EnginePolicy, pick_engine
+from sidenet.engine import (CONTROL_INTERVAL_US, RX_BURST, EnginePolicy,
+                            pick_engine)
 from sidenet.fabric import FabricConfig
+from sidenet.nic import QUEUE_DEPTH
 
 
 def test_idle_iteration_does_no_work():
@@ -632,3 +634,56 @@ def test_hostile_frames_never_raise_and_malformed_is_counted_not_delivered(
             assert after[3] == before[3]  # never delivered
             # Counted once: by the flow it names, or as an unknown flow.
             assert (after[1] - before[1]) + (after[2] - before[2]) == 1
+
+
+def test_tx_backlog_keeps_emit_order_when_one_iteration_overflows_the_ring():
+    """One iteration emits 100 frames more than the TX ring holds: the rest
+    wait in the backlog. Frames emitted from outside the engine while the
+    backlog waits queue behind it, even once the fabric has emptied the
+    ring. Every frame reaches the fabric once, in emit order, and the
+    fabric's sent count equals the frames the TX rings took."""
+    sim, client, server, cch, sch = make_pair(seed=6)
+    sim.run_for(200)
+    eng = client.engines[0]
+    frames = [wire.build_frame("10.0.0.1", "10.0.0.2", 40000 + i % 7, 40001,
+                               wire.PKT_DATA, 9, 9, payload=b"%05d" % i)
+              for i in range(QUEUE_DEPTH + 110)]
+    early, late = frames[:QUEUE_DEPTH + 100], frames[QUEUE_DEPTH + 100:]
+    backlog = []
+
+    def burst(now):
+        for frame in early:
+            eng.emit(frame)
+        backlog.append(len(eng.tx_backlog))
+
+    eng.arm_timer(sim.now + 1, burst)
+    seen = []
+    sim.fabric._tap = lambda frame: seen.append(frame) and False
+    assert sim.run_until(lambda: sim.fabric.stats.sent == QUEUE_DEPTH)
+    assert backlog == [100] and len(eng.tx_backlog) == 100
+    for frame in late:
+        eng.emit(frame)
+    assert len(eng.tx_backlog) == 110
+    sim.run_for(2000)
+    assert not eng.tx_backlog
+    assert seen == frames
+    tx_frames = sum(q.tx_frames for stack in (client, server)
+                    for q in stack.nic.queue_stats)
+    assert sim.fabric.stats.sent == tx_frames == len(frames)
+
+
+def test_one_iteration_takes_at_most_rx_burst_frames():
+    """Frames waiting past RX_BURST stay in the ring for the next
+    iteration."""
+    sim, client, server, cch, sch = make_pair(seed=7)
+    sim.run_for(200)
+    eng = server.engines[0]
+    for i in range(RX_BURST + 8):
+        eng.nic._deliver(0, wire.build_frame(
+            "10.0.0.1", "10.0.0.2", 40000, 40001, wire.PKT_DATA, 9, 9,
+            payload=b"r", seq=i))
+    assert eng.run_iteration(sim.now) == RX_BURST
+    assert eng.stats.frames_rx == RX_BURST
+    assert eng.nic.rx_pending(0) == 8
+    assert eng.run_iteration(sim.now) == 8
+    assert eng.stats.rx_unknown_flow == RX_BURST + 8

@@ -2,13 +2,14 @@
 
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidenet import wire
-from sidenet.fabric import Fabric, FabricConfig
+from sidenet.fabric import ROUTE_CACHE_PAIRS, Fabric, FabricConfig
 from sidenet.nic import QUEUE_DEPTH
 
 
@@ -148,6 +149,22 @@ def test_rx_ring_overflow_counts_host_side_drop():
     assert fab.conservation_ok()
 
 
+def test_route_cache_stays_bounded_and_steers_like_the_oracle():
+    """Frames from more forged source addresses than the route cache keeps
+    each land in the RX queue the steering oracle names, and the cache
+    never holds more than ROUTE_CACHE_PAIRS address pairs."""
+    fab, _, nic_b = two_host_fabric(rng_seed=14, base_delay_us=1)
+    for i in range(ROUTE_CACHE_PAIRS + 500):
+        src = "10.%d.%d.%d" % (i >> 16 & 255, i >> 8 & 255, i & 255)
+        frame = data_frame(src=src, sport=40000 + i % 50, tag=i % 100)
+        want = fab.steer("10.0.0.2", frame)
+        fab.send(src, frame)
+        fab.advance(1)
+        assert nic_b.rx_burst(want, 1) == [frame]
+        assert len(fab._routes) <= ROUTE_CACHE_PAIRS
+    assert fab.stats.delivered == ROUTE_CACHE_PAIRS + 500
+
+
 def test_conservation_identity_under_faults():
     fab, _, nic_b = two_host_fabric(rng_seed=12, loss_probability=0.2,
                                     reorder_probability=0.1, delay_jitter_us=9)
@@ -261,13 +278,13 @@ def test_stack_modules_never_touch_steering_internals():
 
 
 class _KeyedEvent:
-    __slots__ = ("due", "order", "frame", "host", "queue", "done")
+    __slots__ = ("due", "order", "frame", "nic", "queue", "done")
 
-    def __init__(self, due, order, frame, host, queue):
+    def __init__(self, due, order, frame, nic, queue):
         self.due = due
         self.order = order
         self.frame = frame
-        self.host = host
+        self.nic = nic
         self.queue = queue
         self.done = False
 
@@ -275,18 +292,37 @@ class _KeyedEvent:
 class KeySwappingFabric(Fabric):
     """Reference scheduler: a reorder swaps the schedule keys of the two
     adjacent events and pushes the older one again, leaving a stale heap
-    entry that every reader skips. Routing, steering, fault draws and
-    delivery are the fabric's own."""
+    entry that every reader skips. It routes by the decoded four-tuple,
+    steers through `steer` (the hasher's own hash_at), takes TX rings one
+    send per frame, and delivers through each NIC's single-frame
+    `_deliver`; the fault draws come from the fabric's seeded stream in
+    the same order."""
 
     def __init__(self, config):
         super().__init__(config)
         self._push_id = 0
+        self._nics = {}
+
+    def add_host(self, ip, num_queues):
+        nic = super().add_host(ip, num_queues)
+        self._nics[ip] = nic
+        return nic
+
+    def collect_tx(self):
+        moved = 0
+        for nic in self._nics.values():
+            for queue in nic._queues:
+                while queue.tx:
+                    self.send(nic.config.local_ip, queue.tx.popleft())
+                    moved += 1
+        return moved
 
     def send(self, src_ip, frame):
         cfg = self._cfg
         self.stats.sent += 1
-        host = self._route(frame)
-        if host is None:
+        tup = wire.extract_four_tuple(frame)
+        nic = None if tup is None else self._nics.get(tup[1])
+        if nic is None:
             self.stats.dropped_unroutable += 1
             return
         if self._tap is not None and self._tap(frame):
@@ -300,7 +336,7 @@ class KeySwappingFabric(Fabric):
             delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
         self._seq += 1
         event = _KeyedEvent(self.clock.now + max(0, delay), self._seq, frame,
-                            host, self._queue(host, frame))
+                            nic, self.steer(tup[1], frame))
         if cfg.reorder_probability:
             prev = self._last_pending
             if (prev is not None and not prev.done
@@ -335,8 +371,12 @@ class KeySwappingFabric(Fabric):
             entry = heapq.heappop(heap)
             if self._stale(entry):
                 continue
-            entry[3].done = True
-            self._deliver(entry[3])
+            event = entry[3]
+            event.done = True
+            if event.nic._deliver(event.queue, event.frame):
+                self.stats.delivered += 1
+            else:
+                self.stats.dropped_ring_full += 1
             delivered += 1
         self.clock.advance_to(t)
         return delivered
@@ -350,29 +390,47 @@ _HOSTS = (("10.0.0.1", 1), ("10.0.0.2", 4), ("10.0.0.3", 3))
 _NOWHERE = "10.9.9.9"
 
 
-def _logged_fabric(cls, cfg, drop_tag):
-    """A fabric over the three hosts whose NICs log every delivery as
-    (clock before the advance, host, queue, frame, accepted)."""
+class _RecordingRing(deque):
+    """An RX ring that logs each frame put into it as (clock before the
+    advance, host, queue, frame), after `filler` frames it does not log."""
+
+    def __init__(self, log, fab, ip, queue, filler):
+        super().__init__(filler)
+        self._log = log
+        self._fab = fab
+        self._where = (ip, queue)
+
+    def append(self, frame):
+        self._log.append((self._fab.now,) + self._where + (frame,))
+        super().append(frame)
+
+
+def _logged_fabric(cls, cfg, drop_tag, headroom):
+    """A fabric over the three hosts whose RX rings log every delivery.
+    With a headroom, each ring starts that many frames short of full, so
+    ring-full drops come early."""
     fab = cls(cfg)
     log = []
+    nics = []
+    filler = [] if headroom is None else [b""] * (QUEUE_DEPTH - headroom)
     for ip, queues in _HOSTS:
         nic = fab.add_host(ip, queues)
-
-        def deliver(queue, frame, ip=ip, into_ring=nic._deliver):
-            ok = into_ring(queue, frame)
-            log.append((fab.now, ip, queue, frame, ok))
-            return ok
-
-        nic._deliver = deliver
+        for q, queue in enumerate(nic._queues):
+            queue.rx = _RecordingRing(log, fab, ip, q, filler)
+        nics.append(nic)
     if drop_tag is not None:
         fab._tap = lambda frame: frame[-1] % 8 == drop_tag
-    return fab, log
+    return fab, log, nics
 
 
 _ips = st.sampled_from([ip for ip, _ in _HOSTS])
-_sends = st.tuples(st.just("send"), _ips, _ips | st.just(_NOWHERE),
-                   st.integers(40000, 40063), st.integers(40000, 40003),
-                   st.integers(1, 6))
+_frames = (_ips, _ips | st.just(_NOWHERE), st.integers(40000, 40063),
+           st.integers(40000, 40003), st.integers(1, 6))
+_sends = st.tuples(st.just("send"), *_frames)
+# Frames put on a TX ring of the source host (queue index taken modulo its
+# queue count), for a later collect_tx.
+_tx_bursts = st.tuples(st.just("tx"), *_frames, st.integers(0, 3))
+_collects = st.tuples(st.just("collect"))
 _advances = st.tuples(st.just("advance"), st.integers(0, 40))
 _to_next = st.tuples(st.just("next"))
 
@@ -384,32 +442,48 @@ _to_next = st.tuples(st.just("next"))
        jitter=st.integers(0, 30),
        base=st.integers(0, 30),
        drop_tag=st.none() | st.integers(0, 7),
-       ops=st.lists(st.one_of(_sends, _advances, _to_next), max_size=60))
+       headroom=st.none() | st.integers(0, 12),
+       ops=st.lists(st.one_of(_sends, _tx_bursts, _collects, _advances,
+                              _to_next), max_size=60))
 def test_fabric_matches_key_swapping_reference(seed, loss, reorder, jitter,
-                                               base, drop_tag, ops):
+                                               base, drop_tag, headroom, ops):
     """The fabric delivers the same frames to the same host and queue at the
-    same instants as the reference, with equal stats, in-flight count and
-    next event time after every step."""
+    same instants as the reference, with equal fabric stats, per-queue
+    counters (ring-full drops included), in-flight count and next event
+    time after every step, whether frames enter by send or by collect_tx."""
     cfg = dict(rng_seed=seed, loss_probability=loss,
                reorder_probability=reorder, delay_jitter_us=jitter,
                base_delay_us=base)
-    fab, got = _logged_fabric(Fabric, FabricConfig(**cfg), drop_tag)
-    ref, want = _logged_fabric(KeySwappingFabric, FabricConfig(**cfg), drop_tag)
+    fab, got, fab_nics = _logged_fabric(Fabric, FabricConfig(**cfg), drop_tag,
+                                        headroom)
+    ref, want, ref_nics = _logged_fabric(KeySwappingFabric,
+                                         FabricConfig(**cfg), drop_tag,
+                                         headroom)
     tag = 0
-    for op in ops + [("advance", 10_000)]:
-        for f in (fab, ref):
-            if op[0] == "send":
-                _, src, dst, sport, dport, burst = op
-                for i in range(burst):
-                    f.send(src, data_frame(src, dst, sport, dport, tag + i))
+    for op in ops + [("collect",), ("advance", 10_000)]:
+        for f, nics in ((fab, fab_nics), (ref, ref_nics)):
+            if op[0] in ("send", "tx"):
+                src, dst, sport, dport, burst = op[1:6]
+                frames = [data_frame(src, dst, sport, dport, tag + i)
+                          for i in range(burst)]
+                if op[0] == "send":
+                    for frame in frames:
+                        f.send(src, frame)
+                else:
+                    nic = nics[[ip for ip, _ in _HOSTS].index(src)]
+                    nic.tx_burst(op[6] % nic.num_queues(), frames)
+            elif op[0] == "collect":
+                f.collect_tx()
             elif op[0] == "advance":
                 f.advance(op[1])
             elif f.next_event_time() is not None:
                 f.advance_to(f.next_event_time())
-        if op[0] == "send":
+        if op[0] in ("send", "tx"):
             tag += op[5]
         assert got == want
         assert fab.stats == ref.stats
+        assert ([n.queue_stats for n in fab_nics]
+                == [n.queue_stats for n in ref_nics])
         assert fab.in_flight() == ref.in_flight()
         assert fab.next_event_time() == ref.next_event_time()
         assert fab.now == ref.now

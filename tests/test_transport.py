@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from sidenet import wire
 from sidenet.channel import Channel, ESTABLISHED, RESET, FlowHandle
+from sidenet.channel import frame as flow_frame
 from sidenet.engine import EngineStats, Timer
+from sidenet.nic import MIN_FRAME_LEN, Nic, NicConfig
 from sidenet.handshake import UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
@@ -650,3 +652,49 @@ def test_arbitrary_data_headers_never_raise_or_misdeliver(pkts):
             got += pkt.payload
         assert got == payload
         msg_id += 1
+
+
+def test_largest_frames_the_stack_builds_are_within_nic_bounds():
+    """A full 1408-byte DATA fragment and an eight-range SACK are the largest
+    frames a flow builds; both fit the NIC's frame bounds, and a payload
+    longer than a frame carries raises at the build, so the engine's TX ring
+    never holds a frame that tx_burst would refuse."""
+    flow, eng, _ = make_flow()
+    flow.send_message(b"d" * (3 * wire.FRAGMENT_PAYLOAD), now=0)
+    for seq in range(1, 40, 2):  # 20 runs in the receive buffer
+        flow.on_data(one_fragment(seq), 0)
+    eng.fire_due(0)
+    data = [f for f in eng.outbox
+            if wire.parse_frame(f).pkt_type == wire.PKT_DATA]
+    sacks = [f for f in eng.outbox
+             if wire.parse_frame(f).pkt_type == wire.PKT_SACK]
+    assert max(map(len, data)) == wire.FRAME_HEAD_LEN + wire.FRAGMENT_PAYLOAD
+    assert len(wire.unpack_sack_payload(
+        wire.parse_frame(sacks[-1]).payload)) == SACK_MAX_RANGES
+    assert max(map(len, sacks)) == wire.FRAME_HEAD_LEN + 2 + 8 * SACK_MAX_RANGES
+    assert all(MIN_FRAME_LEN <= len(f) <= wire.MTU for f in eng.outbox)
+    nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
+    assert nic.tx_burst(0, eng.outbox) == len(eng.outbox)
+    udp = flow.tx_udp
+    assert len(flow_frame(flow.handle, udp.src, udp.dst, wire.PKT_DATA,
+                          b"m" * wire.MAX_FRAME_PAYLOAD)) == wire.MTU
+    with pytest.raises(ValueError):
+        flow_frame(flow.handle, udp.src, udp.dst, wire.PKT_DATA,
+                   b"m" * (wire.MAX_FRAME_PAYLOAD + 1))
+
+
+def test_receiver_at_the_seq_limit_acks_without_wrapping():
+    """Seqs up to 2**32 - 2 are delivered and acked (the ack, 2**32 - 1,
+    still fits its field); a DATA frame at seq 2**32 - 1, which no sender
+    uses, is counted as a protocol error and never raises."""
+    flow, eng, ch = make_flow()
+    top = 2**32 - 1
+    flow.rx_next = flow.rx_msg_id = top - 2
+    for seq in (top - 2, top - 1):
+        flow.on_data(data_pkt(seq, seq, 0, 1, b"z"), 0)
+    flow.on_data(data_pkt(top, top, 0, 1, b"z"), 0)
+    eng.fire_due(ACK_DELAY_US)
+    assert ch.rx_pending() == 2
+    assert flow.rx_next == top
+    assert flow.stats.protocol_errors == 1
+    assert emitted_sacks(eng)[-1] == (top, [])
