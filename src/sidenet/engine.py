@@ -314,6 +314,8 @@ class Engine:
             if flow is None:
                 self.stats.rx_unknown_flow += 1
             elif t == wire.PKT_DATA:
+                if pkt.flags & wire.FLAG_ACK:
+                    flow.on_carried_ack(pkt.ack, now)
                 flow.on_data(pkt, now)
             elif t == wire.PKT_SACK:
                 flow.on_sack(pkt, now)

@@ -13,10 +13,14 @@ flow instead.
 
 The receiver sends at most one SACK per flow per RX burst: a new DATA frame
 moves the flow's one ack timer, which the engine fires after the burst, to
-`now` when two or more frames are unacked or the frame arrived out of order
-or filled part of a hole (RFC 5681, section 4.2); otherwise the ack waits
-up to 100 us (ACK_DELAY_US) for a second frame. A duplicate is re-acked at
-once.
+`now` when two or more full-sized frames are unacked or the frame arrived
+out of order or filled part of a hole (RFC 5681, section 4.2); otherwise
+the ack waits up to 100 us (ACK_DELAY_US). A duplicate is re-acked at once.
+While the ack waits and no SACK range is pending, the flow's next new DATA
+fragment carries the cumulative ack instead (FLAG_ACK), so a reply acks its
+request (RFC 9293, section 3.8.6.3). A close holds its FIN until every
+fragment sent is acked, so the FIN never overtakes data, and re-sends the
+FIN on the RTO ladder until the FIN-ACK comes back.
 
 Loss recovery is RACK-TLP (RFC 8985), driven by one timer per flow. RACK
 keeps a mark: the most recently sent fragment known delivered. An unacked
@@ -103,14 +107,19 @@ class Flow:
         self.tx_udp = tx_udp
         self.rx_udp = rx_udp
         self.stats = FlowStats()
-        self.reap_timer = None  # armed by start_close
+        # Closing: start_close arms the reaper; the FIN timer runs from the
+        # FIN, which waits until every fragment sent is acked.
+        self.reap_timer = None
+        self.fin_timer = None
         self.final_ack = None  # a client flow's last handshake frame
 
         # Sender state.
         self.next_tx_seq = 0
         self.next_msg_id = 0
         self.acked_upto = 0  # peer's cumulative ack (next seq it expects)
-        self.pending = deque()  # (seq, frame) fragments waiting for window
+        # Fragments waiting for window, as the fields pump builds them from:
+        # (seq, msg_id, frag_offset, msg_len, payload, flags).
+        self.pending = deque()
         self.unacked = {}  # seq -> _TxEntry, insertion order == seq order
         self.lost_out = 0  # unacked entries that have been retransmitted
         self.srtt_us = 0  # RTT of never-resent fragments; 0 until sampled
@@ -131,7 +140,7 @@ class Flow:
         self.rx_msg_id = 0  # message being assembled
         self.rx_msg_len = 0
         self.rx_parts = []  # its payloads consumed so far
-        self.frames_since_ack = 0
+        self.frames_since_ack = 0  # full-sized ones since the last ack
         self.ack_timer = None
 
     def key(self):
@@ -164,46 +173,75 @@ class Flow:
                            "message id %d" % (self.next_tx_seq, msg_id))
             return None
         self.next_msg_id += 1
-        handle, udp = self.handle, self.tx_udp
+        seq = self.next_tx_seq
+        append = self.pending.append
         for off in range(0, msg_len, wire.FRAGMENT_PAYLOAD):
             chunk = payload[off:off + wire.FRAGMENT_PAYLOAD]
             last = off + len(chunk) >= msg_len
-            seq = self.next_tx_seq
-            self.next_tx_seq += 1
-            self.pending.append((seq, frame(
-                handle, udp.src, udp.dst, wire.PKT_DATA, chunk, seq=seq,
-                msg_id=msg_id, frag_offset=off, msg_len=msg_len,
-                flags=wire.FLAG_LAST_FRAGMENT if last else 0)))
+            append((seq, msg_id, off, msg_len, chunk,
+                    wire.FLAG_LAST_FRAGMENT if last else 0))
+            seq += 1
+        self.next_tx_seq = seq
         self.pump(now)
         return msg_id
 
     def pump(self, now):
-        """Emit pending fragments while the send window has room.
+        """Build and emit pending fragments while the send window has room.
 
         Besides the 64-packet cap, never run more than the receiver's window
         past the cumulative ack: SACKed holes free window slots, and without
         this bound a persistent hole would let new fragments sail beyond
         what the receiver is willing to buffer.
+
+        While an ack is due and the receive buffer holds no SACK range, the
+        first fragment carries the cumulative ack (FLAG_ACK) in place of a
+        SACK. A resend keeps the bytes of its first send; its ack is then
+        at or below what the peer has already seen, so it is a no-op there.
         """
         if self.handle.state != ESTABLISHED:
             return
+        pending, unacked, emit = self.pending, self.unacked, self.eng.emit
+        handle, udp = self.handle, self.tx_udp
         horizon = self.acked_upto + RECEIVE_WINDOW
-        while (self.pending and len(self.unacked) < SEND_WINDOW
-               and self.pending[0][0] < horizon):
-            seq, frame = self.pending.popleft()
-            self.unacked[seq] = _TxEntry(frame, now)
-            self.eng.emit(frame)
-            self.stats.frags_sent_total += 1
-            self.stats.frags_sent_unique += 1
+        timer = self.ack_timer
+        carry = timer is not None and timer.live and not self.rx_buffer
+        sent = 0
+        while (pending and len(unacked) < SEND_WINDOW
+               and pending[0][0] < horizon):
+            seq, msg_id, off, msg_len, chunk, flags = pending.popleft()
+            ack = 0
+            if carry:
+                carry = False
+                timer.cancel()
+                self.frames_since_ack = 0
+                ack = self.rx_next
+                flags |= wire.FLAG_ACK
+            data = frame(handle, udp.src, udp.dst, wire.PKT_DATA, chunk,
+                         seq=seq, ack=ack, msg_id=msg_id, frag_offset=off,
+                         msg_len=msg_len, flags=flags)
+            unacked[seq] = _TxEntry(data, now)
+            emit(data)
+            sent += 1
+        stats = self.stats
+        stats.frags_sent_total += sent
+        stats.frags_sent_unique += sent
         if self.unacked and (self.loss_timer is None
                              or not self.loss_timer.live):
             self._arm_loss_timer(now)
 
     def on_sack(self, pkt, now):
+        self.on_ack(pkt.ack, wire.unpack_sack_payload(pkt.payload), now)
+
+    def on_carried_ack(self, ack, now):
+        """The cumulative ack a DATA frame carries (FLAG_ACK). One at or
+        below acked_upto, as a resend's stored ack is, changes nothing."""
+        if ack > self.acked_upto:
+            self.on_ack(ack, (), now)
+
+    def on_ack(self, ack, ranges, now):
         """Drop what the cumulative and selective acks cover, sample the RTT,
         advance the RACK mark, retransmit what RACK finds lost, refill the
-        window."""
-        ack = pkt.ack
+        window, and send a waiting FIN once nothing is left to send."""
         if ack > self.next_tx_seq:
             self.stats.protocol_errors += 1
             return
@@ -211,7 +249,7 @@ class Flow:
         if progressed:
             self.acked_upto = ack
         # Sorted by start, one cursor finds each seq's cover, overlaps too.
-        ranges = sorted(wire.unpack_sack_payload(pkt.payload))
+        ranges = sorted(ranges)
         highest = max((end for _, end in ranges), default=ack)
         i, n = 0, len(ranges)
         covered = []  # deleted after the walk: a dict may not shrink mid-walk
@@ -266,6 +304,9 @@ class Flow:
             if self.unacked:
                 self._arm_loss_timer(now, reorder_at)
         self.pump(now)
+        if (self.reap_timer is not None and self.fin_timer is None
+                and not self.unacked):
+            self._send_fin(now)  # the FIN start_close held back
 
     def _detect_losses(self, now):
         """RACK: retransmit every fragment sent before the most recently sent
@@ -396,9 +437,12 @@ class Flow:
         self.rx_buffer[seq] = pkt
         if seq == self.rx_next and not self._consume():
             return
-        self.frames_since_ack += 1
-        # The engine fires due timers after the RX burst, so an ack due now
-        # goes out once, covering the whole burst.
+        # Only full-sized frames count toward the every-second-frame ack: a
+        # small one waits the ack delay, in which a reply usually carries
+        # the ack (pump). The engine fires due timers after the RX burst, so
+        # an ack due now goes out once, covering the whole burst.
+        if len(pkt.payload) == wire.FRAGMENT_PAYLOAD:
+            self.frames_since_ack += 1
         due = (now if urgent or self.frames_since_ack >= ACK_EVERY_FRAMES
                else now + ACK_DELAY_US)
         timer = self.ack_timer
@@ -467,12 +511,26 @@ class Flow:
         self._teardown(CLOSED)
 
     def start_close(self, now):
+        """Send the FIN, or, while fragments are pending or unacked, have
+        on_ack send it once they are all acked: the peer tears down on the
+        FIN, so it must not overtake data. A second close changes nothing."""
+        if self.reap_timer is not None:
+            return
+        # The idle reaper ends the flow if no FIN-ACK comes back.
+        self.reap_timer = self.eng.arm_timer(now + IDLE_REAP_US,
+                                             self._on_reap_timer)
+        if not (self.pending or self.unacked):
+            self._send_fin(now)
+
+    def _send_fin(self, now, wait=RTO_BASE_US):
+        """Send the FIN, and again after `wait`, doubling on the RTO ladder,
+        until the FIN-ACK or the reaper ends the flow: a lost FIN would
+        leave the peer's flow open for good."""
         self.eng.emit(frame(self.handle, self.tx_udp.src, self.tx_udp.dst,
                             wire.PKT_FIN))
-        # Peer or the idle reaper finishes the job if the FIN-ACK is lost.
-        if self.reap_timer is None:
-            self.reap_timer = self.eng.arm_timer(now + IDLE_REAP_US,
-                                                 self._on_reap_timer)
+        again = min(2 * wait, RTO_CAP_US)
+        self.fin_timer = self.eng.arm_timer(
+            now + wait, lambda t: self._send_fin(t, again))
 
     def _on_reap_timer(self, now):
         self._teardown(CLOSED)
@@ -483,7 +541,8 @@ class Flow:
         and drop it from its engine."""
         if state == RESET or self.handle.state == ESTABLISHED:
             self.handle._settle(state, reason)
-        for timer in (self.loss_timer, self.ack_timer, self.reap_timer):
+        for timer in (self.loss_timer, self.ack_timer, self.reap_timer,
+                      self.fin_timer):
             if timer is not None:
                 timer.cancel()
         self.eng.drop_flow(self)

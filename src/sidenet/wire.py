@@ -35,6 +35,7 @@ PKT_FINACK = 7
 # Header flags.
 FLAG_LAST_FRAGMENT = 0x0001
 FLAG_OPTIMIZED = 0x0002  # on SYN: sender runs the reduced-spray handshake
+FLAG_ACK = 0x0004  # on DATA: the ack field holds the sender's cumulative ack
 
 ETHERTYPE_IPV4 = 0x0800
 IP_PROTO_UDP = 17

@@ -49,3 +49,15 @@ def connect_established(sim, client, cch, mode=None, max_us=30_000_000,
     ok = sim.run_until(lambda: handle.state != "connecting", max_us=max_us)
     assert ok and handle.is_established, handle
     return handle
+
+
+def echo_server(sim, server, sch):
+    """Run an app that sends every message the server channel receives
+    back on its flow."""
+    def echo(sim_):
+        msg = sch.recv()
+        if msg:
+            server.send(sch, msg.flow, msg.payload)
+            return 1
+        return 0
+    sim.add_app(PollApp(echo))

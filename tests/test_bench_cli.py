@@ -232,11 +232,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # protocol change updates them and says why in CHANGES.md.
 PINNED_CSV_SHA256 = {
     "echo": (
-        "e25d35ccab490b9ab4f5f7c5adadafe38c5edb9ee4d94cab80b5d142db0f3742",
-        "bfbf1781ec6f77c4398980ad8b7a0767def5a44061207f44aa8ca78b0c1727b2"),
+        "33534682b507907a13e250050e80e8c1a32a6da230e44bfc9cbfbb5f8702eba0",
+        "5aaa5a29234da94af0c014f3e2cea034223f517b057fa719568cd12cd020cd91"),
     "echo_lossy": (
-        "2390afd0b3475be879b4859201fd5aa167a5f4c729b68e0a51721477364a00da",
-        "4f5d3ff203850cc192fa94e611492d20ad0d7c6ff33861f2e93e9b077a50390e"),
+        "ab326071af3321c84a40b17d0b7d3358e20fcc4a93f97cf679ed86b2fdced41a",
+        "fe09e2d89024329ee9dd55afa9e99fe49a46cc193476a1620ae7942d8d66e9b7"),
     "conn_setup_8x8": (
         "56b84b455cfe1c91913c82801e2d578fe4519dffaee39c7656c1ffe1b124fd62",
         "9faf0d93f62a174282b7cad6350425a061ba593ed49ad05ad01701ae60dfd543"),

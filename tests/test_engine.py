@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PollApp, connect_established, make_pair
+from conftest import PollApp, connect_established, echo_server, make_pair
 
 from sidenet import wire
 from sidenet.channel import CLOSED
@@ -15,6 +15,7 @@ from sidenet.engine import (CONTROL_INTERVAL_US, RX_BURST, EnginePolicy,
                             pick_engine)
 from sidenet.fabric import FabricConfig
 from sidenet.nic import QUEUE_DEPTH
+from sidenet.transport import RTO_BASE_US
 
 
 def test_idle_iteration_does_no_work():
@@ -303,8 +304,8 @@ def test_every_flow_frame_steers_to_the_owning_engines():
 
 
 def test_one_rx_burst_of_in_order_data_gets_one_sack():
-    """Ten in-order DATA frames for one flow, taken in one RX burst, put
-    exactly one SACK, covering all ten, on the fabric."""
+    """Ten in-order full-sized DATA frames for one flow, taken in one RX
+    burst, put exactly one SACK, covering all ten, on the fabric."""
     sim, client, server, cch, sch = make_pair(seed=5)
     handle = connect_established(sim, client, cch)
     sim.run_for(2000)
@@ -314,9 +315,10 @@ def test_one_rx_burst_of_in_order_data_gets_one_sack():
     for i in range(10):
         eng.nic._deliver(0, wire.build_frame(
             "10.0.0.1", "10.0.0.2", flow.rx_udp.src, flow.rx_udp.dst,
-            wire.PKT_DATA, handle.local_port, 80, payload=b"d",
-            seq=first + i, msg_id=flow.rx_msg_id + i, frag_offset=0,
-            msg_len=1, flags=wire.FLAG_LAST_FRAGMENT))
+            wire.PKT_DATA, handle.local_port, 80,
+            payload=b"d" * wire.FRAGMENT_PAYLOAD, seq=first + i,
+            msg_id=flow.rx_msg_id + i, frag_offset=0,
+            msg_len=wire.FRAGMENT_PAYLOAD, flags=wire.FLAG_LAST_FRAGMENT))
     captured = []
     sim.fabric._tap = lambda frame: captured.append(frame) and False
     eng.run_iteration(sim.now)
@@ -325,6 +327,93 @@ def test_one_rx_burst_of_in_order_data_gets_one_sack():
              if p.pkt_type == wire.PKT_SACK]
     assert [p.ack for p in sacks] == [first + 10]
     assert sch.rx_pending() == 10
+
+
+def test_echo_round_trips_send_no_sack():
+    """Each request's ack rides on its reply and each reply's on the next
+    request: only the last reply is acked by a SACK, after the ack delay."""
+    sim, client, server, cch, sch = make_pair(seed=6)
+    handle = connect_established(sim, client, cch)
+    echo_server(sim, server, sch)
+    sent = []
+    sim.fabric._tap = lambda frame: sent.append(frame) and False
+    for i in range(20):
+        cch.send(handle, b"ping %d" % i)
+        assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
+        assert cch.recv().payload == b"ping %d" % i
+    types = [wire.parse_frame(f).pkt_type for f in sent]
+    assert types == [wire.PKT_DATA] * 40
+    # The first request has nothing to ack yet.
+    assert [bool(wire.parse_frame(f).flags & wire.FLAG_ACK)
+            for f in sent] == [False] + [True] * 39
+    assert sim.drain()
+    assert wire.parse_frame(sent[-1]).pkt_type == wire.PKT_SACK
+    assert len(sent) == 41
+
+
+def _flagged_data(flow, handle, seq, ack):
+    """A one-fragment DATA frame from the server to the client's flow,
+    carrying `ack` under FLAG_ACK."""
+    return wire.build_frame(
+        "10.0.0.2", "10.0.0.1", flow.rx_udp.src, flow.rx_udp.dst,
+        wire.PKT_DATA, 80, handle.local_port, payload=b"h", seq=seq,
+        ack=ack, msg_id=flow.rx_msg_id, msg_len=1,
+        flags=wire.FLAG_LAST_FRAGMENT | wire.FLAG_ACK)
+
+
+def test_hostile_flagged_ack_is_counted_not_raised():
+    """An ack above anything the flow sent is a protocol error; the DATA
+    itself still passes on_data's own checks and is delivered."""
+    sim, client, server, cch, sch = make_pair(seed=7)
+    handle = connect_established(sim, client, cch)
+    eng = client.engines[0]
+    (flow,) = eng.flows.values()
+    for ack in (flow.next_tx_seq + 1, 0xFFFFFFFF):
+        eng.nic._deliver(0, _flagged_data(flow, handle, flow.rx_next, ack))
+        eng.run_iteration(sim.now)
+    assert flow.stats.protocol_errors == 2
+    assert flow.acked_upto == 0 and handle.is_established
+    assert [cch.recv().payload for _ in range(2)] == [b"h", b"h"]
+
+
+def test_resent_flagged_fragment_with_a_stale_ack_is_a_no_op():
+    """A reply resent with the bytes of its first send carries the ack of
+    that time; once the flow has moved past it, it changes nothing on the
+    sending side and is re-acked as a duplicate."""
+    sim, client, server, cch, sch = make_pair(seed=8)
+    handle = connect_established(sim, client, cch)
+    echo_server(sim, server, sch)
+    replies = []
+
+    def keep_replies(frame):
+        if wire.parse_frame(frame).src_ip == "10.0.0.2":
+            replies.append(frame)
+        return False
+
+    sim.fabric._tap = keep_replies
+    for _ in range(2):
+        cch.send(handle, b"ping")
+        assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
+        cch.recv()
+    sim.fabric._tap = None
+    eng = client.engines[0]
+    (flow,) = eng.flows.values()
+    cch.send(handle, b"in flight")
+    eng.run_iteration(sim.now)
+    first = wire.parse_frame(replies[0])
+    assert first.flags & wire.FLAG_ACK and first.ack == 1 < flow.acked_upto
+    state = (flow.acked_upto, dict(flow.unacked), flow.loss_timer,
+             flow.loss_timer.due, flow.stats.frags_acked_unique,
+             flow.rack_seq, flow.rto_us)
+    frames_tx = eng.stats.frames_tx
+    eng.nic._deliver(0, replies[0])
+    eng.run_iteration(sim.now + 1)
+    assert (flow.acked_upto, dict(flow.unacked), flow.loss_timer,
+            flow.loss_timer.due, flow.stats.frags_acked_unique,
+            flow.rack_seq, flow.rto_us) == state
+    assert flow.stats.rx_duplicates == 1 and flow.stats.protocol_errors == 0
+    assert eng.stats.frames_tx == frames_tx + 1  # the duplicate's re-ack
+    assert cch.rx_pending() == 0
 
 
 def test_whole_run_shared_nothing_audit():
@@ -415,6 +504,57 @@ def test_fin_close_leaves_nothing_behind():
     assert [eng.stats.rx_unknown_flow for eng in engines] == [0, 0]
     assert not [t for eng in engines for _, _, t in eng._timers if t.live]
     assert sim.now - closed_at <= 1000
+
+
+@pytest.mark.parametrize("faults", [{}, {"loss_probability": 0.02,
+                                         "reorder_probability": 0.05}],
+                         ids=["clean", "lossy"])
+def test_message_sent_just_before_close_arrives(faults):
+    """close() right after send(): the FIN waits until the message, more
+    than a send window of fragments, is acked, so the peer, which tears
+    down on the FIN, receives the message first. A lost FIN is sent again,
+    so after drain neither side keeps a flow."""
+    for seed in range(20):
+        sim, client, server, cch, sch = make_pair(seed=seed, engines=1,
+                                                  **faults)
+        handle = connect_established(sim, client, cch)
+        got = []
+
+        def sink(sim_):
+            msg = sch.recv()
+            if msg:
+                got.append(msg.payload)
+                return 1
+            return 0
+
+        sim.add_app(PollApp(sink))
+        payload = bytes(range(256)) * 784  # 143 fragments
+        cch.send(handle, payload)
+        client.close(handle)
+        assert sim.drain(), seed
+        assert got == [payload], seed
+        assert handle.state == CLOSED, seed
+        engines = client.engines + server.engines
+        assert not any(eng.flows for eng in engines), seed
+
+
+def test_lost_fin_is_sent_again():
+    sim, client, server, cch, sch = make_pair(seed=15, engines=1)
+    handle = connect_established(sim, client, cch)
+    fins = []
+
+    def drop_first_fin(frame):
+        if wire.parse_frame(frame).pkt_type != wire.PKT_FIN:
+            return False
+        fins.append(sim.now)
+        return len(fins) == 1
+
+    sim.fabric._tap = drop_first_fin
+    client.close(handle)
+    assert sim.drain()
+    assert len(fins) == 2 and fins[1] - fins[0] == RTO_BASE_US
+    assert handle.state == CLOSED
+    assert not any(eng.flows for eng in client.engines + server.engines)
 
 
 def _idle_pair_at(offset):

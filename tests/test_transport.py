@@ -107,6 +107,12 @@ def one_fragment(seq):
     return data_pkt(seq, seq, 0, 1, b"x")
 
 
+def full_fragment(seq):
+    """Like one_fragment, but a full-sized fragment of 1408 bytes."""
+    return data_pkt(seq, seq, 0, wire.FRAGMENT_PAYLOAD,
+                    b"x" * wire.FRAGMENT_PAYLOAD)
+
+
 def emitted_sacks(eng):
     """The (ack, ranges) of every SACK the flow has emitted."""
     return [(p.ack, wire.unpack_sack_payload(p.payload))
@@ -226,7 +232,7 @@ def test_duplicate_fragment_idempotent_and_reacked():
 def test_in_order_frames_at_one_instant_get_one_sack():
     flow, eng, _ = make_flow()
     for seq in range(5):
-        flow.on_data(one_fragment(seq), 100)
+        flow.on_data(full_fragment(seq), 100)
     assert emitted_sacks(eng) == []  # due now, sent when timers fire
     eng.fire_due(100)
     assert emitted_sacks(eng) == [(5, [])]
@@ -240,6 +246,44 @@ def test_lone_in_order_frame_is_acked_after_the_ack_delay():
     assert emitted_sacks(eng) == []
     eng.fire_due(100 + ACK_DELAY_US)
     assert emitted_sacks(eng) == [(1, [])]
+
+
+def test_small_frames_wait_for_the_ack_delay():
+    """Only full-sized frames count toward the every-second-frame ack, so
+    two small in-order frames still wait ACK_DELAY_US."""
+    flow, eng, _ = make_flow()
+    flow.on_data(one_fragment(0), 100)
+    flow.on_data(one_fragment(1), 110)
+    eng.fire_due(100 + ACK_DELAY_US - 1)
+    assert emitted_sacks(eng) == []
+    eng.fire_due(100 + ACK_DELAY_US)
+    assert emitted_sacks(eng) == [(2, [])]
+
+
+def test_reply_carries_the_due_ack_in_place_of_a_sack():
+    flow, eng, _ = make_flow()
+    flow.on_data(full_fragment(0), 100)  # one full frame: the ack waits
+    assert flow.frames_since_ack == 1
+    flow.send_message(b"reply" * 400, now=110)  # 2 fragments
+    first, second = emitted_data(eng)
+    assert first.flags & wire.FLAG_ACK and first.ack == 1
+    assert not second.flags & wire.FLAG_ACK and second.ack == 0
+    assert flow.frames_since_ack == 0 and not flow.ack_timer.live
+    eng.fire_due(100 + ACK_DELAY_US)
+    assert emitted_sacks(eng) == []
+
+
+def test_no_ack_rides_on_data_while_the_receive_buffer_has_a_hole():
+    """A cumulative ack alone would hide the SACK range, so the SACK still
+    goes out and the DATA carries no ack."""
+    flow, eng, _ = make_flow()
+    flow.on_data(one_fragment(0), 100)
+    flow.on_data(one_fragment(2), 100)  # 1 missing
+    flow.send_message(b"reply", now=100)
+    (data,) = emitted_data(eng)
+    assert not data.flags & wire.FLAG_ACK and data.ack == 0
+    eng.fire_due(100)
+    assert emitted_sacks(eng) == [(1, [(2, 3)])]
 
 
 def test_out_of_order_frame_and_hole_fills_are_acked_at_once():
