@@ -32,7 +32,6 @@ class Scenario:
     fabric: dict
     workload: dict
     seed: int = 0
-    source: str = "<memory>"
 
 
 def _parse_value(raw, line):
@@ -55,7 +54,7 @@ def _parse_value(raw, line):
     return raw  # bare string (e.g. an IP address or mode name)
 
 
-def parse_text(text, source="<memory>"):
+def parse_text(text):
     """Parse scenario text into {section: {key: (value, line)}}."""
     sections = {}
     current = None
@@ -197,8 +196,8 @@ def _section(section, table, name):
     return values
 
 
-def parse_scenario(text, source="<memory>"):
-    sections = parse_text(text, source)
+def parse_scenario(text):
+    sections = parse_text(text)
     fabric = _section(sections.pop("fabric", {}), FABRIC_KEYS, "fabric")
 
     hosts = {}
@@ -230,8 +229,7 @@ def parse_scenario(text, source="<memory>"):
     if sections:
         name = sorted(sections)[0]
         raise ConfigError("unknown section [%s]" % name)
-    return Scenario(hosts=hosts, fabric=fabric, workload=workload, seed=seed,
-                    source=source)
+    return Scenario(hosts=hosts, fabric=fabric, workload=workload, seed=seed)
 
 
 def load_scenario(path):
@@ -240,4 +238,4 @@ def load_scenario(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc))
-    return parse_scenario(text, source=path)
+    return parse_scenario(text)

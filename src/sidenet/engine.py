@@ -159,7 +159,6 @@ class Engine:
         queue = nic._bind(engine_id, self)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
-        self._queue_stats = queue.stats
 
     # Producers from outside the engine's iteration (see the wake contract).
 
@@ -246,7 +245,6 @@ class Engine:
             if moved > 0:
                 for _ in range(moved):
                     ring.append(backlog.popleft())
-                self._queue_stats.tx_frames += moved
                 work += moved
 
         # Frames the fabric appends meanwhile wait for the next burst.
@@ -298,7 +296,6 @@ class Engine:
             self.wake = True
         else:
             ring.append(frame)
-            self._queue_stats.tx_frames += 1
 
     # RX dispatch.
 

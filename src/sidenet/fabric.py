@@ -294,7 +294,6 @@ class Fabric:
             ring = queue.rx
             if len(ring) < QUEUE_DEPTH:
                 ring.append(frame)
-                queue.stats.rx_delivered += 1
                 owner = queue.owner
                 if owner is not None:
                     owner.wake = True

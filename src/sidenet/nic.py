@@ -39,14 +39,12 @@ class NicConfig:
 
 @dataclass
 class QueueStats:
-    rx_delivered: int = 0
     rx_overflow_drops: int = 0
-    tx_frames: int = 0
 
 
 class _Queue:
     """One queue pair: its TX and RX rings (at most QUEUE_DEPTH frames
-    each), its counters, and the engine that each frame delivered into the
+    each), its ring-overflow count, and the engine that each frame delivered into the
     RX ring wakes."""
 
     __slots__ = ("index", "tx", "rx", "stats", "owner")
@@ -85,8 +83,7 @@ class Nic:
         bounds; frames are never partially enqueued or reordered.
         """
         self._check_queue(queue)
-        q = self._queues[queue]
-        ring = q.tx
+        ring = self._queues[queue].tx
         accepted = 0
         for frame in frames:
             if (len(ring) >= QUEUE_DEPTH
@@ -94,7 +91,6 @@ class Nic:
                 break
             ring.append(frame)
             accepted += 1
-        q.stats.tx_frames += accepted
         return accepted
 
     def rx_burst(self, queue, max_frames):
@@ -123,14 +119,13 @@ class Nic:
 
     def _deliver(self, queue, frame):
         """Put one frame into an RX ring as the fabric's delivery loop does:
-        dropped and counted if the ring is full, else counted and the
-        owner woken. Tests inject frames with it."""
+        dropped and counted if the ring is full, else the owner woken.
+        Tests inject frames with it."""
         q = self._queues[queue]
         if len(q.rx) >= QUEUE_DEPTH:
             q.stats.rx_overflow_drops += 1
             return False
         q.rx.append(frame)
-        q.stats.rx_delivered += 1
         if q.owner is not None:
             q.owner.wake = True
         return True

@@ -148,7 +148,8 @@ class Stack:
             row = {"host": self.local_ip, "engine": eng.engine_id}
             row.update(vars(eng.stats))
             row["flows"] = len(eng.flows)
-            row["queue_delivered"] = qstats.rx_delivered
+            row["queue_delivered"] = (eng.stats.frames_rx
+                                      + self.nic.rx_pending(eng.engine_id))
             row["queue_ring_drops"] = qstats.rx_overflow_drops
             row["channel_rx_highwater"] = max(
                 (ch.stats.rx_highwater for ch in eng.channels), default=0)

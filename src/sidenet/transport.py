@@ -83,7 +83,6 @@ class _TxEntry:
 
 @dataclass
 class FlowStats:
-    msgs_delivered: int = 0
     frags_sent_total: int = 0
     frags_sent_unique: int = 0
     frags_acked_unique: int = 0
@@ -469,7 +468,6 @@ class Flow:
             if pkt.frag_offset + len(pkt.payload) == pkt.msg_len:
                 self.rx_parts = []
                 self.rx_msg_id += 1
-                self.stats.msgs_delivered += 1
                 self.handle.channel._push_rx(
                     Message(self.handle, b"".join(parts)))
         return True

@@ -49,10 +49,11 @@ _HEAD = struct.Struct(">14sBxH4xBBxx8sHHHxxHBBHHIIIIIHxx")
 FRAME_HEAD_LEN = _HEAD.size
 # The longest payload a frame can carry within the MTU.
 MAX_FRAME_PAYLOAD = MTU - FRAME_HEAD_LEN
-# The receive side's one unpack, at offset 26: both addresses, both UDP
-# ports, then the transport header from pkt_type on (parse_frame tests magic
-# and version on the raw bytes, with the outer headers).
-_RX_HEAD = struct.Struct(">4s4sHH7xBHHIIIIIHxx")
+# The receive side's one unpack, at offset 26: the source address, both UDP
+# ports, then the transport header from pkt_type on (the fabric has routed
+# the frame by its destination address; parse_frame tests magic and version
+# on the raw bytes, with the outer headers).
+_RX_HEAD = struct.Struct(">4s4xHH7xBHHIIIIIHxx")
 _FOUR_TUPLE = struct.Struct(">4s4sHH")
 
 assert FRAME_HEAD_LEN == (ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
@@ -105,7 +106,6 @@ class ParsedFrame:
     """A fully decoded stack frame (Ethernet/IPv4/UDP plus transport header)."""
 
     src_ip: str
-    dst_ip: str
     udp_src: int
     udp_dst: int
     pkt_type: int
@@ -152,11 +152,11 @@ def parse_frame(frame):
             or frame[PROTO_AT] != IP_PROTO_UDP
             or frame[_MAGIC_AT:_MAGIC_AT + 3] != _MAGIC_VERSION):
         return None
-    (src, dst, udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq, ack,
-     msg_id, frag_offset, msg_len, flags) = _RX_HEAD.unpack_from(frame, TUPLE_AT)
-    return ParsedFrame(_dotted(src), _dotted(dst), udp_src, udp_dst, pkt_type,
-                       flow_src, flow_dst, seq, ack, msg_id, frag_offset,
-                       msg_len, flags, bytes(frame[FRAME_HEAD_LEN:]))
+    (src, udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq, ack, msg_id,
+     frag_offset, msg_len, flags) = _RX_HEAD.unpack_from(frame, TUPLE_AT)
+    return ParsedFrame(_dotted(src), udp_src, udp_dst, pkt_type, flow_src,
+                       flow_dst, seq, ack, msg_id, frag_offset, msg_len, flags,
+                       bytes(frame[FRAME_HEAD_LEN:]))
 
 
 def pack_syn_payload(engine_count, engine_id):

@@ -297,8 +297,9 @@ def test_every_flow_frame_steers_to_the_owning_engines():
         pkt = wire.parse_frame(frame)
         if pkt.pkt_type not in (wire.PKT_DATA, wire.PKT_SACK):
             continue
-        expected = 2 if pkt.dst_ip == "10.0.0.2" else 1
-        assert sim.fabric.steer(pkt.dst_ip, frame) == expected
+        dst_ip = wire.unpack_ip(frame[30:34])
+        expected = 2 if dst_ip == "10.0.0.2" else 1
+        assert sim.fabric.steer(dst_ip, frame) == expected
         checked += 1
     assert checked > 80  # both directions: data, echo, and their sacks
 
@@ -807,8 +808,8 @@ def test_tx_backlog_keeps_emit_order_when_one_iteration_overflows_the_ring():
     sim.run_for(2000)
     assert not eng.tx_backlog
     assert seen == frames
-    tx_frames = sum(q.tx_frames for stack in (client, server)
-                    for q in stack.nic.queue_stats)
+    tx_frames = sum(e.stats.frames_tx for stack in (client, server)
+                    for e in stack.engines)
     assert sim.fabric.stats.sent == tx_frames == len(frames)
 
 
@@ -827,3 +828,18 @@ def test_one_iteration_takes_at_most_rx_burst_frames():
     assert eng.nic.rx_pending(0) == 8
     assert eng.run_iteration(sim.now) == 8
     assert eng.stats.rx_unknown_flow == RX_BURST + 8
+
+
+def test_queue_delivered_counts_frames_still_in_the_rx_ring():
+    """stats_rows' queue_delivered is every frame put into the RX ring:
+    those the engine took plus those still waiting in it."""
+    sim, client, server, cch, sch = make_pair(seed=7)
+    sim.run_for(200)
+    eng = server.engines[0]
+    for i in range(RX_BURST + 8):
+        eng.nic._deliver(0, wire.build_frame(
+            "10.0.0.1", "10.0.0.2", 40000, 40001, wire.PKT_DATA, 9, 9,
+            payload=b"r", seq=i))
+    eng.run_iteration(sim.now)
+    assert eng.nic.rx_pending(0) == 8
+    assert server.stats_rows()[0]["queue_delivered"] == RX_BURST + 8

@@ -1,15 +1,22 @@
 """The benchmark's tracer wraps sidenet's entry points by name; each must
 exist where the tracer looks, or `perfbench/run.py --trace 1` crashes."""
 
+import re
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import sidenet
 from sidenet import wire
+from sidenet.channel import ChannelStats
+from sidenet.engine import EngineStats
+from sidenet.fabric import FabricStats
+from sidenet.transport import FlowStats
 
 from conftest import connect_established, make_pair
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+RUN = TRACING.with_name("run.py")
 
 
 def _load_tracing():
@@ -49,3 +56,18 @@ def test_traced_handshake_frames_match_engine_counters():
     assert syns and synacks
     assert tracer.built[wire.PKT_SYN] == syns
     assert tracer.built[wire.PKT_SYNACK] == synacks
+
+
+def test_every_counter_the_benchmark_reads_is_a_stats_field():
+    """perfbench sums each layer's stats into Counters and reads them by key,
+    so a key that names no field reads 0 without an error. Each
+    `eng`/`flow`/`chan`/`fab` lookup in its source must name a field of
+    that layer's stats."""
+    stats = {"eng": EngineStats, "flow": FlowStats, "chan": ChannelStats,
+             "fab": FabricStats}
+    lookups = {m for path in (TRACING, RUN)
+               for m in re.findall(r'\b(eng|flow|chan|fab)\["(\w+)"\]',
+                                   path.read_text())}
+    assert {prefix for prefix, _ in lookups} == set(stats)
+    for prefix, name in sorted(lookups):
+        assert name in {f.name for f in fields(stats[prefix])}, (prefix, name)

