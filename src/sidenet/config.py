@@ -143,7 +143,6 @@ FABRIC_KEYS = {
     "reorder": _fabric_key("reorder_probability", (0.0, 1.0)),
     "base_delay_us": _fabric_key("base_delay_us", (0, math.inf)),
     "jitter_us": _fabric_key("delay_jitter_us", (0, math.inf)),
-    "byteswap": _fabric_key("hash_byteswap"),
 }
 HOST_KEYS = {"ip": Key(str), "engines": Key(int, allowed=(1, MAX_ENGINES))}
 RUN_KEYS = {"seed": Key(int, 0)}

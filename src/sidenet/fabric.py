@@ -9,15 +9,16 @@ seeds, input schedule).
 
 Frames move in bursts. collect_tx hands each non-empty TX ring to one
 admission loop, which binds the configuration, the random draws, the
-hasher's 12 x 256 table, the heap and the clock once per ring; send() runs
+4 x 256 port-byte table, the heap and the clock once per ring; send() runs
 the same loop over a one-frame batch. Each frame's header is read once
 there, straight from the raw bytes: the Ethernet type, IP version/IHL and
 protocol bytes are checked, the destination host is found by its 4-byte
 address, and the 12 bytes src_ip | dst_ip | src_port | dst_port at offset
-26 are hashed through the table (the 8 address bytes once per address
-pair, the 4 port bytes per frame). The event keeps the frame and the
-destination queue pair, so delivery decodes nothing: advance_to appends
-each due frame straight into its RX ring. Under ThreadedRuntime the clock
+26 are hashed. The Toeplitz hash is linear over XOR, so the 8 address
+bytes are hashed once per address pair, through the bit-serial reference,
+and only the 4 port bytes are looked up in the table per frame. The event
+keeps the frame and the destination queue pair, so delivery decodes
+nothing: advance_to appends each due frame straight into its RX ring. Under ThreadedRuntime the clock
 is read once per collected ring, so a ring's frames share one send time.
 
 Each accepted frame is one heap entry, keyed (due, send order) when it is
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .nic import QUEUE_DEPTH, Nic, NicConfig
-from .toeplitz import ToeplitzHasher, KEY_LEN
+from .toeplitz import KEY_LEN, port_rows
 from .toeplitz import toeplitz_hash as _toeplitz_hash
 from .wire import (IP_PROTO_UDP, IPV4_IHL5, MIN_UDP_FRAME, PROTO_AT, TUPLE_AT,
                    extract_four_tuple, pack_ip)
@@ -91,7 +92,6 @@ class FabricConfig:
     base_delay_us: int = 20
     delay_jitter_us: int = 0
     rng_seed: int = 0
-    hash_byteswap: bool = False
 
     def __post_init__(self):
         if self.rss_key is not None and len(self.rss_key) != KEY_LEN:
@@ -121,7 +121,8 @@ class Fabric:
         key = self._cfg.rss_key
         if key is None:
             key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
-        self._hasher = ToeplitzHasher(key)
+        self._key = key
+        self._port_rows = port_rows(key)
         # 4-byte IPv4 address -> the host's indirection table, one NIC queue
         # pair per entry.
         self._hosts = {}
@@ -144,7 +145,7 @@ class Fabric:
         addr = pack_ip(ip)
         if addr in self._hosts:
             raise ValueError("host %s already registered" % ip)
-        nic = Nic(NicConfig(num_queues=num_queues, local_ip=ip))
+        nic = Nic(NicConfig(num_queues=num_queues))
         queues = nic._queues
         self._hosts[addr] = [queues[i % num_queues]
                              for i in range(INDIRECTION_ENTRIES)]
@@ -156,15 +157,13 @@ class Fabric:
 
         Unparseable frames fall back to queue 0. Tests use this as the
         steering oracle; stack modules never call it (audited). It hashes
-        through ToeplitzHasher.hash_at, independently of the admission
-        loop's inlined row lookups.
+        all 12 tuple bytes through the bit-serial reference, independently
+        of the admission loop's route hash and port-row lookups.
         """
         table = self._hosts[pack_ip(dst_ip)]
         if extract_four_tuple(frame) is None:
             return 0
-        h = self._hasher.hash_at(frame, TUPLE_AT)
-        if self._cfg.hash_byteswap:
-            h = int.from_bytes(h.to_bytes(4, "big"), "little")
+        h = _toeplitz_hash(self._key, frame[TUPLE_AT:TUPLE_AT + 12])
         return table[h % INDIRECTION_ENTRIES].index
 
     def send(self, src_ip, frame):
@@ -187,10 +186,10 @@ class Fabric:
 
         Everything a frame needs is bound once per ring. Per frame, in this
         order: the raw-byte route test and route lookup, the tap, the loss
-        draw, the jitter draw, the Toeplitz row lookup, the heap push, then
-        the reorder draw and swap. The hash is linear over XOR, so a route
-        keeps the hash of the frame's 8 address bytes, and only the 4 port
-        bytes are looked up per frame. Popping one frame at a time loses
+        draw, the jitter draw, the port-row lookup, the heap push, then the
+        reorder draw and swap. A route keeps the reference hash of the
+        frame's 8 address bytes with zero ports, so only the 4 port bytes
+        are looked up per frame. Popping one frame at a time loses
         nothing that an engine thread appends meanwhile; that frame is
         taken in this call or the next.
         """
@@ -201,10 +200,10 @@ class Fabric:
         low = cfg.base_delay_us - jitter
         span = 2 * jitter + 1
         bits = span.bit_length()
-        byteswap = cfg.hash_byteswap
         random = self._rng.random
         getrandbits = self._rng.getrandbits
-        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11 = self._hasher._rows
+        key = self._key
+        r8, r9, r10, r11 = self._port_rows
         hosts = self._hosts
         routes = self._routes
         tap = self._tap
@@ -232,9 +231,7 @@ class Fabric:
                 if len(routes) >= ROUTE_CACHE_PAIRS:
                     routes.clear()
                 route = routes[frame[26:34]] = (
-                    table, r0[frame[26]] ^ r1[frame[27]] ^ r2[frame[28]]
-                    ^ r3[frame[29]] ^ r4[frame[30]] ^ r5[frame[31]]
-                    ^ r6[frame[32]] ^ r7[frame[33]])
+                    table, _toeplitz_hash(key, frame[26:34] + bytes(4)))
             table, h = route
             if tap is not None and tap(frame):
                 lost += 1
@@ -254,8 +251,6 @@ class Fabric:
                 due = now + low
             h ^= (r8[frame[34]] ^ r9[frame[35]] ^ r10[frame[36]]
                   ^ r11[frame[37]])
-            if byteswap:
-                h = int.from_bytes(h.to_bytes(4, "big"), "little")
             seq += 1
             event = [frame, table[h % INDIRECTION_ENTRIES]]
             heappush(heap, (due, seq, event))

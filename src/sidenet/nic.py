@@ -30,7 +30,6 @@ class NicConfig:
     depth (QUEUE_DEPTH) and the MTU are fixed by the device model."""
 
     num_queues: int
-    local_ip: str
 
     def __post_init__(self):
         if self.num_queues < 1:

@@ -11,10 +11,11 @@ meant for the threaded runtime; under the deterministic driver, use the
 non-blocking forms and step the simulation.
 """
 
+import ipaddress
 import threading
 from random import Random
 
-from . import handshake, wire
+from . import handshake
 from .channel import Channel, ConnectError, FAILED, CONNECTING, FlowHandle
 from .engine import DEFAULT_TICK_US, Engine, Listener, pick_engine
 
@@ -93,11 +94,13 @@ class Stack:
         self._require_init()
         if not 0 < remote_port < 65536:
             raise ValueError("port must be in [1, 65535]")
-        try:
-            wire.pack_ip(remote_ip)
+        try:  # the canonical dotted quad, the form received frames carry
+            canonical = str(ipaddress.IPv4Address(remote_ip)) == remote_ip
         except ValueError:
+            canonical = False
+        if not canonical:
             raise ValueError("%r is not a dotted-quad IPv4 address"
-                             % (remote_ip,)) from None
+                             % (remote_ip,))
         if mode not in (None, handshake.MODE_NAIVE, handshake.MODE_OPTIMIZED):
             raise ValueError("unknown mode %r" % (mode,))
         with self._lock:

@@ -5,11 +5,14 @@ offset i, of the 32-bit window of the key starting at bit i. For IPv4/UDP
 the input is the 12-byte concatenation src_ip | dst_ip | src_port | dst_port
 in network byte order.
 
+toeplitz_hash is the one implementation of that sum, bit by bit. Because
+the sum is linear over XOR, a hash splits by input byte; port_rows tables
+the 4 port bytes so that the fabric, which hashes each address pair once,
+looks up only those per frame.
+
 Only the simulated fabric may import this module; the stack proper never
 sees the key (checked by the module-visibility audit in the test suite).
 """
-
-from functools import lru_cache
 
 KEY_LEN = 40
 
@@ -33,41 +36,32 @@ def toeplitz_hash(key, data):
     return result
 
 
-# A fabric derives its RSS key from its seed, so set-ups that revisit a seed
-# share one table set. The bound covers 1000 seeds swept once per
-# configuration; at about 120 KiB per key it holds at most ~120 MiB.
-ROW_CACHE_KEYS = 1024
-
-
-@lru_cache(maxsize=ROW_CACHE_KEYS)
-def _rows(key):
-    """The 12 x 256 table set of `key`, as tuples so hashers can share it.
+def port_rows(key):
+    """The 4 x 256 table of the port bytes (input bytes 8-11) under `key`.
 
     The hash is linear over XOR, so it splits into one 256-entry row per
-    input byte: row[pos][value] is the hash of `value` alone at byte `pos`.
+    input byte: rows[i][value] is the hash of `value` alone at byte 8 + i.
     Each row is built by doubling, one XOR per entry."""
     key_int = int.from_bytes(key, "big")
-    top = KEY_LEN * 8 - 32
+    top = len(key) * 8 - 32
     rows = []
-    for pos in range(12):
+    for pos in range(8, 12):
         row = [0]
         for bit in range(pos * 8 + 7, pos * 8 - 1, -1):  # LSB first
             window = (key_int >> (top - bit)) & 0xFFFFFFFF
             row += [h ^ window for h in row]
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows
 
 
 class ToeplitzHasher:
-    """Table-driven hasher for the fixed-layout 12-byte IPv4/UDP input,
-    reading the table set `_rows` caches for its key. toeplitz_hash above
-    stays as the bit-serial reference.
-    """
+    """The hash of the fixed-layout 12-byte IPv4/UDP input under one key,
+    through the bit-serial toeplitz_hash above."""
 
     def __init__(self, key):
         if len(key) != KEY_LEN:
             raise ValueError("key must be %d bytes" % KEY_LEN)
-        self._rows = _rows(bytes(key))
+        self._key = bytes(key)
 
     def hash_bytes(self, data):
         if len(data) != 12:
@@ -75,11 +69,6 @@ class ToeplitzHasher:
         return self.hash_at(data, 0)
 
     def hash_at(self, buf, off):
-        """Hash of the 12 bytes of `buf` that start at `off`, read in place.
-        The caller guarantees that they exist."""
-        r = self._rows
-        return (r[0][buf[off]] ^ r[1][buf[off + 1]] ^ r[2][buf[off + 2]]
-                ^ r[3][buf[off + 3]] ^ r[4][buf[off + 4]] ^ r[5][buf[off + 5]]
-                ^ r[6][buf[off + 6]] ^ r[7][buf[off + 7]] ^ r[8][buf[off + 8]]
-                ^ r[9][buf[off + 9]] ^ r[10][buf[off + 10]]
-                ^ r[11][buf[off + 11]])
+        """Hash of the 12 bytes of `buf` that start at `off`. The caller
+        guarantees that they exist."""
+        return toeplitz_hash(self._key, buf[off:off + 12])

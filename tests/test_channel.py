@@ -15,7 +15,7 @@ from sidenet.stack import Stack, StackError
 
 
 def test_attach_before_init_is_a_state_error():
-    nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
+    nic = Nic(NicConfig(num_queues=1))
     stack = Stack(nic, "10.0.0.1")
     with pytest.raises(StackError):
         stack.attach()

@@ -7,7 +7,7 @@ from sidenet.nic import MIN_FRAME_LEN, Nic, NicConfig, QUEUE_DEPTH
 
 
 def make_nic(queues=1):
-    return Nic(NicConfig(num_queues=queues, local_ip="10.0.0.1"))
+    return Nic(NicConfig(num_queues=queues))
 
 
 def frame(tag=0, size=80):
@@ -19,15 +19,15 @@ def test_queue_depth_is_pinned_at_256():
     assert QUEUE_DEPTH == 256
     for field in ("queue_depth", "mtu"):
         with pytest.raises(TypeError):
-            NicConfig(num_queues=1, local_ip="10.0.0.1", **{field: 512})
+            NicConfig(num_queues=1, **{field: 512})
 
 
 def test_num_queues_reported_and_bounded():
     for n in (1, 4, 8):
         assert make_nic(n).num_queues() == n
     with pytest.raises(ValueError):
-        NicConfig(num_queues=0, local_ip="10.0.0.1")
-    assert list(NicConfig.__dataclass_fields__) == ["num_queues", "local_ip"]
+        NicConfig(num_queues=0)
+    assert list(NicConfig.__dataclass_fields__) == ["num_queues"]
 
 
 def test_tx_burst_with_room_takes_everything():

@@ -120,7 +120,7 @@ def test_stress_control_queues_hand_over_every_request():
     request comes out exactly once, in order per producer. The producers
     hand over the GIL every 64 requests, so the drain is interrupted at
     many points, between any two of its steps."""
-    nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
+    nic = Nic(NicConfig(num_queues=1))
     eng = Stack(nic, "10.0.0.1").init().engines[0]
     count = 20_000
     got = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sidenet import wire
 from sidenet.fabric import Fabric, FabricConfig, FourTuple, toeplitz_hash
 from sidenet import toeplitz
-from sidenet.toeplitz import ROW_CACHE_KEYS, ToeplitzHasher
+from sidenet.toeplitz import ToeplitzHasher
 
 
 def reference_hash(key, data):
@@ -89,44 +89,32 @@ def test_all_zero_key_hashes_to_zero():
 @given(key=st.binary(min_size=40, max_size=40),
        data=st.binary(min_size=12, max_size=12))
 def test_table_hasher_agrees_with_reference(key, data):
-    assert ToeplitzHasher(key).hash_bytes(data) == reference_hash(key, data)
+    """The fabric's split: the hash of the 8 address bytes (with zero
+    ports) XOR the four port-row lookups is the hash of all 12 bytes."""
+    r8, r9, r10, r11 = toeplitz.port_rows(key)
+    split = (toeplitz.toeplitz_hash(key, data[:8] + bytes(4))
+             ^ r8[data[8]] ^ r9[data[9]] ^ r10[data[10]] ^ r11[data[11]])
+    assert split == toeplitz.toeplitz_hash(key, data)
+    assert split == reference_hash(key, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(key=st.binary(min_size=40, max_size=40),
        src=st.binary(min_size=4, max_size=4),
-       ports=st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
-       byteswap=st.booleans())
-def test_fabric_steering_agrees_with_reference(key, src, ports, byteswap):
+       ports=st.tuples(st.integers(0, 65535), st.integers(0, 65535)))
+def test_fabric_steering_agrees_with_reference(key, src, ports):
     """With one queue per indirection entry, the queue a frame steers and
-    is delivered to is its reference hash (byte-swapped if configured)
-    mod 128."""
-    fab = Fabric(FabricConfig(rss_key=key, hash_byteswap=byteswap))
+    is delivered to is its reference hash mod 128."""
+    fab = Fabric(FabricConfig(rss_key=key))
     nic = fab.add_host("10.0.0.2", 128)
     src_ip = wire.unpack_ip(src)
     frame = wire.build_frame(src_ip, "10.0.0.2", ports[0], ports[1],
                              wire.PKT_DATA, 1, 2)
     want = reference_hash(key, FourTuple(src_ip, "10.0.0.2", *ports).pack())
-    if byteswap:
-        want = int.from_bytes(want.to_bytes(4, "big"), "little")
     assert fab.steer("10.0.0.2", frame) == want % 128
     fab.send(src_ip, frame)
     fab.advance(FabricConfig.base_delay_us)
     assert nic.rx_pending(want % 128) == 1
-
-
-def test_hashers_of_one_key_share_rows_and_the_cache_is_bounded():
-    key = bytes(range(40))
-    a, b = ToeplitzHasher(key), ToeplitzHasher(bytearray(key))
-    assert a._rows is b._rows
-    assert all(type(row) is tuple and len(row) == 256 for row in a._rows)
-    for i in range(ROW_CACHE_KEYS + 1):
-        ToeplitzHasher(i.to_bytes(40, "big"))
-    info = toeplitz._rows.cache_info()
-    assert info.maxsize == ROW_CACHE_KEYS
-    assert info.currsize == ROW_CACHE_KEYS
-    assert ToeplitzHasher(key)._rows is not a._rows  # evicted, rebuilt
-    assert ToeplitzHasher(key)._rows == a._rows
 
 
 def test_hasher_rejects_bad_shapes():

@@ -717,7 +717,7 @@ def test_largest_frames_the_stack_builds_are_within_nic_bounds():
         wire.parse_frame(sacks[-1]).payload)) == SACK_MAX_RANGES
     assert max(map(len, sacks)) == wire.FRAME_HEAD_LEN + 2 + 8 * SACK_MAX_RANGES
     assert all(MIN_FRAME_LEN <= len(f) <= wire.MTU for f in eng.outbox)
-    nic = Nic(NicConfig(num_queues=1, local_ip="10.0.0.1"))
+    nic = Nic(NicConfig(num_queues=1))
     assert nic.tx_burst(0, eng.outbox) == len(eng.outbox)
     udp = flow.tx_udp
     assert len(flow_frame(flow.handle, udp.src, udp.dst, wire.PKT_DATA,
