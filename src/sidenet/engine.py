@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from . import handshake, transport, wire
 from .channel import ESTABLISHED, FlowHandle
 from .nic import QUEUE_DEPTH
+from .wire import FRAME_HEAD_LEN, ParsedFrame
 
 RX_BURST = 32
 CHANNEL_MSG_BURST = 32
@@ -300,17 +301,24 @@ class Engine:
     # RX dispatch.
 
     def _dispatch(self, frame, now):
-        pkt = wire.parse_frame(frame)
-        if pkt is None:
+        """Handle one received frame. Its fate is decided from the header
+        fields and table lookups; a ParsedFrame is built only for a frame a
+        flow or handshake takes."""
+        head = wire.parse_header(frame)
+        if head is None:
             self.stats.rx_malformed += 1
             return
-        t = pkt.pkt_type
-        key = (pkt.src_ip, pkt.flow_src, pkt.flow_dst)
+        # head: src_ip, udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq,
+        # then the rest of ParsedFrame's fields up to its payload.
+        t = head[3]
+        key = (head[0], head[4], head[5])
         if t in _FLOW_PKT_TYPES:
             flow = self.flows.get(key)
             if flow is None:
                 self.stats.rx_unknown_flow += 1
-            elif t == wire.PKT_DATA:
+                return
+            pkt = ParsedFrame(*head, frame[FRAME_HEAD_LEN:])
+            if t == wire.PKT_DATA:
                 if pkt.flags & wire.FLAG_ACK:
                     flow.on_carried_ack(pkt.ack, now)
                 flow.on_data(pkt, now)
@@ -322,36 +330,36 @@ class Engine:
                 flow.on_finack(pkt, now)
         elif t == wire.PKT_SYN:
             self.stats.syns_rx += 1
-            self._on_syn(pkt, key, now)
+            self._on_syn(head, frame, key, now)
         elif t == wire.PKT_SYNACK:
             self.stats.synacks_rx += 1
             hs = self.client_handshakes.get(key)
             if hs is not None:
-                hs.on_synack(now, pkt)
+                hs.on_synack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
                 return
             flow = self.flows.get(key)
             if flow is None or flow.final_ack is None:  # no client flow
                 self.stats.unknown_synacks += 1
             else:
-                flow.on_synack(pkt)
+                flow.on_synack(ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
         elif t == wire.PKT_ACK:
             self.stats.acks_rx += 1
             hs = self.server_handshakes.get(key)
             if hs is not None:
-                hs.on_ack(now, pkt)
+                hs.on_ack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
             elif key not in self.flows:  # not a live flow's repeated final ACK
                 self.stats.unknown_acks += 1
         else:
             self.stats.rx_malformed += 1  # no such packet type
 
-    def _on_syn(self, pkt, key, now):
-        if pkt.seq == 0:
+    def _on_syn(self, head, frame, key, now):
+        if head[6] == 0:  # seq
             # Attempts count from 1: no client sends seq 0, and the server
             # handshake would file it as a duplicate of attempt 0 and never
             # answer, time out or free it.
             self.stats.rx_malformed += 1
             return
-        listener = self.listeners.get(pkt.flow_dst)
+        listener = self.listeners.get(head[5])  # flow_dst
         if listener is None:
             self.stats.stray_syns += 1
             return
@@ -362,6 +370,7 @@ class Engine:
         if key in self.flows:
             self.stats.duplicate_syns += 1
             return
+        pkt = ParsedFrame(*head, frame[FRAME_HEAD_LEN:])
         hs = self.server_handshakes.get(key)
         if hs is None:
             info = wire.unpack_syn_payload(pkt.payload)

@@ -152,10 +152,11 @@ class ClientHandshake:
         eng, handle = self.eng, self.handle
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
-        for src, dst in draw_udp_pairs(eng.rng, self.batch_size, self.sprayed):
+        pairs = draw_udp_pairs(eng.rng, self.batch_size, self.sprayed)
+        for src, dst in pairs:
             eng.emit(frame(handle, src, dst, wire.PKT_SYN, payload,
                            seq=self.attempt, flags=flags))
-            eng.stats.syns_sent += 1
+        eng.stats.syns_sent += len(pairs)
         self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
                                          self.on_timeout)
 
@@ -230,7 +231,7 @@ class ServerHandshake:
             answered = self.accepted_pair is not None
             self.accepted_pair = pair
             if answered:
-                self._emit_synack(pair.dst, pair.src)
+                self._emit_synacks([(pair.dst, pair.src)])
             else:
                 self._spray_synacks(now)
             return
@@ -255,20 +256,22 @@ class ServerHandshake:
                 self.eng.rng,
                 min(optimized_batch_size(self.client_engines), BATCH_CAP),
                 self.sprayed)
-        for src, dst in pairs:
-            self._emit_synack(src, dst)
+        self._emit_synacks(pairs)
         if self.retry_timer is not None:
             self.retry_timer.cancel()
         self.retry_timer = self.eng.arm_timer(now + RETRY_TIMEOUT_US,
                                               self.on_timeout)
 
-    def _emit_synack(self, udp_src, udp_dst):
-        eng = self.eng
+    def _emit_synacks(self, pairs):
+        """One SYN-ACK per UDP (src, dst) pair, all carrying the accepted
+        pair in one payload."""
+        eng, handle, seq = self.eng, self.handle, self.attempts
         payload = wire.pack_synack_payload(
             self.accepted_pair.src, self.accepted_pair.dst, eng.engine_id)
-        eng.emit(frame(self.handle, udp_src, udp_dst, wire.PKT_SYNACK,
-                       payload, seq=self.attempts))
-        eng.stats.synacks_sent += 1
+        for src, dst in pairs:
+            eng.emit(frame(handle, src, dst, wire.PKT_SYNACK, payload,
+                           seq=seq))
+        eng.stats.synacks_sent += len(pairs)
 
     def on_timeout(self, now):
         """The final ACK never arrived: answer again so a half-open peer

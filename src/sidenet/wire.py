@@ -49,25 +49,27 @@ _HEAD = struct.Struct(">14sBxH4xBBxx8sHHHxxHBBHHIIIIIHxx")
 FRAME_HEAD_LEN = _HEAD.size
 # The longest payload a frame can carry within the MTU.
 MAX_FRAME_PAYLOAD = MTU - FRAME_HEAD_LEN
-# The receive side's one unpack, at offset 26: the source address, both UDP
-# ports, then the transport header from pkt_type on (the fabric has routed
-# the frame by its destination address; parse_frame tests magic and version
-# on the raw bytes, with the outer headers).
-_RX_HEAD = struct.Struct(">4s4xHH7xBHHIIIIIHxx")
+# The receive side's one unpack, from the ethertype at offset 12 to the end
+# of the transport header: the ethertype, IPv4 version/IHL, IP protocol,
+# magic and version that parse_header tests, and the fields it returns (the
+# source address, both UDP ports, the transport header from pkt_type on).
+# Skipped: IP TOS to TTL and checksum, the destination address (the fabric
+# has routed the frame by it), the UDP length and checksum, and the
+# reserved field.
+_RX_HEAD_AT = ETH_HEADER_LEN - 2
+_RX_HEAD = struct.Struct(">HB8xBxx4s4xHH4xHBBHHIIIIIHxx")
 _FOUR_TUPLE = struct.Struct(">4s4sHH")
 
 assert FRAME_HEAD_LEN == (ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
-                          + HEADER_LEN)
+                          + HEADER_LEN) == _RX_HEAD_AT + _RX_HEAD.size
 
-# Raw header tests and offsets: Ethernet type then IPv4 version/IHL at 12,
-# the IP protocol at 23, the 12 bytes src ip | dst ip | src port | dst port
-# at 26 (the steering input), and magic and version at 42.
+# Raw header tests and offsets for routing and steering: Ethernet type then
+# IPv4 version/IHL at 12, the IP protocol at 23, and the 12 bytes
+# src ip | dst ip | src port | dst port at 26 (the steering input).
 MIN_UDP_FRAME = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
 IPV4_IHL5 = b"\x08\x00\x45"
 PROTO_AT = ETH_HEADER_LEN + 9
 TUPLE_AT = ETH_HEADER_LEN + 12
-_MAGIC_AT = MIN_UDP_FRAME
-_MAGIC_VERSION = struct.pack(">HB", MAGIC, VERSION)
 _IP_LEN_0 = IP_HEADER_LEN + UDP_HEADER_LEN + HEADER_LEN
 _UDP_LEN_0 = UDP_HEADER_LEN + HEADER_LEN
 
@@ -144,19 +146,33 @@ def extract_four_tuple(frame):
     return _dotted(src), _dotted(dst), sp, dp
 
 
-def parse_frame(frame):
-    """Decode a frame into a ParsedFrame, or None if malformed for the stack:
-    shorter than the headers, not IPv4 without options, not UDP, or a
-    transport header with the wrong magic or version."""
-    if (len(frame) < FRAME_HEAD_LEN or frame[12:15] != IPV4_IHL5
-            or frame[PROTO_AT] != IP_PROTO_UDP
-            or frame[_MAGIC_AT:_MAGIC_AT + 3] != _MAGIC_VERSION):
+def parse_header(frame):
+    """The header fields of a frame, in ParsedFrame's order up to its
+    payload, or None if the frame is malformed for the stack: shorter than
+    the headers (74 bytes), not IPv4 without options, not UDP, or a
+    transport header with the wrong magic or version.
+
+    One unpack from offset 12 decodes the fields and the bytes it tests,
+    which it compares as integers."""
+    if len(frame) < FRAME_HEAD_LEN:
         return None
-    (src, udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq, ack, msg_id,
-     frag_offset, msg_len, flags) = _RX_HEAD.unpack_from(frame, TUPLE_AT)
-    return ParsedFrame(_dotted(src), udp_src, udp_dst, pkt_type, flow_src,
-                       flow_dst, seq, ack, msg_id, frag_offset, msg_len, flags,
-                       bytes(frame[FRAME_HEAD_LEN:]))
+    (ethertype, version_ihl, proto, src, udp_src, udp_dst, magic, version,
+     pkt_type, flow_src, flow_dst, seq, ack, msg_id, frag_offset, msg_len,
+     flags) = _RX_HEAD.unpack_from(frame, _RX_HEAD_AT)
+    if (ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45
+            or proto != IP_PROTO_UDP or magic != MAGIC or version != VERSION):
+        return None
+    return (_dotted(src), udp_src, udp_dst, pkt_type, flow_src, flow_dst, seq,
+            ack, msg_id, frag_offset, msg_len, flags)
+
+
+def parse_frame(frame):
+    """Decode a frame into a ParsedFrame, or None if parse_header rejects
+    it. The payload is every byte after the 74 header bytes."""
+    header = parse_header(frame)
+    if header is None:
+        return None
+    return ParsedFrame(*header, frame[FRAME_HEAD_LEN:])
 
 
 def pack_syn_payload(engine_count, engine_id):

@@ -104,6 +104,82 @@ def test_flow_frame_for_no_flow_counts_unknown_flow(pkt_type):
     assert not eng.flows and not eng.server_handshakes
 
 
+def _forged(pkt_type, flow_src=4242, flow_dst=80, seq=1, payload=b""):
+    """A frame from a host that is not on the fabric to the server."""
+    return wire.build_frame("10.0.0.9", "10.0.0.2", 5000, 6000, pkt_type,
+                            flow_src, flow_dst, payload=payload, seq=seq)
+
+
+_SYN = wire.pack_syn_payload(1, 0)
+# (server engine, frame, the counters it bumps by one). Server engine 0 owns
+# the listener on port 80; engine 1 sees only spray waste.
+_DROPS = {
+    "wrong_engine_syn": (1, _forged(wire.PKT_SYN, payload=_SYN),
+                         ("syns_rx", "wrong_engine_syns")),
+    "stray_syn": (0, _forged(wire.PKT_SYN, flow_dst=81, payload=_SYN),
+                  ("syns_rx", "stray_syns")),
+    "seq0_syn": (0, _forged(wire.PKT_SYN, seq=0, payload=_SYN),
+                 ("syns_rx", "rx_malformed")),
+    "unknown_synack": (0, _forged(wire.PKT_SYNACK,
+                                  payload=wire.pack_synack_payload(1, 2, 0)),
+                       ("synacks_rx", "unknown_synacks")),
+    "data": (0, _forged(wire.PKT_DATA), ("rx_unknown_flow",)),
+    "sack": (0, _forged(wire.PKT_SACK), ("rx_unknown_flow",)),
+    "fin": (0, _forged(wire.PKT_FIN), ("rx_unknown_flow",)),
+    "finack": (0, _forged(wire.PKT_FINACK), ("rx_unknown_flow",)),
+    "unknown_ack": (0, _forged(wire.PKT_ACK,
+                               payload=wire.pack_ack_payload(1, 2)),
+                    ("acks_rx", "unknown_acks")),
+}
+
+
+def _count_records(monkeypatch):
+    """A list that grows by one for each ParsedFrame built from now on."""
+    built = []
+    init = wire.ParsedFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wire.ParsedFrame, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("name", list(_DROPS))
+def test_each_drop_is_decided_from_the_header_and_builds_no_record(
+        monkeypatch, name):
+    """A frame the engine drops bumps its drop counter (and its type's
+    receive counter) and nothing else, and no ParsedFrame is built for it:
+    the header fields and table lookups decide its fate."""
+    which, frame, bumped = _DROPS[name]
+    sim, client, server, cch, sch = make_pair(seed=5, engines=2)
+    sim.run_for(100)  # the listen request reaches both engines
+    eng = server.engines[which]
+    before = replace(eng.stats)
+    built = _count_records(monkeypatch)
+    eng._dispatch(frame, sim.now)
+    assert eng.stats == replace(
+        before, **{k: getattr(before, k) + 1 for k in bumped})
+    assert built == []
+    assert not eng.flows and not eng.server_handshakes
+
+
+def test_a_frame_a_handler_takes_builds_one_record(monkeypatch):
+    """The control for the test above: the SYN that opens a server
+    handshake and the final ACK that completes it each build one
+    ParsedFrame."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=2)
+    sim.run_for(100)
+    eng = server.engines[0]
+    built = _count_records(monkeypatch)
+    eng._dispatch(_forged(wire.PKT_SYN, payload=_SYN), sim.now)
+    assert len(built) == 1 and len(eng.server_handshakes) == 1
+    eng._dispatch(_forged(wire.PKT_ACK, payload=wire.pack_ack_payload(1, 2)),
+                  sim.now)
+    assert len(built) == 2 and len(eng.flows) == 1
+
+
 def test_flow_port_of_a_live_flow_or_pending_connect_is_skipped():
     """With the port counter wrapped round to a port that a live flow or a
     pending connect to the same peer holds, as after 32768 more connects,

@@ -274,15 +274,21 @@ def received_frames(draw):
 @settings(max_examples=500)
 @given(received_frames())
 def test_parse_frame_agrees_with_reference_decoder(frame):
+    """parse_frame and the reference accept the same frames with the same
+    fields, and parse_frame's record is parse_header's fields and the bytes
+    after the headers: the engine decides from the one and builds the
+    other."""
     assert wire.extract_four_tuple(frame) == reference_four_tuple(frame)
     want = reference_parse(frame)
     pkt = wire.parse_frame(frame)
+    header = wire.parse_header(frame)
     if want is None:
-        assert pkt is None
+        assert pkt is None and header is None
     else:
         assert pkt is not None
         assert _fields(pkt) == want
         assert type(pkt.payload) is bytes
+        assert pkt == wire.ParsedFrame(*header, frame[74:])
 
 
 def test_parse_frame_checks_each_header_byte_it_depends_on():
