@@ -16,7 +16,7 @@ from .fabric import Fabric, FabricConfig, FourTuple, VirtualClock, toeplitz_hash
 from .handshake import (MODE_NAIVE, MODE_OPTIMIZED, UdpPorts,
                         naive_batch_size, optimized_batch_exact,
                         optimized_batch_size, optimized_batch_total)
-from .nic import Nic, NicConfig, QUEUE_DEPTH
+from .nic import Nic, QUEUE_DEPTH
 from .stack import Stack, StackError, init
 from .transport import Flow, MessageTooLarge
 from .wire import FRAGMENT_PAYLOAD, MAX_MESSAGE_BYTES, MTU
@@ -30,6 +30,6 @@ __all__ = [
     "FourTuple", "VirtualClock", "toeplitz_hash", "MODE_NAIVE",
     "MODE_OPTIMIZED", "UdpPorts", "naive_batch_size",
     "optimized_batch_exact", "optimized_batch_size", "optimized_batch_total",
-    "Nic", "NicConfig", "QUEUE_DEPTH", "Stack", "StackError", "init",
+    "Nic", "QUEUE_DEPTH", "Stack", "StackError", "init",
     "Flow", "MessageTooLarge", "FRAGMENT_PAYLOAD", "MAX_MESSAGE_BYTES", "MTU",
 ]

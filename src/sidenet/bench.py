@@ -19,7 +19,7 @@ from .channel import CONNECTING
 from .config import (FABRIC_KEYS, RECEIVER_PORT, TAG_BYTES, TRIAL_PORT,
                      workload_params)
 from .driver import Sim, ThreadedRuntime
-from .engine import DEFAULT_TICK_US, EnginePolicy
+from .engine import EnginePolicy
 from .fabric import FabricConfig
 from .handshake import (naive_batch_size, optimized_batch_size,
                         optimized_batch_total)
@@ -172,9 +172,9 @@ def _fabric_config(params, seed):
                                           for key, value in params.items()})
 
 
-def _two_hosts(hosts, fabric_params, seed, tick_us=DEFAULT_TICK_US):
+def _two_hosts(hosts, fabric_params, seed):
     """A Sim holding the scenario's server and client stacks, in that order."""
-    sim = Sim(_fabric_config(fabric_params, seed), seed=seed, tick_us=tick_us)
+    sim = Sim(_fabric_config(fabric_params, seed), seed=seed)
     server = sim.add_stack(hosts["server"]["ip"], hosts["server"]["engines"])
     client = sim.add_stack(hosts["client"]["ip"], hosts["client"]["engines"])
     return sim, server, client
@@ -182,7 +182,7 @@ def _two_hosts(hosts, fabric_params, seed, tick_us=DEFAULT_TICK_US):
 
 def run_echo(hosts, fabric_params, workload, seed):
     wl = workload_params("echo", workload)
-    sim, server, client = _two_hosts(hosts, fabric_params, seed, wl["tick_us"])
+    sim, server, client = _two_hosts(hosts, fabric_params, seed)
     sch = server.attach()
     server.listen(sch, 80)
     cch = client.attach()

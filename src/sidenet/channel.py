@@ -1,10 +1,11 @@
 """Application-facing message channels.
 
 A Channel is the only bridge between one application thread and one engine:
-a pair of bounded message queues plus a wakeup signal, so receivers can
-sleep instead of polling. The wakeup contract is strict: the engine signals
-after every enqueue, and a waiting receiver rechecks the queue before going
-to sleep, so a blocking recv can never sleep while a message is available.
+a send queue of at most CHANNEL_CAPACITY messages, a receive queue that is
+not bounded, and a wakeup signal, so receivers can sleep instead of polling.
+The wakeup contract is strict: the engine signals after every enqueue, and a
+waiting receiver rechecks the queue before going to sleep, so a blocking recv
+can never sleep while a message is available.
 
 Payloads are copied across the channel; the device model has no way to
 transmit straight out of application memory.

@@ -12,7 +12,6 @@ import ipaddress
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_TICK_US
 from .fabric import FabricConfig
 from .handshake import MODE_NAIVE, MODE_OPTIMIZED
 from .wire import MAX_MESSAGE_BYTES
@@ -152,7 +151,6 @@ WORKLOAD_KEYS = {
         "inflight": Key(int, 1, _POSITIVE),
         "count": Key(int, 1000, _POSITIVE),
         "mode": Key(str, MODE_OPTIMIZED, _HANDSHAKE_MODES),
-        "tick_us": Key(int, DEFAULT_TICK_US, _POSITIVE),
     },
     "conn_setup": {
         "trials": Key(int, 1000, (1, MAX_PORT - TRIAL_PORT + 1)),

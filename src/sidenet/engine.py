@@ -419,9 +419,9 @@ class Engine:
 
     # Flow lifecycle, called by the handshake state machines.
 
-    def establish(self, handle, tx_udp, rx_udp, attempts=0):
+    def establish(self, handle, tx_udp, attempts=0):
         """File the flow a handshake just completed and settle its handle."""
-        flow = transport.Flow(self, handle, tx_udp, rx_udp)
+        flow = transport.Flow(self, handle, tx_udp)
         self.flows[handle.key] = flow
         self.stats.handshakes_established += 1
         handle._settle(ESTABLISHED, attempts=attempts)

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from .nic import QUEUE_DEPTH, Nic, NicConfig
+from .nic import QUEUE_DEPTH, Nic
 from .toeplitz import KEY_LEN, port_rows
 from .toeplitz import toeplitz_hash as _toeplitz_hash
 from .wire import (IP_PROTO_UDP, IPV4_IHL5, MIN_UDP_FRAME, PROTO_AT, TUPLE_AT,
@@ -141,11 +141,17 @@ class Fabric:
         return self.clock.now
 
     def add_host(self, ip, num_queues):
-        """Register a host; returns the NIC it must do all its I/O through."""
+        """Register a host; returns the NIC it must do all its I/O through.
+
+        Its indirection table has INDIRECTION_ENTRIES slots, so a queue past
+        that count would get no frame."""
         addr = pack_ip(ip)
         if addr in self._hosts:
             raise ValueError("host %s already registered" % ip)
-        nic = Nic(NicConfig(num_queues=num_queues))
+        if num_queues > INDIRECTION_ENTRIES:
+            raise ValueError("num_queues must be at most %d"
+                             % INDIRECTION_ENTRIES)
+        nic = Nic(num_queues)
         queues = nic._queues
         self._hosts[addr] = [queues[i % num_queues]
                              for i in range(INDIRECTION_ENTRIES)]

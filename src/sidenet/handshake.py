@@ -192,7 +192,6 @@ class ClientHandshake:
         self.retry_timer.cancel()
         eng.client_handshakes.pop(handle.key, None)
         flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
-                             UdpPorts(pkt.udp_src, pkt.udp_dst),
                              attempts=self.attempt)
         flow.final_ack = frame(
             handle, tx_src, tx_dst, wire.PKT_ACK,
@@ -292,6 +291,5 @@ class ServerHandshake:
         # finds it in the engine's flow table.
         self.eng.server_handshakes.pop(self.handle.key, None)
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
-        # client's TX direction is whatever pair its ACK just arrived on.
-        self.eng.establish(self.handle, UdpPorts(chosen[0], chosen[1]),
-                           UdpPorts(pkt.udp_src, pkt.udp_dst))
+        # client sends on the pair its ACK just arrived on.
+        self.eng.establish(self.handle, UdpPorts(chosen[0], chosen[1]))

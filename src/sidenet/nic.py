@@ -25,18 +25,6 @@ MIN_FRAME_LEN = 14  # bare Ethernet header
 
 
 @dataclass
-class NicConfig:
-    """Static NIC shape: the queue count is all a host chooses. The ring
-    depth (QUEUE_DEPTH) and the MTU are fixed by the device model."""
-
-    num_queues: int
-
-    def __post_init__(self):
-        if self.num_queues < 1:
-            raise ValueError("num_queues must be at least 1")
-
-
-@dataclass
 class QueueStats:
     rx_overflow_drops: int = 0
 
@@ -59,20 +47,23 @@ class _Queue:
 class Nic:
     """Per-queue TX/RX rings of raw frames.
 
-    Each queue id is owned by exactly one engine thread; the fabric is the
-    single party on the other side of every ring, so each ring is SPSC.
+    The queue count is all a host chooses; the ring depth (QUEUE_DEPTH) and
+    the MTU are fixed by the device model. Each queue id is owned by exactly
+    one engine thread; the fabric is the single party on the other side of
+    every ring, so each ring is SPSC.
     """
 
-    def __init__(self, config):
-        self.config = config
-        self._queues = [_Queue(i) for i in range(config.num_queues)]
+    def __init__(self, num_queues):
+        if num_queues < 1:
+            raise ValueError("num_queues must be at least 1")
+        self._queues = [_Queue(i) for i in range(num_queues)]
         self.queue_stats = [q.stats for q in self._queues]
 
     def num_queues(self):
-        return self.config.num_queues
+        return len(self._queues)
 
     def _check_queue(self, queue):
-        if not 0 <= queue < self.config.num_queues:
+        if not 0 <= queue < len(self._queues):
             raise IndexError("invalid queue id %r" % (queue,))
 
     def tx_burst(self, queue, frames):

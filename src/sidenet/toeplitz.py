@@ -66,9 +66,4 @@ class ToeplitzHasher:
     def hash_bytes(self, data):
         if len(data) != 12:
             raise ValueError("expected 12-byte four-tuple input")
-        return self.hash_at(data, 0)
-
-    def hash_at(self, buf, off):
-        """Hash of the 12 bytes of `buf` that start at `off`. The caller
-        guarantees that they exist."""
-        return toeplitz_hash(self._key, buf[off:off + 12])
+        return toeplitz_hash(self._key, data)

@@ -100,11 +100,10 @@ class Flow:
     FlowHandle, which addresses its frames, and whole messages.
     """
 
-    def __init__(self, eng, handle, tx_udp, rx_udp):
+    def __init__(self, eng, handle, tx_udp):
         self.eng = eng
         self.handle = handle
         self.tx_udp = tx_udp
-        self.rx_udp = rx_udp
         self.stats = FlowStats()
         # Closing: start_close arms the reaper; the FIN timer runs from the
         # FIN, which waits until every fragment sent is acked.

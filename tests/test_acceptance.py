@@ -104,10 +104,13 @@ def test_criterion_4_affinity_soundness_oracle():
             server_owners = [e.engine_id for e in server.engines
                              if ("10.0.0.1", handle.local_port, 80) in e.flows]
             assert server_owners == [5], server_owners
+            server_flow = server.engines[5].flows[
+                ("10.0.0.1", handle.local_port, 80)]
             tx = wire.build_frame("10.0.0.1", "10.0.0.2", flow.tx_udp.src,
                                   flow.tx_udp.dst, wire.PKT_DATA, 1, 2)
-            rx = wire.build_frame("10.0.0.2", "10.0.0.1", flow.rx_udp.src,
-                                  flow.rx_udp.dst, wire.PKT_DATA, 1, 2)
+            rx = wire.build_frame("10.0.0.2", "10.0.0.1",
+                                  server_flow.tx_udp.src,
+                                  server_flow.tx_udp.dst, wire.PKT_DATA, 1, 2)
             violations += sim.fabric.steer("10.0.0.2", tx) != 5
             violations += sim.fabric.steer("10.0.0.1", rx) != 2
         assert violations == 0

@@ -52,7 +52,6 @@ def test_scenario_parses():
     ("engines = 1", "engines = 0"),
     ("loss = 0.0", "loss = 1.5"),
     ("msg_size = 64", "msg_size = 99999999"),
-    ("msg_size = 64", "tick_us = 0"),
     ("inflight = 2", "inflight = 0"),
     ("base_delay_us = 20", "base_delay_us = -1"),
     ("loss = 0.0", "jitter_us = -3"),
@@ -84,6 +83,7 @@ def _workload(kind, entry):
 @pytest.mark.parametrize("kind, entry", [
     ("isolation", "bulk_apps = 0"),
     ("isolation", "bulk_msg_size = 9000000"),
+    ("isolation", "tick_us = 0"),
     ("blocking", "threads = 0"),
     ("blocking", 'mode = "naive"'),  # a handshake mode, not a receive mode
     ("blocking", "threads = 57537"),  # receiver 57536 would listen on 65536

@@ -10,12 +10,12 @@ from conftest import PollApp, connect_established, make_pair
 from sidenet.channel import CHANNEL_CAPACITY, Channel, FlowError, Message
 from sidenet.driver import Sim
 from sidenet.fabric import FabricConfig
-from sidenet.nic import Nic, NicConfig
+from sidenet.nic import Nic
 from sidenet.stack import Stack, StackError
 
 
 def test_attach_before_init_is_a_state_error():
-    nic = Nic(NicConfig(num_queues=1))
+    nic = Nic(1)
     stack = Stack(nic, "10.0.0.1")
     with pytest.raises(StackError):
         stack.attach()

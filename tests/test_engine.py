@@ -14,6 +14,7 @@ from sidenet.driver import Sim
 from sidenet.engine import (CONTROL_INTERVAL_US, RX_BURST, EnginePolicy,
                             pick_engine)
 from sidenet.fabric import FabricConfig
+from sidenet.handshake import MODE_NAIVE, MODE_OPTIMIZED
 from sidenet.nic import QUEUE_DEPTH
 from sidenet.transport import RTO_BASE_US
 
@@ -42,17 +43,16 @@ def _steer(sim, src_ip, dst_ip, udp):
 
 
 def _assert_flows_steer_to_owners(sim, *stacks):
-    """Fabric steering oracle: each flow's receive pair steers to the engine
-    holding the flow, and its transmit pair to the engine holding the peer
-    flow on the other host. Returns the number of flows checked."""
+    """Fabric steering oracle: each flow's transmit pair steers to the engine
+    holding the peer flow on the other host. Both ends of every flow are
+    checked, so each direction is. Returns the number of flows checked."""
     owners = {(stack.local_ip, key): (eng.engine_id, flow)
               for stack in stacks for eng in stack.engines
               for key, flow in eng.flows.items()}
-    for (ip, key), (engine_id, flow) in owners.items():
+    for (ip, key), (_, flow) in owners.items():
         h = flow.handle
         peer_key = (ip, h.local_port, h.remote_port)
         peer_engine, _ = owners[(h.remote_ip, peer_key)]
-        assert _steer(sim, h.remote_ip, ip, flow.rx_udp) == engine_id, key
         assert _steer(sim, ip, h.remote_ip, flow.tx_udp) == peer_engine, key
     return len(owners)
 
@@ -388,10 +388,11 @@ def test_one_rx_burst_of_in_order_data_gets_one_sack():
     sim.run_for(2000)
     eng = server.engines[0]
     flow = eng.flows[("10.0.0.1", handle.local_port, 80)]
+    udp = client.engines[0].flows[handle.key].tx_udp
     first = flow.rx_next
     for i in range(10):
         eng.nic._deliver(0, wire.build_frame(
-            "10.0.0.1", "10.0.0.2", flow.rx_udp.src, flow.rx_udp.dst,
+            "10.0.0.1", "10.0.0.2", udp.src, udp.dst,
             wire.PKT_DATA, handle.local_port, 80,
             payload=b"d" * wire.FRAGMENT_PAYLOAD, seq=first + i,
             msg_id=flow.rx_msg_id + i, frag_offset=0,
@@ -428,11 +429,12 @@ def test_echo_round_trips_send_no_sack():
     assert len(sent) == 41
 
 
-def _flagged_data(flow, handle, seq, ack):
-    """A one-fragment DATA frame from the server to the client's flow,
-    carrying `ack` under FLAG_ACK."""
+def _flagged_data(flow, udp, handle, seq, ack):
+    """A one-fragment DATA frame from the server to the client's flow, on
+    the pair `udp` the server's flow sends on, carrying `ack` under
+    FLAG_ACK."""
     return wire.build_frame(
-        "10.0.0.2", "10.0.0.1", flow.rx_udp.src, flow.rx_udp.dst,
+        "10.0.0.2", "10.0.0.1", udp.src, udp.dst,
         wire.PKT_DATA, 80, handle.local_port, payload=b"h", seq=seq,
         ack=ack, msg_id=flow.rx_msg_id, msg_len=1,
         flags=wire.FLAG_LAST_FRAGMENT | wire.FLAG_ACK)
@@ -443,10 +445,13 @@ def test_hostile_flagged_ack_is_counted_not_raised():
     itself still passes on_data's own checks and is delivered."""
     sim, client, server, cch, sch = make_pair(seed=7)
     handle = connect_established(sim, client, cch)
+    sim.run_for(1000)  # let the final ACK land
+    udp = server.engines[0].flows[("10.0.0.1", handle.local_port, 80)].tx_udp
     eng = client.engines[0]
     (flow,) = eng.flows.values()
     for ack in (flow.next_tx_seq + 1, 0xFFFFFFFF):
-        eng.nic._deliver(0, _flagged_data(flow, handle, flow.rx_next, ack))
+        eng.nic._deliver(0, _flagged_data(flow, udp, handle, flow.rx_next,
+                                          ack))
         eng.run_iteration(sim.now)
     assert flow.stats.protocol_errors == 2
     assert flow.acked_upto == 0 and handle.is_established
@@ -524,6 +529,30 @@ def test_whole_run_shared_nothing_audit():
                 assert holders == [ch.owner_engine]
     assert len(seen_flows) == 20  # ten flows, one state per side, never shared
     assert _assert_flows_steer_to_owners(sim, client, server) == 20
+
+
+@settings(max_examples=10)
+@given(st.sampled_from([MODE_NAIVE, MODE_OPTIMIZED]), st.integers(1, 6),
+       st.integers(1, 6), st.integers(0, 2**16), st.data())
+def test_both_modes_win_affinity_on_unequal_hosts(mode, client_engines,
+                                                  server_engines, seed, data):
+    """Whatever the handshake mode and the two hosts' engine counts, each
+    end of a connection between pinned channels sends on a pair that steers
+    to the engine holding the other end."""
+    client_engine = data.draw(st.integers(0, client_engines - 1))
+    server_engine = data.draw(st.integers(0, server_engines - 1))
+    sim = Sim(FabricConfig(rng_seed=seed, base_delay_us=20), seed=seed)
+    server = sim.add_stack("10.0.0.2", server_engines)
+    client = sim.add_stack("10.0.0.1", client_engines)
+    sch = server.attach(EnginePolicy.pinned(server_engine))
+    server.listen(sch, 80)
+    cch = client.attach(EnginePolicy.pinned(client_engine))
+    handle = connect_established(sim, client, cch, mode=mode)
+    sim.run_for(1000)  # let the final ACK land
+    assert handle.key in client.engines[client_engine].flows
+    assert (("10.0.0.1", handle.local_port, 80)
+            in server.engines[server_engine].flows)
+    assert _assert_flows_steer_to_owners(sim, client, server) == 2
 
 
 def test_closed_flow_retransmits_still_counted():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidenet import wire
+from sidenet.driver import Sim
 from sidenet.fabric import ROUTE_CACHE_PAIRS, Fabric, FabricConfig
 from sidenet.nic import QUEUE_DEPTH
 
@@ -29,6 +30,17 @@ def test_single_queue_always_steers_to_zero():
     fab, nic_a, _ = two_host_fabric(rng_seed=3)
     for sport in range(41000, 41050):
         assert fab.steer("10.0.0.1", data_frame(dst="10.0.0.1", sport=sport)) == 0
+
+
+def test_queue_count_is_bounded_by_the_indirection_table():
+    """A queue past the 128-slot indirection table would get no frame, so a
+    host with more queues is refused, through the fabric and the driver."""
+    fab = Fabric(FabricConfig())
+    with pytest.raises(ValueError):
+        fab.add_host("10.0.0.1", 129)
+    assert fab.add_host("10.0.0.1", 128).num_queues() == 128
+    with pytest.raises(ValueError):
+        Sim(FabricConfig()).add_stack("10.0.0.2", 129)
 
 
 def test_steering_is_deterministic_per_tuple():

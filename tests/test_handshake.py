@@ -79,15 +79,16 @@ def test_duplicate_syn_after_establishment_absorbed():
     handle = connect_established(sim, client, cch, mode=MODE_OPTIMIZED)
     sim.run_for(1000)  # let the server finish its side
     target = server.engines[0]
-    key = ("10.0.0.1", handle.local_port, 80)
-    flow = target.flows[key]
+    assert ("10.0.0.1", handle.local_port, 80) in target.flows
     before = target.stats.synacks_sent
     dups_before = target.stats.duplicate_syns
-    # Replay the accepted SYN (same flow ports, same UDP pair).
+    # Replay the accepted SYN (same flow ports, and the UDP pair the client
+    # flow sends on).
     from sidenet import wire
 
+    udp = client.engines[0].flows[handle.key].tx_udp
     replay = wire.build_frame(
-        "10.0.0.1", "10.0.0.2", flow.rx_udp.src, flow.rx_udp.dst,
+        "10.0.0.1", "10.0.0.2", udp.src, udp.dst,
         wire.PKT_SYN, handle.local_port, 80,
         payload=wire.pack_syn_payload(1, 0), seq=1, flags=wire.FLAG_OPTIMIZED)
     sim.fabric.send("10.0.0.1", replay)
@@ -169,8 +170,11 @@ def test_affinity_both_directions_steer_to_owning_engines():
         server_owner = _owner_engine(server, ("10.0.0.1", handle.local_port, 80))
         assert tx_frame_queue == server_owner == 1
         # ...and the pair the peer answers with must steer back to ours.
+        server_flow = server.engines[server_owner].flows[
+            ("10.0.0.1", handle.local_port, 80)]
         rx_frame_queue = sim.fabric.steer("10.0.0.1", _fake_frame(
-            "10.0.0.2", "10.0.0.1", flow.rx_udp.src, flow.rx_udp.dst))
+            "10.0.0.2", "10.0.0.1", server_flow.tx_udp.src,
+            server_flow.tx_udp.dst))
         assert rx_frame_queue == 3
 
 
@@ -304,11 +308,13 @@ def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
     assert all(not eng.client_handshakes for eng in client.engines)
     ceng, seng = client.engines[1], server.engines[2]
     flow = ceng.flows[("10.0.0.2", 80, handle.local_port)]
+    server_flow = seng.flows[("10.0.0.1", handle.local_port, 80)]
     (final_ack,) = acks
 
     def synack(seq):
         return wire.build_frame(
-            "10.0.0.2", "10.0.0.1", flow.rx_udp.src, flow.rx_udp.dst,
+            "10.0.0.2", "10.0.0.1", server_flow.tx_udp.src,
+            server_flow.tx_udp.dst,
             wire.PKT_SYNACK, 80, handle.local_port, seq=seq,
             payload=wire.pack_synack_payload(flow.tx_udp.src,
                                              flow.tx_udp.dst, 2))
@@ -324,10 +330,9 @@ def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
     assert ceng.flows[("10.0.0.2", 80, handle.local_port)] is flow
     assert not ceng.client_handshakes
 
-    server_flow = seng.flows[("10.0.0.1", handle.local_port, 80)]
     to_server_flow = wire.build_frame(
-        "10.0.0.1", "10.0.0.2", server_flow.rx_udp.src,
-        server_flow.rx_udp.dst, wire.PKT_SYNACK, handle.local_port, 80,
+        "10.0.0.1", "10.0.0.2", flow.tx_udp.src, flow.tx_udp.dst,
+        wire.PKT_SYNACK, handle.local_port, 80,
         seq=2, payload=wire.pack_synack_payload(1, 2, 1))
     assert _stats_delta(seng, to_server_flow, sim.now) == {
         "synacks_rx": 1, "unknown_synacks": 1}

@@ -1,13 +1,15 @@
 """Device-model contract: 256-slot rings, FIFO, and the frozen feature set."""
 
+import inspect
+
 import pytest
 
 from sidenet import wire
-from sidenet.nic import MIN_FRAME_LEN, Nic, NicConfig, QUEUE_DEPTH
+from sidenet.nic import MIN_FRAME_LEN, Nic, QUEUE_DEPTH
 
 
 def make_nic(queues=1):
-    return Nic(NicConfig(num_queues=queues))
+    return Nic(queues)
 
 
 def frame(tag=0, size=80):
@@ -19,15 +21,15 @@ def test_queue_depth_is_pinned_at_256():
     assert QUEUE_DEPTH == 256
     for field in ("queue_depth", "mtu"):
         with pytest.raises(TypeError):
-            NicConfig(num_queues=1, **{field: 512})
+            Nic(1, **{field: 512})
 
 
 def test_num_queues_reported_and_bounded():
     for n in (1, 4, 8):
         assert make_nic(n).num_queues() == n
     with pytest.raises(ValueError):
-        NicConfig(num_queues=0)
-    assert list(NicConfig.__dataclass_fields__) == ["num_queues"]
+        Nic(0)
+    assert list(inspect.signature(Nic).parameters) == ["num_queues"]
 
 
 def test_tx_burst_with_room_takes_everything():
@@ -98,7 +100,7 @@ def test_public_surface_has_no_forbidden_knobs():
         for bad in forbidden:
             assert bad not in lowered, "NIC surface leaks %r" % name
     expected = {"tx_burst", "rx_burst", "num_queues", "rx_pending",
-                "config", "queue_stats"}
+                "queue_stats"}
     nic = make_nic()
     public_attrs = {n for n in dir(nic) if not n.startswith("_")}
     assert public_attrs == expected

@@ -10,7 +10,7 @@ from sidenet.channel import CLOSED, ESTABLISHED, Channel, FlowHandle
 from sidenet.driver import ThreadedRuntime
 from sidenet.engine import CHANNEL_MSG_BURST, CONTROL_INTERVAL_US
 from sidenet.fabric import FabricConfig
-from sidenet.nic import Nic, NicConfig
+from sidenet.nic import Nic
 from sidenet.stack import Stack
 
 FLOWS = 100
@@ -120,7 +120,7 @@ def test_stress_control_queues_hand_over_every_request():
     request comes out exactly once, in order per producer. The producers
     hand over the GIL every 64 requests, so the drain is interrupted at
     many points, between any two of its steps."""
-    nic = Nic(NicConfig(num_queues=1))
+    nic = Nic(1)
     eng = Stack(nic, "10.0.0.1").init().engines[0]
     count = 20_000
     got = []

@@ -11,7 +11,7 @@ from sidenet import wire
 from sidenet.channel import Channel, ESTABLISHED, RESET, FlowHandle
 from sidenet.channel import frame as flow_frame
 from sidenet.engine import EngineStats, Timer
-from sidenet.nic import MIN_FRAME_LEN, Nic, NicConfig
+from sidenet.nic import MIN_FRAME_LEN, Nic
 from sidenet.handshake import UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
@@ -57,7 +57,7 @@ def make_flow(ip="10.0.0.1", peer="10.0.0.2"):
     ch = Channel(0, 1)
     handle = FlowHandle(ip, peer, 7000, 80, ch)
     handle._settle(ESTABLISHED)
-    flow = Flow(eng, handle, UdpPorts(40001, 40002), UdpPorts(40003, 40004))
+    flow = Flow(eng, handle, UdpPorts(40001, 40002))
     return flow, eng, ch
 
 
@@ -717,7 +717,7 @@ def test_largest_frames_the_stack_builds_are_within_nic_bounds():
         wire.parse_frame(sacks[-1]).payload)) == SACK_MAX_RANGES
     assert max(map(len, sacks)) == wire.FRAME_HEAD_LEN + 2 + 8 * SACK_MAX_RANGES
     assert all(MIN_FRAME_LEN <= len(f) <= wire.MTU for f in eng.outbox)
-    nic = Nic(NicConfig(num_queues=1))
+    nic = Nic(1)
     assert nic.tx_burst(0, eng.outbox) == len(eng.outbox)
     udp = flow.tx_udp
     assert len(flow_frame(flow.handle, udp.src, udp.dst, wire.PKT_DATA,
