@@ -8,8 +8,8 @@ over random UDP port pairs until the hash cooperates; data then rides a
 reliable, message-preserving transport with selective acknowledgments.
 """
 
-from .channel import (CHANNEL_CAPACITY, Channel, ChannelError, ConnectError,
-                      FlowError, FlowHandle, Message)
+from .channel import (CHANNEL_CAPACITY, Channel, ConnectError, FlowError,
+                      FlowHandle, Message)
 from .driver import Sim, ThreadedRuntime
 from .engine import Engine, EnginePolicy, EngineStats
 from .fabric import Fabric, FabricConfig, FourTuple, VirtualClock, toeplitz_hash
@@ -24,7 +24,7 @@ from .wire import FRAGMENT_PAYLOAD, MAX_MESSAGE_BYTES, MTU
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHANNEL_CAPACITY", "Channel", "ChannelError", "ConnectError",
+    "CHANNEL_CAPACITY", "Channel", "ConnectError",
     "FlowError", "FlowHandle", "Message", "Sim", "ThreadedRuntime",
     "Engine", "EnginePolicy", "EngineStats", "Fabric", "FabricConfig",
     "FourTuple", "VirtualClock", "toeplitz_hash", "MODE_NAIVE",

@@ -28,10 +28,6 @@ RESET = "reset"
 CLOSED = "closed"
 
 
-class ChannelError(Exception):
-    pass
-
-
 class FlowError(Exception):
     pass
 

@@ -72,6 +72,9 @@ def cmd_run(args):
         normalized = [{k: row.get(k, "") for k in keys} for row in stats_rows]
         bench.write_csv(normalized, args.stats)
         print("wrote %d stats rows to %s" % (len(normalized), args.stats))
+    elif args.stats:
+        print("sidenet: %s scenarios keep no counters; %s not written"
+              % (scenario.workload["kind"], args.stats), file=sys.stderr)
     return 0
 
 

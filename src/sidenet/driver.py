@@ -4,10 +4,12 @@ The deterministic driver single-threads everything: engines and poll-style
 apps run in fixed order at the current virtual time, then the clock jumps
 straight to the next interesting instant (a fabric delivery, an engine
 timer, a control-grid tick). Each engine keeps its next ready instant in
-`ready_at`, recomputed only after it runs or is woken (see the wake
-contract in engine.py); a pass reads that attribute, so an idle engine
-costs it a flag test and a comparison. All timing is virtual, so runs are
-exactly reproducible and machine independent.
+`ready_at`, recomputed only after it runs, after an app or the engine
+wakes it, or while frames wait in its RX ring (see the wake contract in
+engine.py). Fabric delivery wakes no engine: a pass polls each engine's
+RX ring, as a poll-mode driver polls its queues, so an idle engine costs
+it a flag test, a ring test and a comparison. All timing is virtual, so
+runs are exactly reproducible and machine independent.
 
 The threaded runtime wraps the same engine loop for live operation: one
 thread per engine plus a fabric pump, with the clock tied to wall time.
@@ -68,7 +70,7 @@ class Sim:
         now = self.clock.now
         work = 0
         for eng in self._engines:
-            if eng.wake:
+            if eng.wake or eng._rx_ring:
                 eng._refresh(now)
             ready = eng.ready_at
             if ready is not None and ready <= now:
@@ -84,7 +86,7 @@ class Sim:
             fabric.advance_to(now)
             return True
         for eng in self._engines:
-            if eng.wake:
+            if eng.wake or eng._rx_ring:
                 eng._refresh(now)
             ready = eng.ready_at
             if ready is not None:

@@ -18,14 +18,14 @@ work: the earliest of its waiting frames and messages (ready at once), its
 first live timer and its control gate, held back to the end of its tick
 throttle; None when nothing is pending. The deterministic driver reads
 that attribute on every pass instead of asking each engine. `_refresh`
-recomputes it only when the engine's `wake` flag is set, and clears the
-flag. It reads what waits from the queues themselves: the RX ring, the TX
-backlog and its channels' TX queues, so no flag mirrors them.
+recomputes it, and clears the engine's `wake` flag; the driver calls it
+when the flag is set or a frame waits in the RX ring. It reads what waits
+from the queues themselves: the RX ring, the TX backlog and its channels'
+TX queues, so no flag mirrors them. The NIC and the fabric hold no engine:
+like a poll-mode driver, the engine finds its frames in its own RX ring.
 The engine sets the flag itself after each iteration. Everything else
 that gives an engine work from outside its own iteration must set it:
 
-* the fabric, for each frame it delivers into the engine's RX ring (its
-  delivery loop sets the flag of the queue's owner);
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
   arrive on the engine's one control inbox;
@@ -59,30 +59,23 @@ _FLOW_PKT_TYPES = frozenset((wire.PKT_DATA, wire.PKT_SACK, wire.PKT_FIN,
 
 @dataclass(frozen=True)
 class EnginePolicy:
-    """How an application thread picks its engine: round-robin by default,
-    or pinned to a specific engine for latency isolation."""
+    """Pins an application thread to a specific engine for latency
+    isolation; no policy means round-robin over the engines."""
 
-    kind: str
-    index: int = -1
-
-    @classmethod
-    def round_robin(cls):
-        return cls("round_robin")
+    index: int
 
     @classmethod
     def pinned(cls, index):
-        return cls("pinned", index)
+        return cls(index)
 
 
 def pick_engine(policy, num_engines, attach_count):
-    if policy is None or policy.kind == "round_robin":
+    if policy is None:
         return attach_count % num_engines
-    if policy.kind == "pinned":
-        if not 0 <= policy.index < num_engines:
-            raise ValueError("pinned engine %d out of range [0, %d)"
-                             % (policy.index, num_engines))
-        return policy.index
-    raise ValueError("unknown policy %r" % (policy.kind,))
+    if not 0 <= policy.index < num_engines:
+        raise ValueError("pinned engine %d out of range [0, %d)"
+                         % (policy.index, num_engines))
+    return policy.index
 
 
 @dataclass
@@ -155,9 +148,9 @@ class Engine:
         self._timer_seq = 0
         self._control_gate = None  # next 50 us grid point once requests wait
         self._next_allowed = 0
-        self.ready_at = None  # next instant with work; valid while not `wake`
+        self.ready_at = None  # valid while not `wake` and no frame waits
         self.wake = True
-        queue = nic._bind(engine_id, self)
+        queue = nic._bind(engine_id)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
 
@@ -215,13 +208,12 @@ class Engine:
 
     def due(self, now):
         """Whether the engine has work at `now` and is not tick-throttled."""
-        if self.wake:
-            self._refresh(now)
-        return self.ready_at is not None and self.ready_at <= now
+        ready = self.next_due(now)
+        return ready is not None and ready <= now
 
     def next_due(self, now):
         """Earliest time this engine will have something to do."""
-        if self.wake:
+        if self.wake or self._rx_ring:
             self._refresh(now)
         return self.ready_at
 

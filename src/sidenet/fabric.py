@@ -282,8 +282,9 @@ class Fabric:
         """Deliver everything due in (now, t] in timestamp order, straight
         into the RX rings; now becomes t. Returns the number of frames that
         left the schedule. A frame for a full ring is dropped and counted
-        on both sides; one put in a ring wakes the queue's owner. The clock
-        enforces monotonicity (a wall clock advances itself)."""
+        on both sides. Delivery touches only the rings: the engine that owns
+        a queue finds its frames by polling its RX ring. The clock enforces
+        monotonicity (a wall clock advances itself)."""
         heap = self._heap
         heappop = heapq.heappop
         delivered = dropped = 0
@@ -295,9 +296,6 @@ class Fabric:
             ring = queue.rx
             if len(ring) < QUEUE_DEPTH:
                 ring.append(frame)
-                owner = queue.owner
-                if owner is not None:
-                    owner.wake = True
                 delivered += 1
             else:
                 queue.stats.rx_overflow_drops += 1

@@ -12,7 +12,8 @@ pair once and moves frames through its rings without a NIC call per frame.
 The engine that owns a queue appends to its TX ring and pops its RX ring;
 the fabric pops every TX ring and appends to the RX ring of the queue a
 frame steers to. tx_burst and rx_burst are the same moves for a caller
-that holds no binding.
+that holds no binding. Both sides poll: the device holds no engine and
+wakes none, so an engine finds its frames by reading its own RX ring.
 """
 
 from collections import deque
@@ -31,17 +32,15 @@ class QueueStats:
 
 class _Queue:
     """One queue pair: its TX and RX rings (at most QUEUE_DEPTH frames
-    each), its ring-overflow count, and the engine that each frame delivered into the
-    RX ring wakes."""
+    each) and its ring-overflow count."""
 
-    __slots__ = ("index", "tx", "rx", "stats", "owner")
+    __slots__ = ("index", "tx", "rx", "stats")
 
     def __init__(self, index):
         self.index = index
         self.tx = deque()
         self.rx = deque()
         self.stats = QueueStats()
-        self.owner = None
 
 
 class Nic:
@@ -98,24 +97,19 @@ class Nic:
         self._check_queue(queue)
         return len(self._queues[queue].rx)
 
-    def _bind(self, queue, engine):
-        """The queue pair an engine owns, bound once at its construction:
-        each frame delivered to its RX ring then sets the engine's `wake`
-        flag."""
+    def _bind(self, queue):
+        """The queue pair an engine owns, bound once at its construction.
+        The engine polls its rings; nothing here refers back to it."""
         self._check_queue(queue)
-        q = self._queues[queue]
-        q.owner = engine
-        return q
+        return self._queues[queue]
 
     def _deliver(self, queue, frame):
         """Put one frame into an RX ring as the fabric's delivery loop does:
-        dropped and counted if the ring is full, else the owner woken.
-        Tests inject frames with it."""
+        dropped and counted if the ring is full. Tests inject frames with
+        it."""
         q = self._queues[queue]
         if len(q.rx) >= QUEUE_DEPTH:
             q.stats.rx_overflow_drops += 1
             return False
         q.rx.append(frame)
-        if q.owner is not None:
-            q.owner.wake = True
         return True

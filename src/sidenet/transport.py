@@ -83,7 +83,6 @@ class _TxEntry:
 
 @dataclass
 class FlowStats:
-    frags_sent_total: int = 0
     frags_sent_unique: int = 0
     frags_acked_unique: int = 0
     retransmits: int = 0
@@ -220,9 +219,7 @@ class Flow:
             unacked[seq] = _TxEntry(data, now)
             emit(data)
             sent += 1
-        stats = self.stats
-        stats.frags_sent_total += sent
-        stats.frags_sent_unique += sent
+        self.stats.frags_sent_unique += sent
         if self.unacked and (self.loss_timer is None
                              or not self.loss_timer.live):
             self._arm_loss_timer(now)
@@ -404,7 +401,6 @@ class Flow:
             return
         entry.sent_at = now
         self.eng.emit(entry.frame)
-        self.stats.frags_sent_total += 1
         self.stats.retransmits += 1
         self.eng.stats.retransmits += 1
 
@@ -546,6 +542,4 @@ class Flow:
 
     def conservation_ok(self):
         s = self.stats
-        unique = s.frags_acked_unique + len(self.unacked)
-        return (s.frags_sent_unique == unique
-                and s.frags_sent_total == s.frags_sent_unique + s.retransmits)
+        return s.frags_sent_unique == s.frags_acked_unique + len(self.unacked)

@@ -208,6 +208,33 @@ def test_cli_run_and_formulas(tmp_path):
     assert "47" in text and "191" in text
 
 
+def test_cli_says_when_a_scenario_writes_no_counters(tmp_path, capsys):
+    cfg = tmp_path / "isolation.cfg"
+    cfg.write_text("""
+[host.client]
+ip = "10.0.0.1"
+engines = 2
+
+[host.server]
+ip = "10.0.0.2"
+engines = 2
+
+[workload]
+kind = "isolation"
+bulk_apps = 1
+bulk_flows = 1
+bulk_inflight = 2
+probe_count = 3
+warmup_us = 100
+""")
+    stats = tmp_path / "stats.csv"
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--stats", str(stats)]) == 0
+    assert not stats.exists()
+    err = capsys.readouterr().err
+    assert "isolation" in err and str(stats) in err
+
+
 def test_cli_rejects_bad_scenario(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(GOOD_ECHO.replace('kind = "echo"', 'kind = "nope"'))

@@ -14,10 +14,11 @@ from sidenet.fabric import FabricConfig
 
 
 def _polled_due_at(eng, now):
-    """Earliest pending work of an engine, recomputed only when it is woken:
-    `now` if frames or messages wait, else the first live timer or control
-    gate. The tick throttle is applied by the callers."""
-    if eng.wake:
+    """Earliest pending work of an engine, recomputed only when it is woken
+    or a frame waits in its RX ring: `now` if frames or messages wait, else
+    the first live timer or control gate. The tick throttle is applied by
+    the callers."""
+    if eng.wake or eng.nic.rx_pending(eng.engine_id):
         eng.wake = False
         due = eng._next_timer_due()
         gate = eng._control_time(now)

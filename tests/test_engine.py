@@ -214,8 +214,6 @@ def test_flow_port_of_a_live_flow_or_pending_connect_is_skipped():
 
 def test_round_robin_assignment_cycles():
     assert [pick_engine(None, 4, k) for k in range(6)] == [0, 1, 2, 3, 0, 1]
-    assert [pick_engine(EnginePolicy.round_robin(), 4, k)
-            for k in range(6)] == [0, 1, 2, 3, 0, 1]
 
 
 def test_pinned_assignment_and_range_check():
@@ -744,10 +742,12 @@ def _wake_by_timer(sim, client, server, cch, sch, handle):
     _wake_by_channel_send, _wake_by_listen, _wake_by_close,
     _wake_by_delivery, _wake_by_timer])
 def test_idle_engine_is_woken_by_each_producer(produce):
-    """Each producer of engine work sets the engine's wake flag, so work
-    that arrives while the whole sim is idle runs at its exact instant:
-    at once for messages and frames, on the next 50 us grid point after
-    submission for control requests, at the due time for timers."""
+    """Each app-side producer of engine work sets the engine's wake flag,
+    and the driver finds a delivered frame by reading the engine's RX ring
+    (delivery sets no flag), so work that arrives while the whole sim is
+    idle runs at its exact instant: at once for messages and frames, on the
+    next 50 us grid point after submission for control requests, at the
+    due time for timers."""
     sim, *pair = _idle_pair_at(offset=17)
     seen, expected = produce(sim, *pair)
     assert sim.run_until(lambda: seen, max_us=1_000_000)

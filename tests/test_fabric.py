@@ -232,44 +232,57 @@ def test_key_and_table_are_not_public_surface():
             assert bad not in lowered, "fabric leaks %r" % name
 
 
-def test_stack_modules_never_touch_steering_internals():
-    """Structural opaqueness: no identifier in the stack proper names the
-    fabric, the hash, or any steering state, so the stack cannot invert RSS
-    even by accident. (Docstrings may describe the constraint; code may not
-    reference it.)"""
+def _names_in(module):
+    """Every identifier in a sidenet module's code: names, attributes,
+    imports, and short string constants (getattr-style indirection).
+    Docstrings and other long strings are exempt."""
     import ast
     import pathlib
 
     import sidenet
 
-    src_dir = pathlib.Path(sidenet.__file__).parent
+    tree = ast.parse((pathlib.Path(sidenet.__file__).parent / module)
+                     .read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if len(node.value) < 40:
+                yield node.value
+
+
+def test_stack_modules_never_touch_steering_internals():
+    """Structural opaqueness: no identifier in the stack proper names the
+    fabric, the hash, or any steering state, so the stack cannot invert RSS
+    even by accident. (Docstrings may describe the constraint; code may not
+    reference it.)"""
     stack_modules = ["nic.py", "wire.py", "handshake.py", "transport.py",
                      "engine.py", "channel.py", "stack.py"]
     banned = ("toeplitz", "rss", "indirection", "fabric", "steer", "reta")
-
-    def names_in(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield alias.name
-            elif isinstance(node, ast.ImportFrom):
-                yield node.module or ""
-                for alias in node.names:
-                    yield alias.name
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if len(node.value) < 40:  # catch getattr-style indirection
-                    yield node.value
-
     for mod in stack_modules:
-        tree = ast.parse((src_dir / mod).read_text())
-        for name in names_in(tree):
+        for name in _names_in(mod):
             lowered = name.lower()
             for term in banned:
                 assert term not in lowered, "%s references %r" % (mod, name)
+
+
+def test_device_side_never_touches_an_engine():
+    """The reverse audit: the NIC and the fabric only fill rings. Nothing
+    in their code names an engine's wake flag, its ready instant or a
+    queue's owner, so each engine must poll its own RX ring."""
+    for mod in ("nic.py", "fabric.py"):
+        for name in _names_in(mod):
+            assert name not in ("wake", "owner", "ready_at"), (
+                "%s references %r" % (mod, name))
 
 
 class _KeyedEvent:
