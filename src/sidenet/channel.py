@@ -1,16 +1,18 @@
 """Application-facing message channels.
 
 A Channel is the only bridge between one application thread and one engine:
-a send queue of at most CHANNEL_CAPACITY messages, a receive queue that is
-not bounded, and a wakeup signal, so receivers can sleep instead of polling.
-The wakeup contract is strict: the engine signals after every enqueue, and a
-waiting receiver rechecks the queue before going to sleep, so a blocking recv
-can never sleep while a message is available.
+a send queue of at most CHANNEL_CAPACITY messages and a receive queue that
+is not bounded. The receive queue is a queue.SimpleQueue, whose blocking get
+parks until a put, so a blocking recv never sleeps while a message is
+queued. The send queue keeps a deque and a Condition, because the engine
+pops a burst of messages under one lock and tests it for emptiness without
+one (_pop_tx, Engine._refresh); queue.Queue locks and notifies per message.
 
 Payloads are copied across the channel; the device model has no way to
 transmit straight out of application memory.
 """
 
+import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -118,16 +120,15 @@ class Message:
 
 
 class Channel:
-    """Bounded bidirectional SPSC message queues between one app thread and
-    one engine. Messages only: connect, listen and close requests go to the
+    """Bidirectional SPSC message queues between one app thread and one
+    engine. Messages only: connect, listen and close requests go to the
     engine's control inbox (Engine.submit), not through the channel."""
 
     def __init__(self, owner_engine, app_id):
         self.owner_engine = owner_engine
         self.app_id = app_id
-        self._rx = deque()
+        self._rx = queue.SimpleQueue()
         self._tx = deque()
-        self._rx_cond = threading.Condition()
         self._tx_cond = threading.Condition()
         self.stats = ChannelStats()
         self._engine = None  # set by Engine.add_channel; woken on app input
@@ -135,7 +136,10 @@ class Channel:
     # Application side.
 
     def send(self, flow, payload, block=True, timeout=None):
-        """Queue a message for transmission; blocks while the queue is full."""
+        """Queue a message for transmission; blocks while the queue is full.
+        Raises FlowError for a flow of another engine, which would drop it."""
+        if flow.channel._engine is not self._engine:
+            raise FlowError("flow belongs to another engine's channel")
         if flow.state == CONNECTING:
             raise FlowError("flow not established yet")
         if flow.state != ESTABLISHED:
@@ -160,51 +164,40 @@ class Channel:
         """Dequeue one whole message, or None if nothing is available.
 
         Non-blocking calls count an empty poll when they come back empty;
-        a blocking call parks until the engine's wakeup signal.
-
-        An empty non-blocking poll takes no lock. The queue has one producer
-        (the engine) and one consumer (the application thread), and len() of
-        a deque is atomic under the GIL, so finding it empty without the
-        lock is no weaker than finding it empty under it: a message pushed
-        just after is seen by the next poll either way. The blocking path
-        keeps the lock, because it must recheck the queue and park atomically
-        with respect to _push_rx's notify, or it could sleep through a
-        wakeup.
-        """
-        if not block and not self._rx:
+        a blocking call parks until a message is pushed, or returns None
+        after `timeout` seconds (at once for a negative one)."""
+        if not block and self._rx.empty():
             self.stats.empty_polls += 1
             return None
-        with self._rx_cond:
-            if not self._rx and not block:
-                self.stats.empty_polls += 1
-                return None
-            while not self._rx:
-                if not self._rx_cond.wait(timeout):
-                    return None  # timeout, distinct from any flow error
-            msg = self._rx.popleft()
-            self.stats.rx_dequeued += 1
-            return msg
+        if timeout is not None and timeout < 0:
+            timeout = 0
+        try:
+            msg = self._rx.get(block, timeout)
+        except queue.Empty:
+            return None  # timeout, distinct from any flow error
+        self.stats.rx_dequeued += 1
+        return msg
 
     def rx_pending(self):
-        return len(self._rx)
+        return self._rx.qsize()
 
     # Engine side.
 
     def _push_rx(self, msg):
-        with self._rx_cond:
-            self._rx.append(msg)
-            self.stats.rx_enqueued += 1
-            if len(self._rx) > self.stats.rx_highwater:
-                self.stats.rx_highwater = len(self._rx)
-            self._rx_cond.notify()
+        # Counted before the put, so no reader sees rx_dequeued ahead of it.
+        self.stats.rx_enqueued += 1
+        self._rx.put(msg)
+        depth = self._rx.qsize()
+        if depth > self.stats.rx_highwater:
+            self.stats.rx_highwater = depth
 
     def _pop_tx(self, max_msgs):
         """Dequeue up to max_msgs queued messages, oldest first.
 
-        An empty queue returns [] without the lock, for the reason an empty
-        non-blocking recv does: the engine is the queue's one consumer and
-        len() of a deque is atomic under the GIL, so a message the
-        application pushes just after is taken by the next call either way.
+        An empty queue returns [] without the lock: the engine is the
+        queue's one consumer and len() of a deque is atomic under the GIL,
+        so a message the application pushes just after is taken by the next
+        call either way.
         A non-empty queue is popped under the lock, which also wakes a
         sender blocked on a full queue.
         """

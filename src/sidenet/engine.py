@@ -23,13 +23,14 @@ when the flag is set or a frame waits in the RX ring. It reads what waits
 from the queues themselves: the RX ring, the TX backlog and its channels'
 TX queues, so no flag mirrors them. The NIC and the fabric hold no engine:
 like a poll-mode driver, the engine finds its frames in its own RX ring.
-The engine sets the flag itself after each iteration. Everything else
-that gives an engine work from outside its own iteration must set it:
+The engine sets the flag itself after each iteration, so the timers it
+arms and the frames it emits need no flag of their own. Only the
+application gives an engine work from outside its iteration, through two
+doorbells that set the flag:
 
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
-  arrive on the engine's one control inbox;
-* arm_timer() and emit(), when called from outside the engine.
+  arrive on the engine's one control inbox.
 
 A new producer of engine work must set the flag too, or the engine sleeps
 through the work. Control requests are observed at the first recompute
@@ -221,7 +222,6 @@ class Engine:
         timer = Timer(due, fn)
         self._timer_seq += 1
         heapq.heappush(self._timers, (due, self._timer_seq, timer))
-        self.wake = True
         return timer
 
     # The run-to-completion loop body.
@@ -286,7 +286,6 @@ class Engine:
         ring = self._tx_ring
         if self.tx_backlog or len(ring) >= QUEUE_DEPTH:
             self.tx_backlog.append(frame)
-            self.wake = True
         else:
             ring.append(frame)
 

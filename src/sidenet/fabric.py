@@ -83,10 +83,9 @@ class VirtualClock:
 
 @dataclass
 class FabricConfig:
-    """Network-side knobs. rss_key=None derives a per-run key from rng_seed,
-    so the stack (and tests of the stack) can never bake in key knowledge."""
+    """Network-side knobs. The RSS key derives from rng_seed, so the stack
+    (and tests of the stack) can never bake in key knowledge."""
 
-    rss_key: bytes | None = None
     loss_probability: float = 0.0
     reorder_probability: float = 0.0
     base_delay_us: int = 20
@@ -94,8 +93,6 @@ class FabricConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.rss_key is not None and len(self.rss_key) != KEY_LEN:
-            raise ValueError("rss key must be %d bytes" % KEY_LEN)
         for name in ("loss_probability", "reorder_probability"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -118,9 +115,7 @@ class Fabric:
         self._cfg = config or FabricConfig()
         self.clock = clock or VirtualClock()
         self._rng = Random("fabric/%d" % self._cfg.rng_seed)
-        key = self._cfg.rss_key
-        if key is None:
-            key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
+        key = Random("rss-key/%d" % self._cfg.rng_seed).randbytes(KEY_LEN)
         self._key = key
         self._port_rows = port_rows(key)
         # 4-byte IPv4 address -> the host's indirection table, one NIC queue

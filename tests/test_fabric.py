@@ -214,9 +214,7 @@ def test_reordering_swaps_adjacent_deliveries():
     assert sorted(order(0.9)) == list(range(100))
 
 
-def test_explicit_key_must_be_40_bytes():
-    with pytest.raises(ValueError):
-        FabricConfig(rss_key=b"short")
+def test_config_rejects_a_probability_above_one():
     with pytest.raises(ValueError):
         FabricConfig(loss_probability=1.5)
 

@@ -449,6 +449,7 @@ def test_forged_engine_count_gets_at_most_batch_cap_synacks_per_answer():
     sim.run_for(100)  # the listen request reaches the engine
     eng = server.engines[0]
     eng._dispatch(_forged_syn(65535), sim.now)
+    eng.wake = True  # dispatched from outside an iteration
     (hs,) = eng.server_handshakes.values()
     assert eng.stats.synacks_sent == len(hs.sprayed) == BATCH_CAP
     assert sim.run_until(lambda: eng.stats.synacks_sent > BATCH_CAP,

@@ -1,4 +1,5 @@
-"""Source audit: no state in the package that is written but never read."""
+"""Source audit: no state in the package that is written but never read,
+and no engine wake flag set where the wake contract does not put one."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
 # ConfigError.line is read by whoever catches the error (the scenario
 # tests assert on it); nothing in the package itself loads it.
 READ_BY_CALLERS = {"line"}
+# The engine's own bookkeeping, then the application's two doorbells (the
+# wake contract in engine.py).
+WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine.run_iteration",
+               "Engine.submit", "Channel.send"}
 
 
 def test_every_attribute_stored_on_self_is_read():
@@ -29,3 +34,25 @@ def test_every_attribute_stored_on_self_is_read():
                                       "%s:%d" % (path.name, node.lineno))
     unread = {attr: at for attr, at in stored.items() if attr not in read}
     assert unread == {}
+
+
+def test_only_the_engine_and_the_application_doorbells_set_wake():
+    """Every store to an attribute named `wake` sits in a method the wake
+    contract names. Work produced inside an iteration needs none: the
+    iteration sets the flag as it ends."""
+    stores = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr == "wake"
+                    and isinstance(child.ctx, ast.Store)):
+                stores.add(".".join(scope))
+            visit(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), ())
+    assert stores == WAKE_STORES
