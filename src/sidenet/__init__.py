@@ -18,7 +18,7 @@ from .handshake import (MODE_NAIVE, MODE_OPTIMIZED, UdpPorts,
                         optimized_batch_size, optimized_batch_total)
 from .nic import Nic, QUEUE_DEPTH
 from .stack import Stack, StackError, init
-from .transport import Flow, MessageTooLarge
+from .transport import Flow
 from .wire import FRAGMENT_PAYLOAD, MAX_MESSAGE_BYTES, MTU
 
 __version__ = "0.1.0"
@@ -31,5 +31,5 @@ __all__ = [
     "MODE_OPTIMIZED", "UdpPorts", "naive_batch_size",
     "optimized_batch_exact", "optimized_batch_size", "optimized_batch_total",
     "Nic", "QUEUE_DEPTH", "Stack", "StackError", "init",
-    "Flow", "MessageTooLarge", "FRAGMENT_PAYLOAD", "MAX_MESSAGE_BYTES", "MTU",
+    "Flow", "FRAGMENT_PAYLOAD", "MAX_MESSAGE_BYTES", "MTU",
 ]

@@ -124,20 +124,22 @@ class Channel:
     engine. Messages only: connect, listen and close requests go to the
     engine's control inbox (Engine.submit), not through the channel."""
 
-    def __init__(self, owner_engine, app_id):
-        self.owner_engine = owner_engine
+    def __init__(self, engine, app_id):
+        self._engine = engine  # serves this channel; woken on app input
         self.app_id = app_id
         self._rx = queue.SimpleQueue()
         self._tx = deque()
         self._tx_cond = threading.Condition()
         self.stats = ChannelStats()
-        self._engine = None  # set by Engine.add_channel; woken on app input
 
     # Application side.
 
     def send(self, flow, payload, block=True, timeout=None):
         """Queue a message for transmission; blocks while the queue is full.
-        Raises FlowError for a flow of another engine, which would drop it."""
+        Every check on a message is made here, and the engine trusts what it
+        pops: a payload outside 1 byte .. 8 MiB raises ValueError, and a flow
+        that is not established, or of another engine, raises FlowError;
+        either way nothing is queued."""
         if flow.channel._engine is not self._engine:
             raise FlowError("flow belongs to another engine's channel")
         if flow.state == CONNECTING:
@@ -156,8 +158,7 @@ class Channel:
             self.stats.tx_enqueued += 1
             if len(self._tx) > self.stats.tx_highwater:
                 self.stats.tx_highwater = len(self._tx)
-        if self._engine is not None:
-            self._engine.wake = True
+        self._engine.wake = True
         return True
 
     def recv(self, block=False, timeout=None):

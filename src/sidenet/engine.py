@@ -155,12 +155,7 @@ class Engine:
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
 
-    # Producers from outside the engine's iteration (see the wake contract).
-
-    def add_channel(self, channel):
-        """Serve a newly attached channel; it wakes this engine from then on."""
-        self.channels.append(channel)
-        channel._engine = self
+    # The control doorbell (see the wake contract).
 
     def submit(self, request):
         """Queue a connect, listen or close request for the next 50 us grid
@@ -354,7 +349,7 @@ class Engine:
         if listener is None:
             self.stats.stray_syns += 1
             return
-        if listener.channel.owner_engine != self.engine_id:
+        if listener.channel._engine is not self:
             # Expected spray waste; the owning engine sees its own copy.
             self.stats.wrong_engine_syns += 1
             return
@@ -381,8 +376,10 @@ class Engine:
     # Channel TX.
 
     def _app_send(self, handle, payload, now):
+        # Channel.send checked the message, and a filed flow is established:
+        # establish files and settles it at once; _teardown settles, drops.
         flow = self.flows.get(handle.key)
-        if flow is None or handle.state != ESTABLISHED:
+        if flow is None:
             self.stats.app_msgs_dropped += 1
             return
         flow.send_message(payload, now)

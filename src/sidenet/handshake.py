@@ -185,7 +185,7 @@ class ClientHandshake:
         eng = self.eng
         accepted = wire.unpack_synack_payload(pkt.payload)
         if accepted is None:
-            eng.stats.synacks_discarded += 1
+            eng.stats.rx_malformed += 1
             return
         tx_src, tx_dst, _ = accepted  # the server's engine id is not kept
         handle = self.handle
@@ -285,8 +285,7 @@ class ServerHandshake:
         if chosen is None:
             self.eng.stats.rx_malformed += 1
             return
-        if self.retry_timer is not None:
-            self.retry_timer.cancel()
+        self.retry_timer.cancel()
         # From here on the flow answers for this key; a late SYN or ACK
         # finds it in the engine's flow table.
         self.eng.server_handshakes.pop(self.handle.key, None)

@@ -63,10 +63,11 @@ class Stack:
         """Create a channel bound to one engine (round-robin by default)."""
         self._require_init()
         with self._lock:
-            engine_id = pick_engine(policy, len(self.engines), self._attach_count)
+            engine = self.engines[pick_engine(policy, len(self.engines),
+                                              self._attach_count)]
             self._attach_count += 1
-            channel = Channel(engine_id, self._attach_count)
-        self.engines[engine_id].add_channel(channel)
+            channel = Channel(engine, self._attach_count)
+        engine.channels.append(channel)
         return channel
 
     def listen(self, channel, port):
@@ -114,8 +115,8 @@ class Stack:
             local_port = self._alloc_flow_port(remote_ip, remote_port)
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,
                             channel)
-        self.engines[channel.owner_engine].submit(
-            ("connect", handle, mode or handshake.MODE_OPTIMIZED))
+        channel._engine.submit(("connect", handle,
+                                mode or handshake.MODE_OPTIMIZED))
         if blocking:
             handle.wait(timeout)
             if handle.state == FAILED:
@@ -149,7 +150,7 @@ class Stack:
 
     def close(self, flow):
         self._require_attached(flow.channel)
-        self.engines[flow.channel.owner_engine].submit(("close", flow.key))
+        flow.channel._engine.submit(("close", flow.key))
 
     def stats_rows(self):
         """One mapping per engine (NIC queue), for the bench CSV export."""

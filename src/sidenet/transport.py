@@ -70,10 +70,6 @@ REO_WND_PERSIST = 16
 U32_MAX = 0xFFFFFFFF
 
 
-class MessageTooLarge(ValueError):
-    pass
-
-
 @dataclass(slots=True)
 class _TxEntry:
     frame: bytes
@@ -156,12 +152,8 @@ class Flow:
     # Sending.
 
     def send_message(self, payload, now):
-        if self.handle.state != ESTABLISHED:
-            raise ValueError("flow is %s" % self.handle.state)
-        if not payload:
-            raise ValueError("empty message")
-        if len(payload) > wire.MAX_MESSAGE_BYTES:
-            raise MessageTooLarge("message of %d bytes exceeds 8 MiB" % len(payload))
+        """Queue one message of 1 byte .. 8 MiB, as Channel.send admits it,
+        or reset the flow if its sequence space cannot hold it."""
         msg_id = self.next_msg_id
         msg_len = len(payload)
         frags = -(-msg_len // wire.FRAGMENT_PAYLOAD)

@@ -237,7 +237,7 @@ def test_criterion_8_blocking_receive():
         # Lost-wakeup hunt: 10^4 randomized producer/consumer interleavings
         # over one channel; every message must wake exactly one recv.
         handoffs = 10_000
-        ch = Channel(0, 1)
+        ch = Channel(None, 1)
         rng = random.Random(99)
         got = []
 

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import PollApp, connect_established, make_pair
 
-from sidenet.channel import CHANNEL_CAPACITY, Channel, FlowError, Message
+from sidenet import wire
+from sidenet.channel import (CHANNEL_CAPACITY, CLOSED, ESTABLISHED, RESET,
+                             Channel, FlowError, Message)
 from sidenet.driver import Sim
 from sidenet.engine import EnginePolicy
 from sidenet.fabric import FabricConfig
@@ -21,7 +23,7 @@ def test_attach_before_init_is_a_state_error():
     with pytest.raises(StackError):
         stack.attach()
     stack.init()
-    assert stack.attach().owner_engine == 0
+    assert stack.attach()._engine is stack.engines[0]
 
 
 def test_two_attaches_get_distinct_channels():
@@ -29,7 +31,7 @@ def test_two_attaches_get_distinct_channels():
     stack = sim.add_stack("10.0.0.1", 2)
     a, b = stack.attach(), stack.attach()
     assert a is not b
-    assert (a.owner_engine, b.owner_engine) == (0, 1)
+    assert (a._engine, b._engine) == tuple(stack.engines)
 
 
 def test_duplicate_listen_port_rejected():
@@ -51,7 +53,7 @@ def test_empty_poll_takes_no_lock_and_next_poll_sees_a_push():
     is parked in a blocking recv on the same channel (a poll that waited on
     the queue the way the parked receiver does would not return), and a
     push then wakes that receiver."""
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     got = []
     receiver = threading.Thread(
         target=lambda: got.append(ch.recv(block=True, timeout=10)))
@@ -72,7 +74,7 @@ def test_empty_poll_takes_no_lock_and_next_poll_sees_a_push():
 def test_empty_tx_pop_takes_no_lock():
     """The engine's pop of an empty TX queue does not wait for the lock an
     application-side sender may hold."""
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     held, release = threading.Event(), threading.Event()
 
     def hold_tx_lock():
@@ -98,6 +100,60 @@ def test_send_requires_established_flow():
     handle = client.connect(cch, "10.0.0.2", 80)
     with pytest.raises(FlowError):
         cch.send(handle, b"too soon")
+
+
+def test_send_is_the_one_gate_and_a_refused_message_queues_nothing():
+    """Channel.send makes every check on a message: an empty payload, one
+    past MAX_MESSAGE_BYTES, and a reset flow are refused at the call, and
+    none of them is queued, counted or seen by the engine."""
+    sim, client, server, cch, sch = make_pair(seed=4)
+    handle = connect_established(sim, client, cch)
+    eng = client.engines[0]
+    for payload in (b"", b"x" * (wire.MAX_MESSAGE_BYTES + 1)):
+        with pytest.raises(ValueError):
+            cch.send(handle, payload)
+    assert cch.tx_pending() == cch.stats.tx_enqueued == 0
+    # A real reset: every client DATA frame is dropped until its fragment
+    # reaches the retransmit cap.
+    sim.fabric._tap = lambda frame: (
+        wire.parse_frame(frame).pkt_type == wire.PKT_DATA
+        and wire.parse_frame(frame).src_ip == client.local_ip)
+    assert cch.send(handle, b"never acked")
+    assert sim.run_until(lambda: handle.state != ESTABLISHED,
+                         max_us=60_000_000)
+    assert handle.state == RESET
+    enqueued = cch.stats.tx_enqueued
+    with pytest.raises(FlowError):
+        cch.send(handle, b"after the reset")
+    assert cch.tx_pending() == 0 and cch.stats.tx_enqueued == enqueued
+    sim.run_for(1000)
+    assert eng.stats.app_msgs_dropped == 0
+    assert cch.stats.tx_dequeued == enqueued
+
+
+def test_message_queued_before_its_flow_tore_down_is_counted_dropped():
+    """The peer's FIN waits in the client's RX ring when the application
+    queues a message: the iteration takes the FIN first, so the flow is
+    gone when the message is popped. The engine counts the message in
+    app_msgs_dropped and sends no DATA frame for it."""
+    sim, client, server, cch, sch = make_pair(seed=4)
+    handle = connect_established(sim, client, cch)
+    eng = client.engines[0]
+    assert sim.run_until(lambda: server.engines[0].flows, max_us=1_000_000)
+    (server_flow,) = server.engines[0].flows.values()
+    server.close(server_flow.handle)
+    assert sim.run_until(lambda: len(eng._rx_ring) > 0, max_us=1_000_000)
+    assert [wire.parse_frame(f).pkt_type for f in eng._rx_ring] == [
+        wire.PKT_FIN]
+    sent = []
+    sim.fabric._tap = lambda frame: sent.append(
+        wire.parse_frame(frame).pkt_type) and False
+    assert cch.send(handle, b"late")
+    sim.run_for(1000)
+    assert handle.state == CLOSED
+    assert eng.stats.app_msgs_dropped == 1
+    assert wire.PKT_DATA not in sent
+    assert cch.tx_pending() == 0 and sch.rx_pending() == 0
 
 
 def test_send_through_another_engines_channel_raises():
@@ -126,10 +182,10 @@ def test_connect_listen_and_close_refuse_a_channel_of_another_stack():
     sim, client, server, cch, sch = make_pair(seed=1)
     handle = connect_established(sim, client, cch)
     next_port = client._next_flow_port
-    for foreign in (sch, Channel(0, 1)):
+    for foreign in (sch, Channel(None, 1)):
         with pytest.raises(ValueError):
             client.connect(foreign, "10.0.0.2", 80)
-    for foreign in (cch, Channel(0, 1)):
+    for foreign in (cch, Channel(None, 1)):
         with pytest.raises(ValueError):
             server.listen(foreign, 81)
     with pytest.raises(ValueError):
@@ -207,7 +263,7 @@ def test_hundred_concurrent_connects_mostly_first_batch():
 
 
 def test_blocking_recv_times_out_with_none():
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     assert ch.recv(block=True, timeout=0.01) is None
     # A zero or negative timeout returns at once: None on an empty queue,
     # a queued message otherwise.
@@ -219,7 +275,7 @@ def test_blocking_recv_times_out_with_none():
 
 
 def test_blocking_recv_never_sleeps_with_data_ready():
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     ch._push_rx(Message(None, b"ready"))
     assert ch.recv(block=True, timeout=5).payload == b"ready"
 
@@ -228,7 +284,7 @@ def test_randomized_interleavings_lose_no_wakeups():
     """Producer and consumer race over one channel; every message must be
     observed by exactly one blocking recv, in push order, with no
     deadlock."""
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     rng = random.Random(99)
     rounds = 400
     got = []
@@ -252,7 +308,7 @@ def test_randomized_interleavings_lose_no_wakeups():
 
 
 def test_blocked_receiver_spin_counter_stays_zero():
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     seen = []
 
     def consumer():
@@ -270,7 +326,7 @@ def test_blocked_receiver_spin_counter_stays_zero():
 
 
 def test_polling_receiver_spin_counter_grows():
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     for _ in range(100):
         assert ch.recv(block=False) is None
     assert ch.stats.empty_polls == 100

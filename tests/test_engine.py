@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import PollApp, connect_established, echo_server, make_pair
 
 from sidenet import wire
-from sidenet.channel import CLOSED
+from sidenet.channel import CLOSED, CONNECTING, ESTABLISHED, RESET
 from sidenet.driver import Sim
 from sidenet.engine import (CONTROL_INTERVAL_US, RX_BURST, EnginePolicy,
                             pick_engine)
@@ -226,9 +226,9 @@ def test_attach_policies_route_channels():
     sim = Sim(FabricConfig(rng_seed=4), seed=4)
     stack = sim.add_stack("10.0.0.1", 4)
     channels = [stack.attach() for _ in range(6)]
-    assert [ch.owner_engine for ch in channels] == [0, 1, 2, 3, 0, 1]
+    assert [ch._engine.engine_id for ch in channels] == [0, 1, 2, 3, 0, 1]
     pinned = stack.attach(EnginePolicy.pinned(2))
-    assert pinned.owner_engine == 2
+    assert pinned._engine is stack.engines[2]
     with pytest.raises(ValueError):
         stack.attach(EnginePolicy.pinned(9))
 
@@ -249,7 +249,7 @@ def test_listener_replicated_to_every_engine():
     sim.run_for(2 * CONTROL_INTERVAL_US)
     for eng in server.engines:
         assert 80 in eng.listeners
-        assert eng.listeners[80].channel.owner_engine == 1
+        assert eng.listeners[80].channel._engine is server.engines[1]
 
 
 def test_connect_requests_serviced_on_50us_grid():
@@ -524,7 +524,7 @@ def test_whole_run_shared_nothing_audit():
             for ch in eng.channels:  # served by its owner engine alone
                 holders = [e.engine_id for e in stack.engines
                            if ch in e.channels]
-                assert holders == [ch.owner_engine]
+                assert holders == [ch._engine.engine_id]
     assert len(seen_flows) == 20  # ten flows, one state per side, never shared
     assert _assert_flows_steer_to_owners(sim, client, server) == 20
 
@@ -551,6 +551,62 @@ def test_both_modes_win_affinity_on_unequal_hosts(mode, client_engines,
     assert (("10.0.0.1", handle.local_port, 80)
             in server.engines[server_engine].flows)
     assert _assert_flows_steer_to_owners(sim, client, server) == 2
+
+
+def test_a_filed_flow_is_established_after_every_step():
+    """Engine._app_send drops a message only when its flow is no longer
+    filed, because a filed flow is established. Check that after every
+    Sim.step of a seeded run with 2% loss, echoes, closes and one reset,
+    forced by dropping every DATA frame of one client flow until its
+    fragment reaches the retransmit cap."""
+    sim, client, server, cch, sch = make_pair(seed=11, engines=2,
+                                              server_engine=1,
+                                              loss_probability=0.02)
+    echo_server(sim, server, sch)
+    engines = client.engines + server.engines
+    steps = 0
+
+    def run_until(cond, max_us):
+        nonlocal steps
+        deadline = sim.now + max_us
+        while not cond():
+            assert sim.now <= deadline and sim.step()
+            steps += 1
+            for eng in engines:
+                for flow in eng.flows.values():
+                    assert flow.handle.state == ESTABLISHED, (sim.now, flow)
+
+    handles = [client.connect(cch, "10.0.0.2", 80) for _ in range(4)]
+    run_until(lambda: all(h.state != CONNECTING for h in handles), 5_000_000)
+    assert all(h.is_established for h in handles)
+    for h in handles:
+        for i in range(25):
+            assert cch.send(h, b"%02d" % i * 1500)  # 3 fragments each
+    run_until(lambda: cch.rx_pending() == 100, 10_000_000)
+    victim, closed, closing, kept = handles
+    forced = []
+
+    def drop_victim_data(frame):
+        pkt = wire.parse_frame(frame)
+        if (pkt.pkt_type == wire.PKT_DATA and pkt.src_ip == "10.0.0.1"
+                and pkt.flow_src == victim.local_port):
+            forced.append(pkt.seq)
+            return True
+        return False
+
+    sim.fabric._tap = drop_victim_data
+    assert cch.send(victim, b"never acked")
+    client.close(closed)
+    assert cch.send(closing, b"sent before its close")
+    client.close(closing)
+    assert cch.send(kept, b"still served")
+    run_until(lambda: victim.state == RESET, 60_000_000)
+    assert "retransmitted" in victim.error
+    client.close(kept)
+    run_until(lambda: kept.state == CLOSED, 5_000_000)
+    assert (closed.state, closing.state) == (CLOSED, CLOSED)
+    assert cch.rx_pending() == 102
+    assert sim.fabric.stats.lost > len(forced)  # the 2% loss struck too
 
 
 def test_closed_flow_retransmits_still_counted():

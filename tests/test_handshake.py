@@ -11,7 +11,7 @@ import pytest
 from conftest import connect_established, make_pair
 
 from sidenet import wire
-from sidenet.channel import CLOSED, ConnectError
+from sidenet.channel import CLOSED, CONNECTING, ConnectError
 from sidenet.handshake import (BATCH_CAP, EPHEMERAL_HI, EPHEMERAL_LO,
                                MAX_ATTEMPTS, MODE_NAIVE, MODE_OPTIMIZED,
                                RETRY_TIMEOUT_US, draw_udp_pairs,
@@ -471,6 +471,31 @@ def test_malformed_final_ack_is_counted_and_leaves_the_handshake_pending():
     assert eng.server_handshakes == {key: hs}
     assert hs.retry_timer.live
     assert not eng.flows
+
+
+def test_malformed_synack_is_counted_and_leaves_the_connect_pending():
+    """A SYN-ACK too short to carry its pair is malformed, as a short SYN or
+    ACK is: counted in rx_malformed, not taken as a discarded leftover. The
+    connect stays pending, and its retry still establishes the flow."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.fabric._tap = lambda frame: (
+        wire.parse_frame(frame).pkt_type == wire.PKT_SYN)
+    handle = client.connect(cch, "10.0.0.2", 80)
+    eng = client.engines[0]
+    assert sim.run_until(lambda: eng.client_handshakes, max_us=1000)
+    (key, hs), = eng.client_handshakes.items()
+    short_synack = wire.build_frame(
+        "10.0.0.2", "10.0.0.1", 6001, 5001, wire.PKT_SYNACK, 80,
+        handle.local_port, payload=b"\x01", seq=1)
+    assert _stats_delta(eng, short_synack, sim.now) == {"synacks_rx": 1,
+                                                        "rx_malformed": 1}
+    assert eng.client_handshakes == {key: hs}
+    assert hs.retry_timer.live
+    assert not eng.flows and handle.state == CONNECTING
+    sim.fabric._tap = None
+    assert sim.run_until(lambda: handle.state != CONNECTING,
+                         max_us=2 * RETRY_TIMEOUT_US)
+    assert handle.is_established and handle.attempts == 2
 
 
 @pytest.mark.parametrize("remote_ip, port, mode", [

@@ -1,5 +1,6 @@
 """Source audit: no state in the package that is written but never read,
-and no engine wake flag set where the wake contract does not put one."""
+no exception class that is never raised, and no engine wake flag set where
+the wake contract does not put one."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,26 @@ def test_every_attribute_stored_on_self_is_read():
                                       "%s:%d" % (path.name, node.lineno))
     unread = {attr: at for attr, at in stored.items() if attr not in read}
     assert unread == {}
+
+
+def test_every_exception_class_is_raised():
+    """Each exception class the package defines is raised somewhere in the
+    package; one that never is promises callers an error they cannot get."""
+    defined, raised = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name)
+                    and base.id.endswith(("Error", "Exception"))
+                    for base in node.bases)):
+                defined[node.name] = "%s:%d" % (path.name, node.lineno)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)  # X(...) or X
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined, "no exception classes found"
+    never = {name: at for name, at in defined.items() if name not in raised}
+    assert never == {}
 
 
 def test_only_the_engine_and_the_application_doorbells_set_wake():

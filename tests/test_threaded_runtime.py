@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from sidenet.channel import CLOSED, ESTABLISHED, Channel, FlowHandle
 from sidenet.driver import ThreadedRuntime
@@ -158,7 +159,7 @@ def test_stress_channel_tx_queue_hands_over_every_message():
     thread pops the TX queue, preempted often; the pop of an empty queue
     takes no lock. Every message comes out once, in order."""
     total = 20_000
-    ch = Channel(0, 1)
+    ch = Channel(SimpleNamespace(wake=False), 1)  # an engine to ring
     handle = FlowHandle("10.0.0.1", "10.0.0.2", 1, 80, ch)
     handle._settle(ESTABLISHED)
     popped = []

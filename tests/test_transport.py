@@ -15,8 +15,7 @@ from sidenet.nic import MIN_FRAME_LEN, Nic
 from sidenet.handshake import UdpPorts
 from sidenet.transport import (ACK_DELAY_US, MAX_FRAGMENT_RETRANSMITS,
                                RECEIVE_WINDOW, RTO_BASE_US, RTO_CAP_US,
-                               SACK_MAX_RANGES, SEND_WINDOW, Flow,
-                               MessageTooLarge)
+                               SACK_MAX_RANGES, SEND_WINDOW, Flow)
 
 
 class StubEngine:
@@ -54,7 +53,7 @@ class StubEngine:
 
 def make_flow(ip="10.0.0.1", peer="10.0.0.2"):
     eng = StubEngine(ip)
-    ch = Channel(0, 1)
+    ch = Channel(None, 1)
     handle = FlowHandle(ip, peer, 7000, 80, ch)
     handle._settle(ESTABLISHED)
     flow = Flow(eng, handle, UdpPorts(40001, 40002))
@@ -147,21 +146,6 @@ def test_8mib_message_fragment_arithmetic():
     assert len(flow.pending) == total - SEND_WINDOW
     last_len = wire.MAX_MESSAGE_BYTES - (total - 1) * wire.FRAGMENT_PAYLOAD
     assert last_len == 1152
-
-
-def test_oversized_and_empty_messages_rejected():
-    flow, _, _ = make_flow()
-    with pytest.raises(MessageTooLarge):
-        flow.send_message(b"c" * (wire.MAX_MESSAGE_BYTES + 1), now=0)
-    with pytest.raises(ValueError):
-        flow.send_message(b"", now=0)
-
-
-def test_send_on_unestablished_flow_rejected():
-    flow, _, _ = make_flow()
-    flow.handle.state = RESET
-    with pytest.raises(ValueError):
-        flow.send_message(b"x", now=0)
 
 
 def test_window_limits_in_flight_fragments():
