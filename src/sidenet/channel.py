@@ -159,6 +159,8 @@ class Channel:
             if len(self._tx) > self.stats.tx_highwater:
                 self.stats.tx_highwater = len(self._tx)
         self._engine.wake = True
+        if self._engine.bell is not None:
+            self._engine.bell.set()
         return True
 
     def recv(self, block=False, timeout=None):

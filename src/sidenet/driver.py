@@ -1,19 +1,18 @@
 """Simulation drivers.
 
-The deterministic driver single-threads everything: engines and poll-style
-apps run in fixed order at the current virtual time, then the clock jumps
-straight to the next interesting instant (a fabric delivery, an engine
-timer, a control-grid tick). Each engine keeps its next ready instant in
-`ready_at`, recomputed only after it runs, after an app or the engine
-wakes it, or while frames wait in its RX ring (see the wake contract in
-engine.py). Fabric delivery wakes no engine: a pass polls each engine's
-RX ring, as a poll-mode driver polls its queues, so an idle engine costs
-it a flag test, a ring test and a comparison. All timing is virtual, so
-runs are exactly reproducible and machine independent.
+Both make the same scheduling pass: each engine ready at `now` runs one
+iteration, every TX ring moves into the fabric, and a pass without work
+delivers the frames already due or finds the next instant anything is.
+An idle engine costs a pass two tests and a comparison (`ready_at`, kept
+by the wake contract in engine.py).
 
-The threaded runtime wraps the same engine loop for live operation: one
-thread per engine plus a fabric pump, with the clock tied to wall time.
-This is the mode where blocking receive actually parks threads.
+Sim single-threads everything on virtual time, jumping the clock straight
+to the next instant, so runs are exactly reproducible. ThreadedRuntime
+makes the passes on one runner thread on the wall clock, delivering only
+up to `now`; with no work it waits on one Event until the next instant or
+an application doorbell. Only the runner touches engines, NICs and the
+fabric; application threads, which may block, reach them through the
+channels and the control inboxes.
 """
 
 import threading
@@ -24,32 +23,69 @@ from .fabric import Fabric, FabricConfig
 from .stack import Stack
 
 
-class Sim:
+class _Driver:
+    """The stacks over one fabric, and the moves of a scheduling pass."""
+
+    def __init__(self, fabric, **stack_defaults):
+        self.fabric = fabric
+        self.clock = fabric.clock
+        self.stacks = []
+        self._engines = []
+        self._wakers = []  # the apps that have a next_wake(now)
+        self._stack_defaults = stack_defaults  # seed and tick_us
+
+    def add_stack(self, ip, engines, **kwargs):
+        nic = self.fabric.add_host(ip, engines)
+        stack = Stack(nic, ip, **{**self._stack_defaults, **kwargs}).init()
+        self.stacks.append(stack)
+        self._engines.extend(stack.engines)
+        return stack
+
+    def _run_engines(self, now):
+        """Run each engine ready at `now`; returns the work done."""
+        work = 0
+        for eng in self._engines:
+            if eng.wake or eng._rx_ring:
+                eng._refresh(now)
+            ready = eng.ready_at
+            if ready is not None and ready <= now:
+                work += eng.run_iteration(now)
+        return work
+
+    def _next_instant(self, now):
+        """After a pass without work: `now` if a frame is due (delivered
+        here) or an engine is ready, else the next instant, or None."""
+        t = self.fabric.next_event_time()
+        if t is not None and t <= now:
+            self.fabric.advance_to(now)
+            return now
+        for eng in self._engines:
+            if eng.wake or eng._rx_ring:
+                eng._refresh(now)
+            ready = eng.ready_at
+            if ready is not None:
+                if ready <= now:
+                    return now
+                if t is None or ready < t:
+                    t = ready
+        for app in self._wakers:
+            wake = app.next_wake(now)
+            if wake is not None and wake > now and (t is None or wake < t):
+                t = wake
+        return t
+
+
+class Sim(_Driver):
     """Deterministic single-threaded harness for hosts, engines, and apps."""
 
     def __init__(self, fabric_config=None, seed=0, tick_us=DEFAULT_TICK_US):
         cfg = fabric_config or FabricConfig(rng_seed=seed)
-        self.fabric = Fabric(cfg)
-        self.clock = self.fabric.clock
-        self.seed = seed
-        self.tick_us = tick_us
-        self.stacks = []
+        super().__init__(Fabric(cfg), seed=seed, tick_us=tick_us)
         self.apps = []
-        self._wakers = []  # the apps that have a next_wake(now)
-        self._engines = []
 
     @property
     def now(self):
         return self.clock.now
-
-    def add_stack(self, ip, engines, **kwargs):
-        nic = self.fabric.add_host(ip, engines)
-        kwargs.setdefault("seed", self.seed)
-        kwargs.setdefault("tick_us", self.tick_us)
-        stack = Stack(nic, ip, **kwargs).init()
-        self.stacks.append(stack)
-        self._engines.extend(stack.engines)
-        return stack
 
     def add_app(self, app):
         """app: any object with step(sim) -> int (work done this pass), and
@@ -68,39 +104,16 @@ class Sim:
         zero-delay frame sent in this pass) and runs again at `now` if an
         engine was woken after its turn; only then does the clock move."""
         now = self.clock.now
-        work = 0
-        for eng in self._engines:
-            if eng.wake or eng._rx_ring:
-                eng._refresh(now)
-            ready = eng.ready_at
-            if ready is not None and ready <= now:
-                work += eng.run_iteration(now)
+        work = self._run_engines(now)
         for app in self.apps:
             work += app.step(self) or 0
-        fabric = self.fabric
-        work += fabric.collect_tx()
-        if work:
+        if work + self.fabric.collect_tx():
             return True
-        t = fabric.next_event_time()
-        if t is not None and t <= now:
-            fabric.advance_to(now)
-            return True
-        for eng in self._engines:
-            if eng.wake or eng._rx_ring:
-                eng._refresh(now)
-            ready = eng.ready_at
-            if ready is not None:
-                if ready <= now:
-                    return True
-                if t is None or ready < t:
-                    t = ready
-        for app in self._wakers:
-            wake = app.next_wake(now)
-            if wake is not None and wake > now and (t is None or wake < t):
-                t = wake
+        t = self._next_instant(now)
         if t is None:
             return False
-        fabric.advance_to(t if until is None else min(t, until))
+        if t > now:
+            self.fabric.advance_to(t if until is None else min(t, until))
         return True
 
     def run_until(self, cond, max_us=10_000_000, max_passes=100_000_000):
@@ -146,51 +159,37 @@ class WallClock:
         pass  # wall time advances itself
 
 
-class ThreadedRuntime:
-    """Live mode: one thread per engine plus a fabric pump thread."""
+class ThreadedRuntime(_Driver):
+    """Live mode: one runner thread makes the passes on the wall clock."""
 
     def __init__(self, fabric_config=None, seed=0):
         cfg = fabric_config or FabricConfig(rng_seed=seed, base_delay_us=50)
-        self.clock = WallClock()
-        self.fabric = Fabric(cfg, clock=self.clock)
-        self.seed = seed
-        self.stacks = []
-        self._threads = []
-        self._stop = threading.Event()
-
-    def add_stack(self, ip, engines, **kwargs):
-        nic = self.fabric.add_host(ip, engines)
-        kwargs.setdefault("seed", self.seed)
-        stack = Stack(nic, ip, **kwargs).init()
-        self.stacks.append(stack)
-        return stack
+        super().__init__(Fabric(cfg, clock=WallClock()), seed=seed)
+        self._bell = threading.Event()  # rung by the application doorbells
+        self._running = False
+        self._runner = threading.Thread(target=self._run, daemon=True)
 
     def start(self):
-        for stack in self.stacks:
-            for eng in stack.engines:
-                t = threading.Thread(target=self._engine_loop, args=(eng,),
-                                     daemon=True)
-                self._threads.append(t)
-        pump = threading.Thread(target=self._pump_loop, daemon=True)
-        self._threads.append(pump)
-        for t in self._threads:
-            t.start()
+        for eng in self._engines:
+            eng.bell = self._bell
+        self._running = True
+        self._runner.start()
         return self
 
-    def _engine_loop(self, eng):
-        while not self._stop.is_set():
-            if eng.run_iteration(self.clock.now) == 0:
-                time.sleep(0.0002)  # idle; yield the core
-
-    def _pump_loop(self):
-        while not self._stop.is_set():
-            moved = self.fabric.collect_tx()
-            delivered = self.fabric.advance_to(self.clock.now)
-            if not moved and not delivered:
-                time.sleep(0.0001)
+    def _run(self):
+        clock, fabric, bell = self.clock, self.fabric, self._bell
+        while self._running:
+            now = clock.now
+            if self._run_engines(now) + fabric.collect_tx():
+                continue
+            t = self._next_instant(now)
+            if t is None or t > now:
+                # A doorbell sets wake before it rings, so none is lost.
+                bell.wait(None if t is None else (t - clock.now) / 1e6)
+                bell.clear()
 
     def stop(self):
-        self._stop.set()
-        for t in self._threads:
-            t.join(timeout=2.0)
-        self._threads.clear()
+        self._running = False
+        self._bell.set()
+        if self._runner.is_alive():
+            self._runner.join(timeout=2.0)

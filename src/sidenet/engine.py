@@ -16,7 +16,7 @@ replicated.
 Wake contract. Each engine keeps `ready_at`, the first instant it has
 work: the earliest of its waiting frames and messages (ready at once), its
 first live timer and its control gate, held back to the end of its tick
-throttle; None when nothing is pending. The deterministic driver reads
+throttle; None when nothing is pending. Both drivers (driver.py) read
 that attribute on every pass instead of asking each engine. `_refresh`
 recomputes it, and clears the engine's `wake` flag; the driver calls it
 when the flag is set or a frame waits in the RX ring. It reads what waits
@@ -26,17 +26,16 @@ like a poll-mode driver, the engine finds its frames in its own RX ring.
 The engine sets the flag itself after each iteration, so the timers it
 arms and the frames it emits need no flag of their own. Only the
 application gives an engine work from outside its iteration, through two
-doorbells that set the flag:
+doorbells that set the flag, then `bell`, the live runner's Event, if any:
 
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
   arrive on the engine's one control inbox.
 
-A new producer of engine work must set the flag too, or the engine sleeps
+A new producer of engine work must do the same, or the engine sleeps
 through the work. Control requests are observed at the first recompute
 after they arrive, even while the engine is tick-throttled, and that
-instant fixes their 50 us grid gate. The threaded runtime's engine threads
-poll their queues directly; the flags only steer the deterministic driver.
+instant fixes their 50 us grid gate.
 """
 
 import heapq
@@ -151,6 +150,7 @@ class Engine:
         self._next_allowed = 0
         self.ready_at = None  # valid while not `wake` and no frame waits
         self.wake = True
+        self.bell = None  # the live runner's Event, set by the doorbells
         queue = nic._bind(engine_id)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
@@ -162,8 +162,10 @@ class Engine:
         point."""
         self.control_inbox.append(request)
         self.wake = True
+        if self.bell is not None:
+            self.bell.set()
 
-    # Scheduling interface used by the deterministic driver.
+    # Scheduling interface used by the drivers.
 
     def _control_time(self, now):
         """Control requests are serviced only on the 50 us grid; the first
@@ -235,7 +237,6 @@ class Engine:
                     ring.append(backlog.popleft())
                 work += moved
 
-        # Frames the fabric appends meanwhile wait for the next burst.
         burst = min(len(self._rx_ring), RX_BURST)
         if burst:
             self.stats.frames_rx += burst

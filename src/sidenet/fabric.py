@@ -190,9 +190,7 @@ class Fabric:
         draw, the jitter draw, the port-row lookup, the heap push, then the
         reorder draw and swap. A route keeps the reference hash of the
         frame's 8 address bytes with zero ports, so only the 4 port bytes
-        are looked up per frame. Popping one frame at a time loses
-        nothing that an engine thread appends meanwhile; that frame is
-        taken in this call or the next.
+        are looked up per frame.
         """
         cfg = self._cfg
         loss = cfg.loss_probability

@@ -48,8 +48,8 @@ class Nic:
 
     The queue count is all a host chooses; the ring depth (QUEUE_DEPTH) and
     the MTU are fixed by the device model. Each queue id is owned by exactly
-    one engine thread; the fabric is the single party on the other side of
-    every ring, so each ring is SPSC.
+    one engine, and the fabric is the single party on the other side of
+    every ring; one driver thread runs both.
     """
 
     def __init__(self, num_queues):

@@ -140,10 +140,13 @@ class Flow:
         return self.handle.key
 
     def on_synack(self, pkt):
-        """A SYN-ACK for this client flow. A retry (seq >= 2) means the peer
-        never got the final ACK: send it again. Leftovers of the batch the
-        handshake already answered are discarded."""
-        if pkt.seq >= 2:
+        """A SYN-ACK for this client flow. One whose payload does not unpack
+        is counted malformed. A retry (seq >= 2) means the peer never got
+        the final ACK: send it again. Leftovers of the batch the handshake
+        already answered are discarded."""
+        if wire.unpack_synack_payload(pkt.payload) is None:
+            self.eng.stats.rx_malformed += 1
+        elif pkt.seq >= 2:
             self.eng.emit(self.final_ack)
             self.eng.stats.acks_sent += 1
         else:

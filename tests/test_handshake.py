@@ -498,6 +498,22 @@ def test_malformed_synack_is_counted_and_leaves_the_connect_pending():
     assert handle.is_established and handle.attempts == 2
 
 
+def test_malformed_synack_on_an_established_flow_is_counted_not_reacked():
+    """A SYN-ACK too short to carry its pair is malformed on an established
+    client flow too: a retry-numbered one (seq 2) is counted in
+    rx_malformed and does not make the flow re-send its final ACK."""
+    sim, client, server, cch, sch = make_pair(seed=13, engines=1)
+    handle = connect_established(sim, client, cch)
+    sim.run_for(1000)  # let the final ACK land
+    eng = client.engines[0]
+    assert handle.key in eng.flows and not eng.client_handshakes
+    short_synack = wire.build_frame(
+        "10.0.0.2", "10.0.0.1", 6001, 5001, wire.PKT_SYNACK, 80,
+        handle.local_port, payload=b"\x01", seq=2)
+    assert _stats_delta(eng, short_synack, sim.now) == {"synacks_rx": 1,
+                                                        "rx_malformed": 1}
+
+
 @pytest.mark.parametrize("remote_ip, port, mode", [
     ("10.0.0.2", 70000, None),
     ("10.0.0.2", 65536, None),

@@ -40,9 +40,9 @@ def _preempt_often():
 
 
 def test_stress_every_frame_and_control_request_is_handed_over():
-    """1x1 engines plus the fabric pump (3 threads), preempted often. Every
-    frame a NIC accepted must reach the fabric, and every connect and close
-    request must be serviced."""
+    """1x1 engines on the runner thread, preempted often. Every frame a NIC
+    accepted must reach the fabric, and every connect and close request
+    must be serviced."""
     rt = ThreadedRuntime(FabricConfig(rng_seed=5, base_delay_us=50), seed=5)
     server = rt.add_stack("10.0.0.2", 1)
     client = rt.add_stack("10.0.0.1", 1)
@@ -69,7 +69,7 @@ def test_stress_every_frame_and_control_request_is_handed_over():
         finally:
             rt.stop()
     assert not client.engines[0].flows and not server.engines[0].flows
-    rt.fabric.collect_tx()  # frames queued after the pump stopped
+    rt.fabric.collect_tx()  # frames queued after the runner stopped
     accepted = sum(e.stats.frames_tx - len(e.tx_backlog)
                    for stack in (client, server) for e in stack.engines)
     assert rt.fabric.stats.sent == accepted
@@ -77,10 +77,10 @@ def test_stress_every_frame_and_control_request_is_handed_over():
 
 
 def test_faulty_fabric_delivers_every_message_whole_once_in_order():
-    """1x1 engines plus the fabric pump (3 threads), preempted often, over a
-    fabric that drops 2% and reorders 5% of frames with 5 us of jitter: the
-    live engine threads' ack and loss-recovery path delivers every message
-    of every flow whole, once and in send order."""
+    """1x1 engines on the runner thread, preempted often, over a fabric that
+    drops 2% and reorders 5% of frames with 5 us of jitter: the live
+    runtime's ack and loss-recovery path delivers every message of every
+    flow whole, once and in send order."""
     sizes = (1, 700, 1408, 1409, 5000, 30_000, 100_000)
     rng = random.Random(7)
     sent = [[rng.randbytes(size) for size in sizes] for _ in range(3)]
@@ -155,11 +155,13 @@ def test_stress_control_queues_hand_over_every_request():
 
 
 def test_stress_channel_tx_queue_hands_over_every_message():
-    """An application thread sends 20,000 tagged messages while an engine
-    thread pops the TX queue, preempted often; the pop of an empty queue
-    takes no lock. Every message comes out once, in order."""
+    """An application thread sends 20,000 tagged messages while a second
+    thread pops the TX queue as the engine does, preempted often; the pop
+    of an empty queue takes no lock. Every message comes out once, in
+    order."""
     total = 20_000
-    ch = Channel(SimpleNamespace(wake=False), 1)  # an engine to ring
+    # An engine to ring, with no live runner's bell.
+    ch = Channel(SimpleNamespace(wake=False, bell=None), 1)
     handle = FlowHandle("10.0.0.1", "10.0.0.2", 1, 80, ch)
     handle._settle(ESTABLISHED)
     popped = []
@@ -185,3 +187,57 @@ def test_stress_channel_tx_queue_hands_over_every_message():
     assert popped == list(range(total))
     assert ch.tx_pending() == 0
     assert ch.stats.tx_enqueued == ch.stats.tx_dequeued == total
+
+
+def test_start_adds_one_runner_thread_and_stop_ends_it():
+    """2x2 engines and the fabric are served by one runner thread: start()
+    adds exactly one thread, and stop() ends it."""
+    rt = ThreadedRuntime(seed=1)
+    rt.add_stack("10.0.0.2", 2)
+    rt.add_stack("10.0.0.1", 2)
+    before = threading.active_count()
+    rt.start()
+    try:
+        assert threading.active_count() == before + 1
+    finally:
+        rt.stop()
+    assert threading.active_count() == before
+
+
+def test_parked_runner_wakes_for_every_doorbell():
+    """With nothing in flight and no timer armed, the runner parks with no
+    timeout, so only a doorbell wakes it. From that state a send is echoed
+    back, a close settles the handle closed, and stop() ends the runner,
+    each within a few seconds: a lost ring fails the test, not hangs it."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=3, base_delay_us=50), seed=3)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    cch = client.attach()
+    engines = client.engines + server.engines
+
+    def park():
+        assert _wait_for(lambda: rt.fabric.in_flight() == 0 and all(
+            eng.ready_at is None and not eng.wake for eng in engines), 5)
+        time.sleep(0.05)
+
+    rt.start()
+    try:
+        handle = client.connect(cch, "10.0.0.2", 80, blocking=True,
+                                timeout=5)
+        park()
+        cch.send(handle, b"ping")
+        request = sch.recv(block=True, timeout=5)
+        assert request is not None and request.payload == b"ping"
+        park()
+        sch.send(request.flow, request.payload)
+        reply = cch.recv(block=True, timeout=5)
+        assert reply is not None and reply.payload == b"ping"
+        park()
+        client.close(handle)
+        assert _wait_for(lambda: handle.state == CLOSED, 5)
+        park()
+    finally:
+        rt.stop()
+    assert not rt._runner.is_alive()
