@@ -4,7 +4,9 @@ Both make the same scheduling pass: each engine ready at `now` runs one
 iteration, every TX ring moves into the fabric, and a pass without work
 delivers the frames already due or finds the next instant anything is.
 An idle engine costs a pass two tests and a comparison (`ready_at`, kept
-by the wake contract in engine.py).
+by the wake contract in engine.py). Finding the next instant refreshes
+only the engines an application woke after the scan: an iteration leaves
+`ready_at` exact, and no frame reaches an RX ring in between.
 
 Sim single-threads everything on virtual time, jumping the clock straight
 to the next instant, so runs are exactly reproducible. ThreadedRuntime
@@ -33,10 +35,13 @@ class _Driver:
         self._engines = []
         self._wakers = []  # the apps that have a next_wake(now)
         self._stack_defaults = stack_defaults  # seed and tick_us
+        self._bell = None  # the live runner's Event, rung by the doorbells
 
     def add_stack(self, ip, engines, **kwargs):
         nic = self.fabric.add_host(ip, engines)
         stack = Stack(nic, ip, **{**self._stack_defaults, **kwargs}).init()
+        for eng in stack.engines:
+            eng.bell = self._bell
         self.stacks.append(stack)
         self._engines.extend(stack.engines)
         return stack
@@ -60,7 +65,7 @@ class _Driver:
             self.fabric.advance_to(now)
             return now
         for eng in self._engines:
-            if eng.wake or eng._rx_ring:
+            if eng.wake:
                 eng._refresh(now)
             ready = eng.ready_at
             if ready is not None:
@@ -165,13 +170,11 @@ class ThreadedRuntime(_Driver):
     def __init__(self, fabric_config=None, seed=0):
         cfg = fabric_config or FabricConfig(rng_seed=seed, base_delay_us=50)
         super().__init__(Fabric(cfg, clock=WallClock()), seed=seed)
-        self._bell = threading.Event()  # rung by the application doorbells
+        self._bell = threading.Event()
         self._running = False
         self._runner = threading.Thread(target=self._run, daemon=True)
 
     def start(self):
-        for eng in self._engines:
-            eng.bell = self._bell
         self._running = True
         self._runner.start()
         return self

@@ -18,15 +18,16 @@ work: the earliest of its waiting frames and messages (ready at once), its
 first live timer and its control gate, held back to the end of its tick
 throttle; None when nothing is pending. Both drivers (driver.py) read
 that attribute on every pass instead of asking each engine. `_refresh`
-recomputes it, and clears the engine's `wake` flag; the driver calls it
-when the flag is set or a frame waits in the RX ring. It reads what waits
-from the queues themselves: the RX ring, the TX backlog and its channels'
-TX queues, so no flag mirrors them. The NIC and the fabric hold no engine:
-like a poll-mode driver, the engine finds its frames in its own RX ring.
-The engine sets the flag itself after each iteration, so the timers it
-arms and the frames it emits need no flag of their own. Only the
-application gives an engine work from outside its iteration, through two
-doorbells that set the flag, then `bell`, the live runner's Event, if any:
+recomputes it from the queues themselves (the RX ring, the TX backlog and
+its channels' TX queues, so no flag mirrors them) and clears the engine's
+`wake` flag. Every iteration ends with a recompute, so the timers it arms
+and the frames it emits leave `ready_at` exact. The NIC and the fabric
+hold no engine: like a poll-mode driver, the engine finds its frames in its
+own RX ring, which the driver tests before it trusts `ready_at`.
+
+`wake` means only that the application gave the engine work from outside
+its iteration. That happens through two doorbells, which set the flag,
+then `bell`, the live runner's Event, if any:
 
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
@@ -131,7 +132,6 @@ class Engine:
     def __init__(self, engine_id, nic, local_ip, num_engines, rng,
                  tick_us=DEFAULT_TICK_US):
         self.engine_id = engine_id
-        self.nic = nic
         self.local_ip = local_ip
         self.num_engines = num_engines
         self.rng = rng
@@ -271,7 +271,7 @@ class Engine:
             self._control_gate = None
 
         self._next_allowed = now + self.tick_us if work else now
-        self.wake = True
+        self._refresh(now)
         return work
 
     def emit(self, frame):

@@ -167,7 +167,7 @@ class Fabric:
         h = _toeplitz_hash(self._key, frame[TUPLE_AT:TUPLE_AT + 12])
         return table[h % INDIRECTION_ENTRIES].index
 
-    def send(self, src_ip, frame):
+    def send(self, frame):
         """Accept one frame from a host at the current virtual time: the
         admission loop over a one-frame batch."""
         self._admit(deque((frame,)))

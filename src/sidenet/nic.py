@@ -102,14 +102,3 @@ class Nic:
         The engine polls its rings; nothing here refers back to it."""
         self._check_queue(queue)
         return self._queues[queue]
-
-    def _deliver(self, queue, frame):
-        """Put one frame into an RX ring as the fabric's delivery loop does:
-        dropped and counted if the ring is full. Tests inject frames with
-        it."""
-        q = self._queues[queue]
-        if len(q.rx) >= QUEUE_DEPTH:
-            q.stats.rx_overflow_drops += 1
-            return False
-        q.rx.append(frame)
-        return True

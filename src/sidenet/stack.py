@@ -34,7 +34,7 @@ class Stack:
         self.tick_us = tick_us
         self.engines = []
         self._attach_count = 0
-        self._listen_ports = {}
+        self._listen_ports = set()
         self._next_flow_port = EPHEMERAL_FLOW_PORT_BASE
         self._lock = threading.Lock()
         self._initialized = False
@@ -79,8 +79,8 @@ class Stack:
         with self._lock:
             if port in self._listen_ports:
                 raise StackError("port %d already bound" % port)
-            listener = Listener(port, channel)
-            self._listen_ports[port] = listener
+            self._listen_ports.add(port)
+        listener = Listener(port, channel)
         # Replicate to every engine: sprayed SYNs may land on any queue, and
         # each engine decides for itself whether it is the target.
         for eng in self.engines:

@@ -13,32 +13,19 @@ from sidenet.engine import EnginePolicy
 from sidenet.fabric import FabricConfig
 
 
-def _polled_due_at(eng, now):
-    """Earliest pending work of an engine, recomputed only when it is woken
-    or a frame waits in its RX ring: `now` if frames or messages wait, else
-    the first live timer or control gate. The tick throttle is applied by
-    the callers."""
-    if eng.wake or eng.nic.rx_pending(eng.engine_id):
-        eng.wake = False
-        due = eng._next_timer_due()
-        gate = eng._control_time(now)
-        if gate is not None and (due is None or gate < due):
-            due = gate
-        if ((any(ch.tx_pending() for ch in eng.channels) or eng.tx_backlog
-             or eng.nic.rx_pending(eng.engine_id))
-                and (due is None or now < due)):
-            due = now
-        eng.polled_due_at = due
-    return eng.polled_due_at
-
-
-def _polled_due(eng, now):
-    due = _polled_due_at(eng, now)
-    return due is not None and due <= now and now >= eng._next_allowed
-
-
-def _polled_next_due(eng, now):
-    due = _polled_due_at(eng, now)
+def _polled_next_due(eng, rx_pending, now):
+    """Earliest instant an engine has work, recomputed from scratch: `now`
+    if frames or messages wait, else the first live timer or control gate,
+    held back to the end of the tick throttle. `rx_pending` is the depth
+    of its RX ring, read through its stack's NIC."""
+    due = eng._next_timer_due()
+    gate = eng._control_time(now)
+    if gate is not None and (due is None or gate < due):
+        due = gate
+    if ((any(ch.tx_pending() for ch in eng.channels) or eng.tx_backlog
+         or rx_pending)
+            and (due is None or now < due)):
+        due = now
     return None if due is None else max(due, eng._next_allowed)
 
 
@@ -47,21 +34,29 @@ class PollingSim(Sim):
     and a pass without work asks each engine when it next will be and each
     app `next_wake(now)`. A frame already due is delivered, and an engine
     ready at `now` gets another pass at `now`, before the clock moves. The
-    engines' answers are computed here from their queues, timers and
-    throttle, not read from `ready_at`."""
+    engines' answers are recomputed here on every pass from their queues,
+    timers, control gate and throttle; neither `ready_at` nor `wake` is
+    read."""
+
+    def _polled(self, now):
+        """Each engine with its due instant, computed as it is reached."""
+        for stack in self.stacks:
+            for eng in stack.engines:
+                yield eng, _polled_next_due(
+                    eng, stack.nic.rx_pending(eng.engine_id), now)
 
     def step(self, until=None):
         now = self.clock.now
         work = 0
-        for eng in self._engines:
-            if _polled_due(eng, now):
+        for eng, due in self._polled(now):
+            if due is not None and due <= now:
                 work += eng.run_iteration(now)
         for app in self.apps:
             work += app.step(self) or 0
         work += self.fabric.collect_tx()
         if work:
             return True
-        nexts = [_polled_next_due(eng, now) for eng in self._engines]
+        nexts = [due for _, due in self._polled(now)]
         arrival = self.fabric.next_event_time()
         if arrival is not None and arrival <= now:
             self.fabric.advance_to(now)

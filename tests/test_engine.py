@@ -77,7 +77,7 @@ def test_foreign_flow_frame_dropped_without_touching_owner():
         "10.0.0.1", "10.0.0.2", 1, 2, wire.PKT_DATA, handle.local_port, 80,
         payload=b"sneak", seq=flow.rx_next, msg_id=0, frag_offset=0,
         msg_len=5, flags=wire.FLAG_LAST_FRAGMENT)
-    other.nic._deliver(0, rogue)
+    other._rx_ring.append(rogue)
     other.run_iteration(sim.now)
     assert other.stats.rx_unknown_flow == 1
     assert flow.rx_next == rx_next_before
@@ -389,7 +389,7 @@ def test_one_rx_burst_of_in_order_data_gets_one_sack():
     udp = client.engines[0].flows[handle.key].tx_udp
     first = flow.rx_next
     for i in range(10):
-        eng.nic._deliver(0, wire.build_frame(
+        eng._rx_ring.append(wire.build_frame(
             "10.0.0.1", "10.0.0.2", udp.src, udp.dst,
             wire.PKT_DATA, handle.local_port, 80,
             payload=b"d" * wire.FRAGMENT_PAYLOAD, seq=first + i,
@@ -448,7 +448,7 @@ def test_hostile_flagged_ack_is_counted_not_raised():
     eng = client.engines[0]
     (flow,) = eng.flows.values()
     for ack in (flow.next_tx_seq + 1, 0xFFFFFFFF):
-        eng.nic._deliver(0, _flagged_data(flow, udp, handle, flow.rx_next,
+        eng._rx_ring.append(_flagged_data(flow, udp, handle, flow.rx_next,
                                           ack))
         eng.run_iteration(sim.now)
     assert flow.stats.protocol_errors == 2
@@ -486,7 +486,7 @@ def test_resent_flagged_fragment_with_a_stale_ack_is_a_no_op():
              flow.loss_timer.due, flow.stats.frags_acked_unique,
              flow.rack_seq, flow.rto_us)
     frames_tx = eng.stats.frames_tx
-    eng.nic._deliver(0, replies[0])
+    eng._rx_ring.append(replies[0])
     eng.run_iteration(sim.now + 1)
     assert (flow.acked_upto, dict(flow.unacked), flow.loss_timer,
             flow.loss_timer.due, flow.stats.frags_acked_unique,
@@ -783,7 +783,7 @@ def _wake_by_delivery(sim, client, server, cch, sch, handle):
     seen = _first_true(sim, lambda: eng.stats.rx_unknown_flow > 0)
     stray = wire.build_frame("10.0.0.1", "10.0.0.2", 1, 2, wire.PKT_DATA,
                              1, 2, payload=b"x", msg_len=1)
-    sim.fabric.send("10.0.0.1", stray)
+    sim.fabric.send(stray)
     return seen, sim.now + 20  # the pair's base delay
 
 
@@ -975,12 +975,12 @@ def test_one_iteration_takes_at_most_rx_burst_frames():
     sim.run_for(200)
     eng = server.engines[0]
     for i in range(RX_BURST + 8):
-        eng.nic._deliver(0, wire.build_frame(
+        eng._rx_ring.append(wire.build_frame(
             "10.0.0.1", "10.0.0.2", 40000, 40001, wire.PKT_DATA, 9, 9,
             payload=b"r", seq=i))
     assert eng.run_iteration(sim.now) == RX_BURST
     assert eng.stats.frames_rx == RX_BURST
-    assert eng.nic.rx_pending(0) == 8
+    assert server.nic.rx_pending(0) == 8
     assert eng.run_iteration(sim.now) == 8
     assert eng.stats.rx_unknown_flow == RX_BURST + 8
 
@@ -992,9 +992,9 @@ def test_queue_delivered_counts_frames_still_in_the_rx_ring():
     sim.run_for(200)
     eng = server.engines[0]
     for i in range(RX_BURST + 8):
-        eng.nic._deliver(0, wire.build_frame(
+        eng._rx_ring.append(wire.build_frame(
             "10.0.0.1", "10.0.0.2", 40000, 40001, wire.PKT_DATA, 9, 9,
             payload=b"r", seq=i))
     eng.run_iteration(sim.now)
-    assert eng.nic.rx_pending(0) == 8
+    assert server.nic.rx_pending(0) == 8
     assert server.stats_rows()[0]["queue_delivered"] == RX_BURST + 8

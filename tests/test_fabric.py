@@ -72,7 +72,7 @@ def test_unparseable_frame_steers_to_queue_zero():
 def test_lossless_send_lands_in_exactly_one_rx_ring():
     fab, _, nic_b = two_host_fabric(rng_seed=7, loss_probability=0.0,
                                     base_delay_us=10)
-    fab.send("10.0.0.1", data_frame())
+    fab.send(data_frame())
     fab.advance(10)
     occupancy = [nic_b.rx_pending(q) for q in range(4)]
     assert sum(occupancy) == 1
@@ -82,7 +82,7 @@ def test_lossless_send_lands_in_exactly_one_rx_ring():
 def test_total_loss_never_delivers():
     fab, _, nic_b = two_host_fabric(rng_seed=8, loss_probability=1.0)
     for i in range(50):
-        fab.send("10.0.0.1", data_frame(tag=i))
+        fab.send(data_frame(tag=i))
     fab.advance(10_000)
     assert fab.stats.delivered == 0
     assert fab.stats.lost == 50
@@ -95,7 +95,7 @@ def test_seeded_replay_is_bit_identical():
                                         delay_jitter_us=7, base_delay_us=20,
                                         reorder_probability=0.2)
         for i in range(1000):
-            fab.send("10.0.0.1", data_frame(tag=i))
+            fab.send(data_frame(tag=i))
             fab.advance(1)
         fab.advance(1000)
         received = []
@@ -109,7 +109,7 @@ def test_seeded_replay_is_bit_identical():
 
 def test_advance_boundary_is_inclusive():
     fab, _, _ = two_host_fabric(rng_seed=9, base_delay_us=5)
-    fab.send("10.0.0.1", data_frame())
+    fab.send(data_frame())
     assert fab.advance(4) == 0
     assert fab.advance(1) == 1
     assert fab.advance(0) == 0
@@ -140,8 +140,8 @@ def test_unknown_destination_counts_unroutable():
         data_frame(dst="10.9.9.9"),
     ]
     for frame in bad:
-        fab.send("10.0.0.1", frame)
-    fab.send("10.0.0.1", good)
+        fab.send(frame)
+    fab.send(good)
     fab.advance(1000)
     assert fab.stats.dropped_unroutable == len(bad)
     assert fab.stats.delivered == 1
@@ -153,11 +153,14 @@ def test_unknown_destination_counts_unroutable():
 def test_rx_ring_overflow_counts_host_side_drop():
     fab, _, nic_b = two_host_fabric(rng_seed=11, base_delay_us=1)
     # All frames share one tuple, hence one queue; overflow past 256.
+    queue = fab.steer("10.0.0.2", data_frame())
     for i in range(QUEUE_DEPTH + 10):
-        fab.send("10.0.0.1", data_frame(tag=i))
+        fab.send(data_frame(tag=i))
     fab.advance(5)
     assert fab.stats.dropped_ring_full == 10
     assert fab.stats.delivered == QUEUE_DEPTH
+    assert nic_b.queue_stats[queue].rx_overflow_drops == 10
+    assert nic_b.rx_pending(queue) == QUEUE_DEPTH
     assert fab.conservation_ok()
 
 
@@ -170,7 +173,7 @@ def test_route_cache_stays_bounded_and_steers_like_the_oracle():
         src = "10.%d.%d.%d" % (i >> 16 & 255, i >> 8 & 255, i & 255)
         frame = data_frame(src=src, sport=40000 + i % 50, tag=i % 100)
         want = fab.steer("10.0.0.2", frame)
-        fab.send(src, frame)
+        fab.send(frame)
         fab.advance(1)
         assert nic_b.rx_burst(want, 1) == [frame]
         assert len(fab._routes) <= ROUTE_CACHE_PAIRS
@@ -182,9 +185,8 @@ def test_conservation_identity_under_faults():
                                     reorder_probability=0.1, delay_jitter_us=9)
     rng = random.Random(2)
     for i in range(2000):
-        fab.send("10.0.0.1", data_frame(sport=rng.randint(32768, 60999),
-                                        dport=rng.randint(32768, 60999),
-                                        tag=i % 100))
+        fab.send(data_frame(sport=rng.randint(32768, 60999),
+                            dport=rng.randint(32768, 60999), tag=i % 100))
         if i % 5 == 0:
             fab.advance(3)
         for q in range(4):
@@ -202,7 +204,7 @@ def test_reordering_swaps_adjacent_deliveries():
         fab, _, nic_b = two_host_fabric(rng_seed=13, base_delay_us=10,
                                         reorder_probability=reorder_p)
         for i in range(100):
-            fab.send("10.0.0.1", data_frame(tag=i))
+            fab.send(data_frame(tag=i))
         fab.advance(100)
         seqs = []
         for q in range(4):
@@ -284,13 +286,12 @@ def test_device_side_never_touches_an_engine():
 
 
 class _KeyedEvent:
-    __slots__ = ("due", "order", "frame", "nic", "queue", "done")
+    __slots__ = ("due", "order", "frame", "queue", "done")
 
-    def __init__(self, due, order, frame, nic, queue):
+    def __init__(self, due, order, frame, queue):
         self.due = due
         self.order = order
         self.frame = frame
-        self.nic = nic
         self.queue = queue
         self.done = False
 
@@ -300,8 +301,8 @@ class KeySwappingFabric(Fabric):
     adjacent events and pushes the older one again, leaving a stale heap
     entry that every reader skips. It routes by the decoded four-tuple,
     steers through `steer` (the bit-serial reference hash), takes TX rings
-    one send per frame, and delivers through each NIC's single-frame
-    `_deliver`; the fault draws come from the fabric's seeded stream in
+    one send per frame, and delivers one frame at a time under its own
+    ring-full rule; the fault draws come from the fabric's seeded stream in
     the same order."""
 
     def __init__(self, config):
@@ -316,14 +317,14 @@ class KeySwappingFabric(Fabric):
 
     def collect_tx(self):
         moved = 0
-        for ip, nic in self._nics.items():
+        for nic in self._nics.values():
             for queue in nic._queues:
                 while queue.tx:
-                    self.send(ip, queue.tx.popleft())
+                    self.send(queue.tx.popleft())
                     moved += 1
         return moved
 
-    def send(self, src_ip, frame):
+    def send(self, frame):
         cfg = self._cfg
         self.stats.sent += 1
         tup = wire.extract_four_tuple(frame)
@@ -342,7 +343,7 @@ class KeySwappingFabric(Fabric):
             delay += self._rng.randint(-cfg.delay_jitter_us, cfg.delay_jitter_us)
         self._seq += 1
         event = _KeyedEvent(self.clock.now + max(0, delay), self._seq, frame,
-                            nic, self.steer(tup[1], frame))
+                            nic._queues[self.steer(tup[1], frame)])
         if cfg.reorder_probability:
             prev = self._last_pending
             if (prev is not None and not prev.done
@@ -379,9 +380,12 @@ class KeySwappingFabric(Fabric):
                 continue
             event = entry[3]
             event.done = True
-            if event.nic._deliver(event.queue, event.frame):
+            queue = event.queue
+            if len(queue.rx) < QUEUE_DEPTH:
+                queue.rx.append(event.frame)
                 self.stats.delivered += 1
             else:
+                queue.stats.rx_overflow_drops += 1
                 self.stats.dropped_ring_full += 1
             delivered += 1
         self.clock.advance_to(t)
@@ -474,7 +478,7 @@ def test_fabric_matches_key_swapping_reference(seed, loss, reorder, jitter,
                           for i in range(burst)]
                 if op[0] == "send":
                     for frame in frames:
-                        f.send(src, frame)
+                        f.send(frame)
                 else:
                     nic = nics[[ip for ip, _ in _HOSTS].index(src)]
                     nic.tx_burst(op[6] % nic.num_queues(), frames)
@@ -507,7 +511,7 @@ def test_jitter_draws_equal_randint(jitter):
     fab.add_host("10.0.0.2", 1)
     frame = data_frame()
     for _ in range(10_000):
-        fab.send("10.0.0.1", frame)
+        fab.send(frame)
     got = [due - base for due, _, _ in sorted(fab._heap, key=lambda e: e[1])]
     ref = random.Random("fabric/%d" % seed)
     want = []

@@ -91,7 +91,7 @@ def test_duplicate_syn_after_establishment_absorbed():
         "10.0.0.1", "10.0.0.2", udp.src, udp.dst,
         wire.PKT_SYN, handle.local_port, 80,
         payload=wire.pack_syn_payload(1, 0), seq=1, flags=wire.FLAG_OPTIMIZED)
-    sim.fabric.send("10.0.0.1", replay)
+    sim.fabric.send(replay)
     sim.run_for(1000)
     assert target.stats.duplicate_syns == dups_before + 1
     assert target.stats.synacks_sent == before  # no new batch

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from sidenet import wire
+from sidenet.fabric import Fabric, FabricConfig
 from sidenet.nic import MIN_FRAME_LEN, Nic, QUEUE_DEPTH
 
 
@@ -63,8 +64,7 @@ def test_rx_burst_empty_returns_nothing():
 def test_rx_burst_fifo_and_drain_across_calls():
     nic = make_nic()
     frames = [frame(i) for i in range(5)]
-    for f in frames:
-        assert nic._deliver(0, f)
+    nic._bind(0).rx.extend(frames)
     assert nic.rx_burst(0, 3) == frames[:3]
     assert nic.rx_burst(0, 32) == frames[3:]
     assert nic.rx_burst(0, 32) == []
@@ -81,10 +81,14 @@ def test_invalid_queue_is_a_hard_error():
 
 
 def test_rx_ring_full_drops_silently_with_counter():
-    nic = make_nic()
-    for i in range(QUEUE_DEPTH):
-        assert nic._deliver(0, frame(i))
-    assert not nic._deliver(0, frame(999))
+    """Frames reach an RX ring only through the fabric; one past a full
+    ring is dropped and counted on the queue, and the ring keeps 256."""
+    fab = Fabric(FabricConfig(rng_seed=1, base_delay_us=1))
+    fab.add_host("10.0.0.1", 1)
+    nic = fab.add_host("10.0.0.2", 1)
+    for i in range(QUEUE_DEPTH + 1):
+        fab.send(frame(i % 100))
+    fab.advance(5)
     assert nic.queue_stats[0].rx_overflow_drops == 1
     assert nic.rx_pending(0) == QUEUE_DEPTH
 

@@ -1,6 +1,7 @@
 """Source audit: no state in the package that is written but never read,
-no exception class that is never raised, and no engine wake flag set where
-the wake contract does not put one."""
+no exception class that is never raised, no function or class that nothing
+in the package uses unless it is listed with its reason, and no engine wake
+flag set where the wake contract does not put one."""
 
 import ast
 from pathlib import Path
@@ -9,10 +10,25 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
 # ConfigError.line is read by whoever catches the error (the scenario
 # tests assert on it); nothing in the package itself loads it.
 READ_BY_CALLERS = {"line"}
-# The engine's own bookkeeping, then the application's two doorbells (the
+# Functions and classes that nothing in the package calls, each with the
+# reason it stays. The tracer (perfbench/tracing.py) wraps its entry points
+# by name; ROADMAP items 1 and 3 retarget it and retire what only it keeps.
+USED_OUTSIDE_THE_PACKAGE = {
+    "close": "public API: stack.close(flow) (docs/api.md)",
+    "is_failed": "test helper: a handle's failed-or-reset probe",
+    "tx_pending": "test helper: a channel's TX queue depth",
+    "advance": "test helper: Fabric.advance_to by a delta",
+    "steer": "test oracle: the bit-serial steering reference",
+    "parse_frame": "test oracle; pinned by the tracer (wire.parse_frame)",
+    "tx_burst": "NIC device surface; pinned by the tracer (nic.tx_burst)",
+    "rx_burst": "NIC device surface; pinned by the tracer (nic.rx_burst)",
+    "ToeplitzHasher": "pinned by the tracer (toeplitz.hash_bytes)",
+    "hash_bytes": "pinned by the tracer (toeplitz.hash_bytes)",
+}
+# The engine's own recompute, then the application's two doorbells (the
 # wake contract in engine.py).
-WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine.run_iteration",
-               "Engine.submit", "Channel.send"}
+WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine.submit",
+               "Channel.send"}
 
 
 def test_every_attribute_stored_on_self_is_read():
@@ -57,10 +73,38 @@ def test_every_exception_class_is_raised():
     assert never == {}
 
 
+def test_every_function_and_class_is_used_in_the_package():
+    """Each function, method and class the package defines (dunders aside)
+    is loaded, called or imported somewhere in the package under the same
+    name, or listed in USED_OUTSIDE_THE_PACKAGE; a helper that only tests
+    call fails here until it is listed with its reason."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.setdefault(node.name,
+                                       "%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):  # imported, or re-exported
+                used.add(node.name)
+    unused = {name: at for name, at in defined.items() if name not in used}
+    unlisted = {name: at for name, at in unused.items()
+                if name not in USED_OUTSIDE_THE_PACKAGE}
+    assert unlisted == {}
+    assert set(USED_OUTSIDE_THE_PACKAGE) <= set(unused), "stale allow-list"
+
+
 def test_only_the_engine_and_the_application_doorbells_set_wake():
     """Every store to an attribute named `wake` sits in a method the wake
     contract names. Work produced inside an iteration needs none: the
-    iteration sets the flag as it ends."""
+    iteration recomputes `ready_at` as it ends."""
     stores = set()
 
     def visit(node, scope):

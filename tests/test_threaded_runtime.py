@@ -241,3 +241,28 @@ def test_parked_runner_wakes_for_every_doorbell():
     finally:
         rt.stop()
     assert not rt._runner.is_alive()
+
+
+def test_stack_added_after_start_rings_the_parked_runner():
+    """A stack added to a running runtime gets the runner's bell. With the
+    server alone and the runner parked, a client stack added afterwards
+    connects and is answered within a bounded wait, not a timeout."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=4, base_delay_us=50), seed=4)
+    server = rt.add_stack("10.0.0.2", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    rt.start()
+    try:
+        (eng,) = server.engines
+        assert _wait_for(lambda: 80 in eng.listeners
+                         and eng.ready_at is None and not eng.wake, 5)
+        time.sleep(0.05)  # the runner parks with no timeout
+        client = rt.add_stack("10.0.0.1", 1)
+        cch = client.attach()
+        handle = client.connect(cch, "10.0.0.2", 80, blocking=True,
+                                timeout=2)
+        cch.send(handle, b"late")
+        msg = sch.recv(block=True, timeout=2)
+        assert msg is not None and msg.payload == b"late"
+    finally:
+        rt.stop()

@@ -114,7 +114,7 @@ def test_fabric_steering_agrees_with_reference(seed, src, ports):
                              wire.PKT_DATA, 1, 2)
     want = reference_hash(key, FourTuple(src_ip, "10.0.0.2", *ports).pack())
     assert fab.steer("10.0.0.2", frame) == want % 128
-    fab.send(src_ip, frame)
+    fab.send(frame)
     fab.advance(FabricConfig.base_delay_us)
     assert nic.rx_pending(want % 128) == 1
 
