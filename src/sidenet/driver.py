@@ -4,9 +4,10 @@ Both make the same scheduling pass: each engine ready at `now` runs one
 iteration, every TX ring moves into the fabric, and a pass without work
 delivers the frames already due or finds the next instant anything is.
 An idle engine costs a pass two tests and a comparison (`ready_at`, kept
-by the wake contract in engine.py). Finding the next instant refreshes
-only the engines an application woke after the scan: an iteration leaves
-`ready_at` exact, and no frame reaches an RX ring in between.
+by the wake contract in engine.py), and waiting frames a refresh only when
+they could move it. Finding the next instant refreshes only the engines
+woken after the scan: iterations leave `ready_at` exact, and no frame
+arrives in between.
 
 Sim single-threads everything on virtual time, jumping the clock straight
 to the next instant, so runs are exactly reproducible. ThreadedRuntime
@@ -37,9 +38,9 @@ class _Driver:
         self._stack_defaults = stack_defaults  # seed and tick_us
         self._bell = None  # the live runner's Event, rung by the doorbells
 
-    def add_stack(self, ip, engines, **kwargs):
+    def add_stack(self, ip, engines):
         nic = self.fabric.add_host(ip, engines)
-        stack = Stack(nic, ip, **{**self._stack_defaults, **kwargs}).init()
+        stack = Stack(nic, ip, **self._stack_defaults).init()
         for eng in stack.engines:
             eng.bell = self._bell
         self.stacks.append(stack)
@@ -50,7 +51,9 @@ class _Driver:
         """Run each engine ready at `now`; returns the work done."""
         work = 0
         for eng in self._engines:
-            if eng.wake or eng._rx_ring:
+            if eng.wake or eng._rx_ring and (
+                    eng.ready_at is None
+                    or eng.ready_at > max(now, eng._next_allowed)):
                 eng._refresh(now)
             ready = eng.ready_at
             if ready is not None and ready <= now:

@@ -23,7 +23,8 @@ its channels' TX queues, so no flag mirrors them) and clears the engine's
 `wake` flag. Every iteration ends with a recompute, so the timers it arms
 and the frames it emits leave `ready_at` exact. The NIC and the fabric
 hold no engine: like a poll-mode driver, the engine finds its frames in its
-own RX ring, which the driver tests before it trusts `ready_at`.
+own RX ring; the driver recomputes for them while `ready_at` is None or
+past both `now` and the throttle's end, which it never precedes.
 
 `wake` means only that the application gave the engine work from outside
 its iteration. That happens through two doorbells, which set the flag,
@@ -148,7 +149,7 @@ class Engine:
         self._timer_seq = 0
         self._control_gate = None  # next 50 us grid point once requests wait
         self._next_allowed = 0
-        self.ready_at = None  # valid while not `wake` and no frame waits
+        self.ready_at = None  # exact while not `wake` and no frame waits
         self.wake = True
         self.bell = None  # the live runner's Event, set by the doorbells
         queue = nic._bind(engine_id)

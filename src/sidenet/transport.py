@@ -2,14 +2,16 @@
 
 Messages (1 byte to 8 MiB) are split into fixed 1408-byte fragments that
 carry a per-flow packet sequence number, a message id, and byte placement
-within the message, numbered one message after another. The receiver
-consumes fragments in seq order, so messages reach the application whole,
-in send order, never split or coalesced; a fragment that does not continue
-its message resets the flow, and a DATA header no honest sender could emit
-is counted and dropped. Acks are cumulative plus up to eight selective
-ranges. Seqs and message ids do not wrap: a message whose fragments would
-need a seq past U32_MAX - 1, or a message id past U32_MAX, resets the
-flow instead.
+within the message, numbered one message after another. The sender queues
+a message in blocks of up to SEND_WINDOW fragments, cuts each fragment when
+it first sends it and frees a block once its last fragment is out; `snd_nxt`,
+the next seq not yet sent, bounds a valid ack. The receiver consumes
+fragments in seq order, so messages reach the application whole, in send
+order, never split or coalesced; a fragment that does not continue its
+message resets the flow, and a DATA header no honest sender could emit is
+counted and dropped. Acks are cumulative plus up to eight selective ranges.
+Seqs and message ids do not wrap: a message whose fragments would need a seq
+past U32_MAX - 1, or a message id past U32_MAX, resets the flow instead.
 
 The receiver sends at most one SACK per flow per RX burst: a new DATA frame
 moves the flow's one ack timer, which the engine fires after the burst, to
@@ -108,11 +110,10 @@ class Flow:
 
         # Sender state.
         self.next_tx_seq = 0
+        self.snd_nxt = 0  # the next seq not yet sent, <= next_tx_seq
         self.next_msg_id = 0
         self.acked_upto = 0  # peer's cumulative ack (next seq it expects)
-        # Fragments waiting for window, as the fields pump builds them from:
-        # (seq, msg_id, frag_offset, msg_len, payload, flags).
-        self.pending = deque()
+        self.pending = deque()  # (first_seq, msg_id, offset, msg_len, block)
         self.unacked = {}  # seq -> _TxEntry, insertion order == seq order
         self.lost_out = 0  # unacked entries that have been retransmitted
         self.srtt_us = 0  # RTT of never-resent fragments; 0 until sampled
@@ -158,27 +159,23 @@ class Flow:
         """Queue one message of 1 byte .. 8 MiB, as Channel.send admits it,
         or reset the flow if its sequence space cannot hold it."""
         msg_id = self.next_msg_id
-        msg_len = len(payload)
-        frags = -(-msg_len // wire.FRAGMENT_PAYLOAD)
+        frags = -(-len(payload) // wire.FRAGMENT_PAYLOAD)
         if msg_id > U32_MAX or self.next_tx_seq + frags > U32_MAX:
             self._teardown(RESET, "sequence space exhausted at seq %d, "
                            "message id %d" % (self.next_tx_seq, msg_id))
-            return None
+            return
         self.next_msg_id += 1
-        seq = self.next_tx_seq
-        append = self.pending.append
-        for off in range(0, msg_len, wire.FRAGMENT_PAYLOAD):
-            chunk = payload[off:off + wire.FRAGMENT_PAYLOAD]
-            last = off + len(chunk) >= msg_len
-            append((seq, msg_id, off, msg_len, chunk,
-                    wire.FLAG_LAST_FRAGMENT if last else 0))
-            seq += 1
-        self.next_tx_seq = seq
+        seq, msg_len = self.next_tx_seq, len(payload)
+        step = SEND_WINDOW * wire.FRAGMENT_PAYLOAD
+        for off in range(0, msg_len, step):
+            self.pending.append((seq, msg_id, off, msg_len,
+                                 payload[off:off + step]))
+            seq += SEND_WINDOW
+        self.next_tx_seq += frags
         self.pump(now)
-        return msg_id
 
     def pump(self, now):
-        """Build and emit pending fragments while the send window has room.
+        """Cut and emit queued fragments while the send window has room.
 
         Besides the 64-packet cap, never run more than the receiver's window
         past the cumulative ack: SACKed holes free window slots, and without
@@ -197,10 +194,16 @@ class Flow:
         horizon = self.acked_upto + RECEIVE_WINDOW
         timer = self.ack_timer
         carry = timer is not None and timer.live and not self.rx_buffer
-        sent = 0
-        while (pending and len(unacked) < SEND_WINDOW
-               and pending[0][0] < horizon):
-            seq, msg_id, off, msg_len, chunk, flags = pending.popleft()
+        seq = self.snd_nxt
+        while pending and len(unacked) < SEND_WINDOW and seq < horizon:
+            first, msg_id, base, msg_len, block = pending[0]
+            off = (seq - first) * wire.FRAGMENT_PAYLOAD
+            end = off + wire.FRAGMENT_PAYLOAD
+            flags = 0
+            if end >= len(block):
+                pending.popleft()
+                if base + end >= msg_len:
+                    flags = wire.FLAG_LAST_FRAGMENT
             ack = 0
             if carry:
                 carry = False
@@ -208,13 +211,14 @@ class Flow:
                 self.frames_since_ack = 0
                 ack = self.rx_next
                 flags |= wire.FLAG_ACK
-            data = frame(handle, udp.src, udp.dst, wire.PKT_DATA, chunk,
-                         seq=seq, ack=ack, msg_id=msg_id, frag_offset=off,
-                         msg_len=msg_len, flags=flags)
+            data = frame(handle, udp.src, udp.dst, wire.PKT_DATA,
+                         block[off:end], seq=seq, ack=ack, msg_id=msg_id,
+                         frag_offset=base + off, msg_len=msg_len, flags=flags)
             unacked[seq] = _TxEntry(data, now)
             emit(data)
-            sent += 1
-        self.stats.frags_sent_unique += sent
+            seq += 1
+        self.stats.frags_sent_unique += seq - self.snd_nxt
+        self.snd_nxt = seq
         if self.unacked and (self.loss_timer is None
                              or not self.loss_timer.live):
             self._arm_loss_timer(now)
@@ -232,7 +236,7 @@ class Flow:
         """Drop what the cumulative and selective acks cover, sample the RTT,
         advance the RACK mark, retransmit what RACK finds lost, refill the
         window, and send a waiting FIN once nothing is left to send."""
-        if ack > self.next_tx_seq:
+        if ack > self.snd_nxt:
             self.stats.protocol_errors += 1
             return
         progressed = ack > self.acked_upto
@@ -269,8 +273,7 @@ class Flow:
                             and self.acked_upto > self.reo_round_end):
                         self.reo_wnd_mult += 1
                         self.reo_persist = REO_WND_PERSIST
-                        self.reo_round_end = (self.next_tx_seq
-                                              - len(self.pending))
+                        self.reo_round_end = self.snd_nxt
                     continue
             else:
                 self.srtt_us = (rtt if self.srtt_us == 0

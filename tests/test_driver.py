@@ -5,7 +5,7 @@ engine whether it is due."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PollApp, make_pair
+from conftest import PollApp, connect_established, make_pair
 
 from sidenet.channel import CONNECTING, ESTABLISHED
 from sidenet.driver import Sim
@@ -110,6 +110,33 @@ def test_message_queued_by_a_zero_work_app_is_sent():
     assert sim.drain()
     assert sent == [True] and cch.tx_pending() == 0
     assert sch.recv().payload == b"quiet"
+
+
+def test_throttled_engine_with_waiting_frames_is_recomputed_once():
+    """Frames that reach a tick-throttled engine's RX ring make it ready at
+    the end of its throttle. The first pass at that instant recomputes
+    `ready_at`; later passes at the same instant do not, since nothing the
+    frames could change is left. The engine runs at the throttle's end."""
+    sim, client, server, cch, sch = make_pair(seed=1, engines=1)
+    handle = connect_established(sim, client, cch)
+    sim.run_for(1000)
+    eng = client.engines[0]
+    now = sim.now
+    cch.send(handle, b"x")
+    assert eng.run_iteration(now) == 1  # throttled until now + tick_us
+    eng._rx_ring.append(bytes(64))
+    calls = []
+    refresh = eng._refresh
+    eng._refresh = lambda t: calls.append(t) or refresh(t)
+    iterations = eng.stats.iterations
+    for _ in range(3):
+        sim._run_engines(now)
+    assert calls == [now]
+    assert eng.ready_at == now + eng.tick_us
+    assert eng.stats.iterations == iterations
+    sim._run_engines(now + eng.tick_us)
+    assert eng.stats.iterations == iterations + 1
+    assert not eng._rx_ring
 
 
 class _Script:

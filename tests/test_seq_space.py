@@ -31,7 +31,7 @@ def test_flow_resets_before_its_seq_or_msg_id_passes_32_bits(field, start):
     sim.run_for(2000)
     tx, rx = _flow_pair(client, server, doomed)
     if field == "seq":
-        tx.next_tx_seq = tx.acked_upto = rx.rx_next = start
+        tx.next_tx_seq = tx.snd_nxt = tx.acked_upto = rx.rx_next = start
     else:
         tx.next_msg_id = rx.rx_msg_id = start
     got = []

@@ -88,12 +88,13 @@ def make_pair(loss_seqs=()):
     return tx_flow, rx_flow, tx_eng, rx_eng, rx_ch, shuttle
 
 
-def data_pkt(seq, msg_id, frag_offset, msg_len, payload):
-    """A DATA frame from the peer of make_flow's flow, parsed."""
+def data_pkt(seq, msg_id, frag_offset, msg_len, payload, **fields):
+    """A DATA frame from the peer of make_flow's flow, parsed; `fields`
+    (ack, flags) go to build_frame."""
     return wire.parse_frame(wire.build_frame(
         "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_DATA, 80, 7000,
         payload=payload, seq=seq, msg_id=msg_id, frag_offset=frag_offset,
-        msg_len=msg_len))
+        msg_len=msg_len, **fields))
 
 
 def emitted_data(eng):
@@ -143,7 +144,7 @@ def test_8mib_message_fragment_arithmetic():
     assert total == 5958
     assert flow.next_tx_seq == total
     assert len(flow.unacked) == SEND_WINDOW
-    assert len(flow.pending) == total - SEND_WINDOW
+    assert flow.next_tx_seq - flow.snd_nxt == total - SEND_WINDOW
     last_len = wire.MAX_MESSAGE_BYTES - (total - 1) * wire.FRAGMENT_PAYLOAD
     assert last_len == 1152
 
@@ -153,7 +154,65 @@ def test_window_limits_in_flight_fragments():
     for _ in range(100):
         flow.send_message(b"m", now=0)
     assert len(flow.unacked) == SEND_WINDOW
-    assert len(flow.pending) == 100 - SEND_WINDOW
+    assert flow.next_tx_seq - flow.snd_nxt == 100 - SEND_WINDOW
+
+
+def _cut_up_front(flow, messages):
+    """Every DATA frame of `messages` as a sender that cuts each message
+    into all its fragments when it is queued would build them, in seq
+    order: no ack carried, FLAG_LAST_FRAGMENT on each message's last."""
+    frames = []
+    for msg_id, payload in enumerate(messages):
+        for off in range(0, len(payload), wire.FRAGMENT_PAYLOAD):
+            chunk = payload[off:off + wire.FRAGMENT_PAYLOAD]
+            last = off + len(chunk) >= len(payload)
+            frames.append(flow_frame(
+                flow.handle, flow.tx_udp.src, flow.tx_udp.dst, wire.PKT_DATA,
+                chunk, seq=len(frames), msg_id=msg_id, frag_offset=off,
+                msg_len=len(payload),
+                flags=wire.FLAG_LAST_FRAGMENT if last else 0))
+    return frames
+
+
+# Sizes around fragment boundaries and around the sender's blocks of
+# SEND_WINDOW fragments.
+_BOUNDARY_SIZES = st.sampled_from(sorted(
+    {max(1, k * wire.FRAGMENT_PAYLOAD + d)
+     for k in (0, 1, 2, 3, 4, SEND_WINDOW, 2 * SEND_WINDOW)
+     for d in (-1, 0, 1)}))
+_PATTERN = bytes(range(251)) * (
+    (2 * SEND_WINDOW + 1) * wire.FRAGMENT_PAYLOAD // 251 + 2)
+
+
+@settings(max_examples=100)
+@given(batches=st.lists(st.lists(_BOUNDARY_SIZES | st.integers(
+    1, 6 * wire.FRAGMENT_PAYLOAD), min_size=1, max_size=12),
+    min_size=1, max_size=6), data=st.data())
+def test_fragments_cut_at_first_send_equal_an_up_front_cut(batches, data):
+    """Messages queued in batches between rounds of cumulative acks, so
+    that they straddle window refills: each DATA frame the flow emits,
+    byte for byte, is the one an up-front cutter builds for its seq."""
+    flow, eng, _ = make_flow()
+    messages = []
+    now = 0
+    for batch in batches:
+        for size in batch:
+            start = len(messages) % 251
+            payload = _PATTERN[start:start + size]
+            messages.append(payload)
+            flow.send_message(payload, now)
+        # Each frame is sent once, so the outbox holds seqs 0 .. sent - 1.
+        while (flow.acked_upto < len(eng.outbox)
+               and data.draw(st.booleans())):
+            now += 10
+            ack = flow.acked_upto + data.draw(st.integers(1, SEND_WINDOW))
+            flow.on_sack(sack_pkt(min(ack, len(eng.outbox)), []), now)
+    while flow.acked_upto < flow.next_tx_seq:
+        now += 10
+        flow.on_sack(sack_pkt(len(eng.outbox), []), now)
+    assert not flow.pending
+    assert eng.outbox == _cut_up_front(flow, messages)
+    assert flow.stats.retransmits == 0
 
 
 def test_in_order_delivery_and_cumulative_ack():
@@ -356,31 +415,58 @@ def test_resend_acked_within_a_window_step_widens_the_window():
 
 
 @settings(max_examples=200)
-@given(ack=st.integers(0, 12), ranges=st.lists(
-    st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=8))
+@given(ack=st.integers(0, 80), ranges=st.lists(
+    st.tuples(st.integers(0, 82), st.integers(0, 82)), max_size=8))
 def test_any_sack_ranges_ack_exactly_the_seqs_they_cover(ack, ranges):
-    # Unsorted, overlapping and empty ranges included.
+    # Unsorted, overlapping and empty ranges included. 80 messages: seqs
+    # 0..63 in flight, 64..79 queued; an ack past the send point is
+    # refused, and a valid one refills the window in seq order.
     flow, _, _ = make_flow()
-    for _ in range(12):
-        flow.send_message(b"s", now=0)  # seqs 0..11 in flight
-    flow.on_sack(wire.parse_frame(wire.build_frame(
-        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_SACK, 80, 7000,
-        payload=wire.pack_sack_payload(ranges), ack=ack)), now=1)
-    assert list(flow.unacked) == [
-        s for s in range(12)
-        if s >= ack and not any(a <= s < b for a, b in ranges)]
+    for _ in range(80):
+        flow.send_message(b"s", now=0)
+    flow.on_sack(sack_pkt(ack, ranges), now=1)
+    if ack > SEND_WINDOW:
+        assert flow.stats.protocol_errors == 1
+        assert list(flow.unacked) == list(range(SEND_WINDOW))
+    else:
+        kept = [s for s in range(SEND_WINDOW)
+                if s >= ack and not any(a <= s < b for a, b in ranges)]
+        refill = range(SEND_WINDOW, min(80, 2 * SEND_WINDOW - len(kept)))
+        assert flow.stats.protocol_errors == 0
+        assert list(flow.unacked) == kept + list(refill)
     assert flow.conservation_ok()
 
 
-def test_ack_beyond_next_seq_is_protocol_error():
+def _ack_by_sack(flow, ack, now):
+    flow.on_sack(sack_pkt(ack, []), now)
+
+
+def _ack_on_data(flow, ack, now):
+    """As the engine hands its flow a DATA frame flagged FLAG_ACK: the
+    carried ack first, then the DATA."""
+    pkt = data_pkt(flow.rx_next, flow.rx_msg_id, 0, 1, b"d", ack=ack,
+                   flags=wire.FLAG_LAST_FRAGMENT | wire.FLAG_ACK)
+    flow.on_carried_ack(pkt.ack, now)
+    flow.on_data(pkt, now)
+
+
+@pytest.mark.parametrize("deliver", [_ack_by_sack, _ack_on_data],
+                         ids=["sack", "carried"])
+@pytest.mark.parametrize("messages,ack", [(1, 99), (100, 65), (100, 80)],
+                         ids=["past_queued", "next_unsent", "queued"])
+def test_ack_beyond_next_seq_is_protocol_error(deliver, messages, ack):
+    """An ack for a seq the flow has not sent, queued or not, counts once
+    as a protocol error and moves neither the cumulative ack nor the
+    unacked fragments."""
     flow, eng, _ = make_flow()
-    flow.send_message(b"e", now=0)
-    bogus = wire.parse_frame(wire.build_frame(
-        "10.0.0.2", "10.0.0.1", 40003, 40004, wire.PKT_SACK, 80, 7000,
-        payload=wire.pack_sack_payload([]), ack=99))
-    flow.on_sack(bogus, now=1)
+    for _ in range(messages):
+        flow.send_message(b"e", now=0)
+    unacked = list(flow.unacked)
+    assert len(unacked) < ack
+    deliver(flow, ack, now=1)
     assert flow.stats.protocol_errors == 1
-    assert len(flow.unacked) == 1
+    assert flow.acked_upto == 0
+    assert list(flow.unacked) == unacked
 
 
 def test_full_cumulative_ack_empties_unacked():
