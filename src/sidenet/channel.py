@@ -158,9 +158,7 @@ class Channel:
             self.stats.tx_enqueued += 1
             if len(self._tx) > self.stats.tx_highwater:
                 self.stats.tx_highwater = len(self._tx)
-        self._engine.wake = True
-        if self._engine.bell is not None:
-            self._engine.bell.set()
+        self._engine._ring()
         return True
 
     def recv(self, block=False, timeout=None):

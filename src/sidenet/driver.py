@@ -3,11 +3,11 @@
 Both make the same scheduling pass: each engine ready at `now` runs one
 iteration, every TX ring moves into the fabric, and a pass without work
 delivers the frames already due or finds the next instant anything is.
-An idle engine costs a pass two tests and a comparison (`ready_at`, kept
-by the wake contract in engine.py), and waiting frames a refresh only when
-they could move it. Finding the next instant refreshes only the engines
-woken after the scan: iterations leave `ready_at` exact, and no frame
-arrives in between.
+An idle engine costs a pass two tests and a comparison: the pass polls
+its RX ring, and an engine with frames waiting is ready at the end of its
+tick throttle, any other at `ready_at` (the wake contract in engine.py).
+Only an engine whose `wake` is set is refreshed, since iterations leave
+`ready_at` exact.
 
 Sim single-threads everything on virtual time, jumping the clock straight
 to the next instant, so runs are exactly reproducible. ThreadedRuntime
@@ -51,11 +51,9 @@ class _Driver:
         """Run each engine ready at `now`; returns the work done."""
         work = 0
         for eng in self._engines:
-            if eng.wake or eng._rx_ring and (
-                    eng.ready_at is None
-                    or eng.ready_at > max(now, eng._next_allowed)):
+            if eng.wake:
                 eng._refresh(now)
-            ready = eng.ready_at
+            ready = eng._next_allowed if eng._rx_ring else eng.ready_at
             if ready is not None and ready <= now:
                 work += eng.run_iteration(now)
         return work
@@ -70,7 +68,7 @@ class _Driver:
         for eng in self._engines:
             if eng.wake:
                 eng._refresh(now)
-            ready = eng.ready_at
+            ready = eng._next_allowed if eng._rx_ring else eng.ready_at
             if ready is not None:
                 if ready <= now:
                     return now

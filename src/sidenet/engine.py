@@ -13,28 +13,31 @@ Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
 replicated.
 
-Wake contract. Each engine keeps `ready_at`, the first instant it has
-work: the earliest of its waiting frames and messages (ready at once), its
-first live timer and its control gate, held back to the end of its tick
-throttle; None when nothing is pending. Both drivers (driver.py) read
-that attribute on every pass instead of asking each engine. `_refresh`
-recomputes it from the queues themselves (the RX ring, the TX backlog and
-its channels' TX queues, so no flag mirrors them) and clears the engine's
-`wake` flag. Every iteration ends with a recompute, so the timers it arms
-and the frames it emits leave `ready_at` exact. The NIC and the fabric
-hold no engine: like a poll-mode driver, the engine finds its frames in its
-own RX ring; the driver recomputes for them while `ready_at` is None or
-past both `now` and the throttle's end, which it never precedes.
+Wake contract. Each engine keeps `ready_at`, the first instant its own
+queues give it work: the earliest of its waiting messages and TX backlog
+(ready at once), its first live timer and its control gate, held back to
+the end of its tick throttle; None when nothing is pending. `_refresh`
+recomputes it from those queues (so no flag mirrors them) and clears the
+engine's `wake` flag. Every iteration ends with a recompute, so the timers
+it arms and the frames it emits leave `ready_at` exact.
+
+The RX ring is the one input that fills behind the engine's back (the NIC
+and the fabric hold no engine), so `ready_at` never counts frames: like a
+poll-mode driver, both drivers (driver.py) and next_due() poll the ring
+and read `_next_allowed if _rx_ring else ready_at`. Frames make an engine
+ready at the end of its tick throttle, which `ready_at` never precedes:
+`_refresh` clamps it, and only an iteration, which ends with one, moves
+the throttle.
 
 `wake` means only that the application gave the engine work from outside
-its iteration. That happens through two doorbells, which set the flag,
-then `bell`, the live runner's Event, if any:
+its iteration. `_ring()` is the one doorbell: it sets the flag, then
+`bell`, the live runner's Event, if any. Two producers ring it:
 
 * a channel, when the application queues a message (Channel.send);
 * submit(), for every control request: connect, listen and close all
   arrive on the engine's one control inbox.
 
-A new producer of engine work must do the same, or the engine sleeps
+A new producer of engine work must ring it too, or the engine sleeps
 through the work. Control requests are observed at the first recompute
 after they arrive, even while the engine is tick-throttled, and that
 instant fixes their 50 us grid gate.
@@ -149,22 +152,25 @@ class Engine:
         self._timer_seq = 0
         self._control_gate = None  # next 50 us grid point once requests wait
         self._next_allowed = 0
-        self.ready_at = None  # exact while not `wake` and no frame waits
+        self.ready_at = None  # exact while not `wake`; counts no RX frame
         self.wake = True
-        self.bell = None  # the live runner's Event, set by the doorbells
+        self.bell = None  # the live runner's Event, set by the doorbell
         queue = nic._bind(engine_id)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
 
-    # The control doorbell (see the wake contract).
+    # The doorbell and the control inbox (see the wake contract).
+
+    def _ring(self):
+        self.wake = True
+        if self.bell is not None:
+            self.bell.set()
 
     def submit(self, request):
         """Queue a connect, listen or close request for the next 50 us grid
         point."""
         self.control_inbox.append(request)
-        self.wake = True
-        if self.bell is not None:
-            self.bell.set()
+        self._ring()
 
     # Scheduling interface used by the drivers.
 
@@ -189,16 +195,15 @@ class Engine:
         return None
 
     def _refresh(self, now):
-        """Recompute `ready_at`: `now` if frames wait in the RX ring or the
-        TX backlog or messages in a channel's TX queue, else the first live
-        timer or control gate, held back to the end of the tick throttle."""
+        """Recompute `ready_at`: `now` if frames wait in the TX backlog or
+        messages in a channel's TX queue, else the first live timer or
+        control gate, held back to the end of the tick throttle."""
         self.wake = False
         due = self._next_timer_due()
         gate = self._control_time(now)
         if gate is not None and (due is None or gate < due):
             due = gate
-        if ((self.tx_backlog or self._rx_ring
-             or any(ch._tx for ch in self.channels))
+        if ((self.tx_backlog or any(ch._tx for ch in self.channels))
                 and (due is None or now < due)):
             due = now
         if due is not None and due < self._next_allowed:
@@ -212,9 +217,9 @@ class Engine:
 
     def next_due(self, now):
         """Earliest time this engine will have something to do."""
-        if self.wake or self._rx_ring:
+        if self.wake:
             self._refresh(now)
-        return self.ready_at
+        return self._next_allowed if self._rx_ring else self.ready_at
 
     def arm_timer(self, due, fn):
         timer = Timer(due, fn)

@@ -275,8 +275,8 @@ class Fabric:
         """Deliver everything due in (now, t] in timestamp order, straight
         into the RX rings; now becomes t. Returns the number of frames that
         left the schedule. A frame for a full ring is dropped and counted
-        on both sides. Delivery touches only the rings: the engine that owns
-        a queue finds its frames by polling its RX ring. The clock enforces
+        on both sides. Delivery touches only the rings: the drivers find
+        the frames by polling each RX ring. The clock enforces
         monotonicity (a wall clock advances itself)."""
         heap = self._heap
         heappop = heapq.heappop

@@ -209,7 +209,7 @@ class ServerHandshake:
         self.eng = eng
         self.handle = handle
         self.mode = mode
-        self.client_engines = client_engines
+        self.spray_size = min(optimized_batch_size(client_engines), BATCH_CAP)
         self.attempts = 0
         self.accepted_pair = None  # client's UDP pair, as the client sent it
         self.replied_pairs = set()
@@ -251,10 +251,8 @@ class ServerHandshake:
         if self.mode == MODE_NAIVE:
             pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
         else:
-            pairs = draw_udp_pairs(
-                self.eng.rng,
-                min(optimized_batch_size(self.client_engines), BATCH_CAP),
-                self.sprayed)
+            pairs = draw_udp_pairs(self.eng.rng, self.spray_size,
+                                   self.sprayed)
         self._emit_synacks(pairs)
         if self.retry_timer is not None:
             self.retry_timer.cancel()

@@ -13,7 +13,7 @@ The engine that owns a queue appends to its TX ring and pops its RX ring;
 the fabric pops every TX ring and appends to the RX ring of the queue a
 frame steers to. tx_burst and rx_burst are the same moves for a caller
 that holds no binding. Both sides poll: the device holds no engine and
-wakes none, so an engine finds its frames by reading its own RX ring.
+wakes none, so the drivers find an engine's frames by reading its RX ring.
 """
 
 from collections import deque

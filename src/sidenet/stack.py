@@ -11,11 +11,10 @@ meant for the threaded runtime; under the deterministic driver, use the
 non-blocking forms and step the simulation.
 """
 
-import ipaddress
 import threading
 from random import Random
 
-from . import handshake
+from . import handshake, wire
 from .channel import Channel, ConnectError, FAILED, CONNECTING, FlowHandle
 from .engine import DEFAULT_TICK_US, Engine, Listener, pick_engine
 
@@ -103,8 +102,8 @@ class Stack:
         if not 0 < remote_port < 65536:
             raise ValueError("port must be in [1, 65535]")
         try:  # the canonical dotted quad, the form received frames carry
-            canonical = str(ipaddress.IPv4Address(remote_ip)) == remote_ip
-        except ValueError:
+            canonical = wire.unpack_ip(wire.pack_ip(remote_ip)) == remote_ip
+        except (AttributeError, TypeError, ValueError):
             canonical = False
         if not canonical:
             raise ValueError("%r is not a dotted-quad IPv4 address"

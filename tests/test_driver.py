@@ -112,11 +112,11 @@ def test_message_queued_by_a_zero_work_app_is_sent():
     assert sch.recv().payload == b"quiet"
 
 
-def test_throttled_engine_with_waiting_frames_is_recomputed_once():
+def test_waiting_frames_make_a_throttled_engine_ready_at_its_throttle_end():
     """Frames that reach a tick-throttled engine's RX ring make it ready at
-    the end of its throttle. The first pass at that instant recomputes
-    `ready_at`; later passes at the same instant do not, since nothing the
-    frames could change is left. The engine runs at the throttle's end."""
+    the end of its throttle. The pass polls the ring and recomputes nothing
+    for them, since `ready_at` counts no frame; the engine runs, and drains
+    the ring, at the throttle's end."""
     sim, client, server, cch, sch = make_pair(seed=1, engines=1)
     handle = connect_established(sim, client, cch)
     sim.run_for(1000)
@@ -131,9 +131,11 @@ def test_throttled_engine_with_waiting_frames_is_recomputed_once():
     iterations = eng.stats.iterations
     for _ in range(3):
         sim._run_engines(now)
-    assert calls == [now]
-    assert eng.ready_at == now + eng.tick_us
+    assert calls == []
     assert eng.stats.iterations == iterations
+    assert eng.next_due(now) == now + eng.tick_us
+    assert not eng.due(now)
+    assert eng.due(now + eng.tick_us)
     sim._run_engines(now + eng.tick_us)
     assert eng.stats.iterations == iterations + 1
     assert not eng._rx_ring

@@ -524,6 +524,12 @@ def test_malformed_synack_on_an_established_flow_is_counted_not_reacked():
     ("10.0.0.02", 80, None),
     (" 10.0.0.2", 80, None),
     ("1_0.0.0.2", 80, None),
+    ("+1.0.0.2", 80, None),
+    ("10.0.0.2 ", 80, None),
+    ("\uff11.0.0.2", 80, None),  # a full-width digit one
+    (None, 80, None),
+    (167772162, 80, None),  # 10.0.0.2 as an int
+    (b"10.0.0.2", 80, None),
     ("10.0.0.2", 80, "turbo"),
 ])
 def test_bad_connect_arguments_raise_at_the_call_and_queue_nothing(

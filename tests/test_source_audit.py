@@ -1,7 +1,7 @@
 """Source audit: no state in the package that is written but never read,
 no exception class that is never raised, no function or class that nothing
-in the package uses unless it is listed with its reason, and no engine wake
-flag set where the wake contract does not put one."""
+in the package uses unless it is listed with its reason, no engine wake
+flag set and no RX ring read where the wake contract does not put one."""
 
 import ast
 from pathlib import Path
@@ -25,10 +25,14 @@ USED_OUTSIDE_THE_PACKAGE = {
     "ToeplitzHasher": "pinned by the tracer (toeplitz.hash_bytes)",
     "hash_bytes": "pinned by the tracer (toeplitz.hash_bytes)",
 }
-# The engine's own recompute, then the application's two doorbells (the
+# The engine's own recompute, then the application's one doorbell (the
 # wake contract in engine.py).
-WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine.submit",
-               "Channel.send"}
+WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine._ring"}
+# The binding, the iteration that drains the ring, and the three places
+# that apply the readiness rule (`_next_allowed if _rx_ring else ready_at`).
+RX_RING_READERS = {"Engine.__init__", "Engine.run_iteration",
+                   "Engine.next_due", "_Driver._run_engines",
+                   "_Driver._next_instant"}
 
 
 def test_every_attribute_stored_on_self_is_read():
@@ -101,11 +105,11 @@ def test_every_function_and_class_is_used_in_the_package():
     assert set(USED_OUTSIDE_THE_PACKAGE) <= set(unused), "stale allow-list"
 
 
-def test_only_the_engine_and_the_application_doorbells_set_wake():
-    """Every store to an attribute named `wake` sits in a method the wake
-    contract names. Work produced inside an iteration needs none: the
-    iteration recomputes `ready_at` as it ends."""
-    stores = set()
+def _scopes_touching(attr, ctx=ast.AST):
+    """The dotted class and function scopes in the package that use an
+    attribute named `attr` in the context `ctx` (ast.Store, ast.Load, or
+    either)."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -113,11 +117,25 @@ def test_only_the_engine_and_the_application_doorbells_set_wake():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            elif (isinstance(child, ast.Attribute) and child.attr == "wake"
-                    and isinstance(child.ctx, ast.Store)):
-                stores.add(".".join(scope))
+            elif (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ctx)):
+                scopes.add(".".join(scope))
             visit(child, inner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), ())
-    assert stores == WAKE_STORES
+    return scopes
+
+
+def test_only_the_engine_and_the_application_doorbells_set_wake():
+    """Every store to an attribute named `wake` sits in a method the wake
+    contract names. Work produced inside an iteration needs none: the
+    iteration recomputes `ready_at` as it ends."""
+    assert _scopes_touching("wake", ast.Store) == WAKE_STORES
+
+
+def test_only_the_iteration_and_the_drivers_poll_the_rx_ring():
+    """`_rx_ring` appears only where the engine binds and drains it and
+    where the readiness rule polls it. A cached value that counted frames
+    would need the driver to decide when frames could move it."""
+    assert _scopes_touching("_rx_ring") == RX_RING_READERS

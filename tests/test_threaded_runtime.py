@@ -160,8 +160,8 @@ def test_stress_channel_tx_queue_hands_over_every_message():
     of an empty queue takes no lock. Every message comes out once, in
     order."""
     total = 20_000
-    # An engine to ring, with no live runner's bell.
-    ch = Channel(SimpleNamespace(wake=False, bell=None), 1)
+    # An engine whose doorbell rings nothing.
+    ch = Channel(SimpleNamespace(_ring=lambda: None), 1)
     handle = FlowHandle("10.0.0.1", "10.0.0.2", 1, 80, ch)
     handle._settle(ESTABLISHED)
     popped = []
