@@ -53,9 +53,10 @@ class ChannelStats:
 
 class FlowHandle:
     """One connection, described once: it addresses every frame (`frame`),
-    and its channel's engine owns it. State fields are written by that
-    engine and read by the application thread. `key` is the connection's
-    identity in its engine's tables: (remote_ip, remote_port, local_port)."""
+    and its channel's engine owns it. That engine writes its fields and the
+    application reads them. Only a blocking connect waits, on an Event it
+    makes itself (`_done`). `key` is the connection's identity in its
+    engine's tables: (remote_ip, remote_port, local_port)."""
 
     def __init__(self, local_ip, remote_ip, local_port, remote_port, channel):
         self.local_ip = local_ip
@@ -67,7 +68,7 @@ class FlowHandle:
         self.state = CONNECTING
         self.error = None
         self.attempts = 0
-        self._done = threading.Event()
+        self._done = None  # a blocking connect's Event, set on settling
 
     @property
     def is_established(self):
@@ -77,17 +78,13 @@ class FlowHandle:
     def is_failed(self):
         return self.state in (FAILED, RESET)
 
-    def wait(self, timeout=None):
-        """Block until connection setup finished (threaded mode only)."""
-        self._done.wait(timeout)
-        return self.state
-
     def _settle(self, state, error=None, attempts=0):
         self.state = state
         self.error = error
         if attempts:
             self.attempts = attempts
-        self._done.set()
+        if self._done is not None:
+            self._done.set()
 
     def __repr__(self):
         return ("FlowHandle(%s:%d -> %s:%d, %s)"

@@ -8,13 +8,12 @@ every given key against it and the harness fills in the missing ones from
 it. docs/bench.md lists the same tables.
 """
 
-import ipaddress
 import math
 from dataclasses import dataclass
 
 from .fabric import FabricConfig
 from .handshake import MODE_NAIVE, MODE_OPTIMIZED
-from .wire import MAX_MESSAGE_BYTES
+from .wire import MAX_MESSAGE_BYTES, pack_ip
 
 
 class ConfigError(Exception):
@@ -204,8 +203,8 @@ def parse_scenario(text):
         if sec is None:
             raise ConfigError("missing [%s] section" % sec_name)
         hosts[name] = _section(sec, HOST_KEYS, sec_name)
-        try:  # four decimal parts, each 0-255
-            ipaddress.IPv4Address(hosts[name]["ip"])
+        try:
+            pack_ip(hosts[name]["ip"])
         except ValueError as exc:
             raise ConfigError("invalid 'ip': %s" % exc, sec["ip"][1])
     if hosts["client"]["ip"] == hosts["server"]["ip"]:

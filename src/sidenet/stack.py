@@ -25,6 +25,14 @@ class StackError(Exception):
     pass
 
 
+def _check_port(port):
+    """A flow port is an int in 1..65535; a bool is not one."""
+    if (isinstance(port, bool) or not isinstance(port, int)
+            or not 0 < port < 65536):
+        raise ValueError("port must be an int in [1, 65535], not %r"
+                         % (port,))
+
+
 class Stack:
     def __init__(self, nic, local_ip, seed=0, tick_us=DEFAULT_TICK_US):
         self.nic = nic
@@ -73,8 +81,7 @@ class Stack:
         """Bind a flow port; inbound flows land on this channel's engine."""
         self._require_init()
         self._require_attached(channel)
-        if not 0 < port < 65536:
-            raise ValueError("port must be in [1, 65535]")
+        _check_port(port)
         with self._lock:
             if port in self._listen_ports:
                 raise StackError("port %d already bound" % port)
@@ -99,25 +106,20 @@ class Stack:
         allocated or queued."""
         self._require_init()
         self._require_attached(channel)
-        if not 0 < remote_port < 65536:
-            raise ValueError("port must be in [1, 65535]")
-        try:  # the canonical dotted quad, the form received frames carry
-            canonical = wire.unpack_ip(wire.pack_ip(remote_ip)) == remote_ip
-        except (AttributeError, TypeError, ValueError):
-            canonical = False
-        if not canonical:
-            raise ValueError("%r is not a dotted-quad IPv4 address"
-                             % (remote_ip,))
+        _check_port(remote_port)
+        wire.pack_ip(remote_ip)
         if mode not in (None, handshake.MODE_NAIVE, handshake.MODE_OPTIMIZED):
             raise ValueError("unknown mode %r" % (mode,))
         with self._lock:
             local_port = self._alloc_flow_port(remote_ip, remote_port)
         handle = FlowHandle(self.local_ip, remote_ip, local_port, remote_port,
                             channel)
+        if blocking:  # made before the engine can settle the handle
+            handle._done = threading.Event()
         channel._engine.submit(("connect", handle,
                                 mode or handshake.MODE_OPTIMIZED))
         if blocking:
-            handle.wait(timeout)
+            handle._done.wait(timeout)
             if handle.state == FAILED:
                 raise ConnectError(handle.error or "connect failed",
                                    attempts=handle.attempts)

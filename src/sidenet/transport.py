@@ -499,6 +499,11 @@ class Flow:
         self._teardown(CLOSED)
 
     def on_finack(self, pkt, now):
+        """A FIN-ACK answers this flow's own FIN, and _send_fin arms
+        fin_timer; one the flow never asked for is a protocol error."""
+        if self.fin_timer is None:
+            self.stats.protocol_errors += 1
+            return
         self._teardown(CLOSED)
 
     def start_close(self, now):

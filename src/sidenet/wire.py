@@ -79,9 +79,16 @@ _ACK_PAYLOAD = struct.Struct(">HH")  # successful SYN-ACK udp src/dst
 
 
 def pack_ip(dotted):
-    """4-byte network-order form of a dotted quad."""
-    a, b, c, d = (int(x) for x in dotted.split("."))
-    return bytes((a, b, c, d))
+    """4-byte network-order form of a dotted quad. Anything but the
+    canonical dotted quad, the form received frames carry, raises
+    ValueError."""
+    try:
+        raw = bytes(int(x) for x in dotted.split("."))
+        if len(raw) == 4 and unpack_ip(raw) == dotted:
+            return raw
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise ValueError("%r is not a dotted-quad IPv4 address" % (dotted,))
 
 
 def unpack_ip(raw):

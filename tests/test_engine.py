@@ -717,6 +717,32 @@ def test_lost_fin_is_sent_again():
     assert not any(eng.flows for eng in client.engines + server.engines)
 
 
+def test_stray_finack_is_a_protocol_error_and_ends_nothing():
+    """A FIN-ACK answers only the flow's own FIN. One for an established
+    flow that never sent a FIN counts one protocol error and changes
+    nothing: an echo still completes, and a later close ends both flows."""
+    sim, client, server, cch, sch = make_pair(seed=14, engines=1)
+    handle = connect_established(sim, client, cch)
+    sim.run_for(1000)  # let the final ACK land
+    udp = server.engines[0].flows[("10.0.0.1", handle.local_port, 80)].tx_udp
+    eng = client.engines[0]
+    (flow,) = eng.flows.values()
+    eng._rx_ring.append(wire.build_frame(
+        "10.0.0.2", "10.0.0.1", udp.src, udp.dst, wire.PKT_FINACK, 80,
+        handle.local_port))
+    eng.run_iteration(sim.now)
+    assert flow.stats.protocol_errors == 1
+    assert handle.is_established and eng.flows == {handle.key: flow}
+    echo_server(sim, server, sch)
+    cch.send(handle, b"ping")
+    assert sim.run_until(lambda: cch.rx_pending() > 0, max_us=1_000_000)
+    assert cch.recv().payload == b"ping"
+    client.close(handle)
+    assert sim.drain()
+    assert handle.state == CLOSED and flow.stats.protocol_errors == 1
+    assert not any(eng.flows for eng in client.engines + server.engines)
+
+
 def _idle_pair_at(offset):
     """An established 1x1 pair run until idle, then to the first instant
     that is `offset` past a 50 us grid point."""

@@ -26,6 +26,21 @@ def two_host_fabric(**cfg_kwargs):
     return fab, nic_a, nic_b
 
 
+@pytest.mark.parametrize("ip", [" 10.0.0.1", "010.0.0.1", "+10.0.0.1",
+                                "10.0.0.1\n", "1_0.0.0.1"])
+def test_add_host_refuses_an_address_no_frame_carries(ip):
+    """Only the canonical dotted quad, the form every received frame's
+    source reads as, names a host; another form registers nothing."""
+    fab = Fabric(FabricConfig())
+    with pytest.raises(ValueError):
+        fab.add_host(ip, 1)
+    assert not fab._hosts and not fab._tx_rings
+    sim = Sim(FabricConfig())
+    with pytest.raises(ValueError):
+        sim.add_stack(ip, 1)
+    assert not sim.stacks and not sim.fabric._hosts
+
+
 def test_single_queue_always_steers_to_zero():
     fab, nic_a, _ = two_host_fabric(rng_seed=3)
     for sport in range(41000, 41050):

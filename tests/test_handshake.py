@@ -154,6 +154,21 @@ def test_blocking_connect_raises_connect_error(tmp_path):
     assert handle_box["err"].attempts == 8
 
 
+def test_handles_hold_no_event_when_nothing_blocks():
+    """Only a blocking connect makes an Event to wait on. After an echo
+    under Sim, a non-blocking connect's handle and the handle the server
+    accepted hold none."""
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    handle = connect_established(sim, client, cch)
+    cch.send(handle, b"ping")
+    assert sim.run_until(lambda: sch.rx_pending() > 0)
+    accepted = sch.recv().flow
+    server.send(sch, accepted, b"pong")
+    assert sim.run_until(lambda: cch.rx_pending() > 0)
+    assert cch.recv().payload == b"pong"
+    assert handle._done is None and accepted._done is None
+
+
 def test_affinity_both_directions_steer_to_owning_engines():
     sim, client, server, cch, sch = make_pair(seed=10, engines=4,
                                               server_engine=1,
@@ -518,6 +533,9 @@ def test_malformed_synack_on_an_established_flow_is_counted_not_reacked():
     ("10.0.0.2", 70000, None),
     ("10.0.0.2", 65536, None),
     ("10.0.0.2", 0, None),
+    ("10.0.0.2", 80.0, None),
+    pytest.param("10.0.0.2", "80", None, id="10.0.0.2-str80-None"),
+    ("10.0.0.2", True, None),
     ("10.0.0.300", 80, None),
     ("banana", 80, None),
     ("10.0.0", 80, None),
@@ -543,3 +561,16 @@ def test_bad_connect_arguments_raise_at_the_call_and_queue_nothing(
     handle = connect_established(sim, client, cch)  # the stack still works
     assert handle.local_port == next_port
     assert sum(eng.stats.connects_requested for eng in client.engines) == 1
+
+
+@pytest.mark.parametrize("port", [
+    0, 65536, 80.0, 83.5, pytest.param("80", id="str80"),
+    pytest.param("82", id="str82"), True, None])
+def test_bad_listen_port_raises_at_the_call_and_binds_nothing(port):
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    inboxes = [list(eng.control_inbox) for eng in server.engines]
+    with pytest.raises(ValueError):
+        server.listen(sch, port)
+    assert server._listen_ports == {80}
+    assert [list(eng.control_inbox) for eng in server.engines] == inboxes
+    connect_established(sim, client, cch)  # the stack still works

@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import pytest
+
 from sidenet.channel import CLOSED, ESTABLISHED, Channel, FlowHandle
 from sidenet.driver import ThreadedRuntime
 from sidenet.engine import CHANNEL_MSG_BURST, CONTROL_INTERVAL_US
@@ -264,5 +266,25 @@ def test_stack_added_after_start_rings_the_parked_runner():
         cch.send(handle, b"late")
         msg = sch.recv(block=True, timeout=2)
         assert msg is not None and msg.payload == b"late"
+    finally:
+        rt.stop()
+
+
+def test_bad_port_is_refused_at_the_call_and_the_runner_lives():
+    """A float port is refused before anything reaches the runner thread,
+    so a blocking connect on the same runtime still establishes."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=6, base_delay_us=50), seed=6)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    cch = client.attach()
+    rt.start()
+    try:
+        with pytest.raises(ValueError):
+            client.connect(cch, "10.0.0.2", 80.0, blocking=True, timeout=2)
+        handle = client.connect(cch, "10.0.0.2", 80, blocking=True,
+                                timeout=5)
+        assert handle.state == ESTABLISHED and rt._runner.is_alive()
     finally:
         rt.stop()
