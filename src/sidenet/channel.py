@@ -56,7 +56,9 @@ class FlowHandle:
     and its channel's engine owns it. That engine writes its fields and the
     application reads them. Only a blocking connect waits, on an Event it
     makes itself (`_done`). `key` is the connection's identity in its
-    engine's tables: (remote_ip, remote_port, local_port)."""
+    engine's connection table: (remote_ip, remote_port, local_port). The
+    stack reserves the key of a connect of its own until the engine drops
+    the connection."""
 
     def __init__(self, local_ip, remote_ip, local_port, remote_port, channel):
         self.local_ip = local_ip

@@ -15,7 +15,8 @@ makes the passes on one runner thread on the wall clock, delivering only
 up to `now`; with no work it waits on one Event until the next instant or
 an application doorbell. Only the runner touches engines, NICs and the
 fabric; application threads, which may block, reach them through the
-channels and the control inboxes.
+channels and the control inboxes. The one other state both sides touch is
+each stack's set of reserved flow keys (Engine.drop says why that is safe).
 """
 
 import threading

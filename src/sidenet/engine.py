@@ -13,6 +13,14 @@ Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
 replicated.
 
+Each engine keeps one record per connection in one table, `conns`, keyed
+(peer_ip, peer_port, local_port): a ClientHandshake or ServerHandshake
+during set-up, then the Flow that replaces it at establishment. A frame's
+key is looked up once, and the record's class decides which packet types
+it takes. A record leaves only through drop(). The stack reserves the keys
+of its own connects from connect() until that drop, so a peer's SYN never
+opens a second record under one.
+
 Wake contract. Each engine keeps `ready_at`, the first instant its own
 queues give it work: the earliest of its waiting messages and TX backlog
 (ready at once), its first live timer and its control gate, held back to
@@ -111,7 +119,9 @@ class EngineStats:
 
 
 class Timer:
-    """A callback due at `due`; `live` until it is cancelled or fires."""
+    """A callback due at `due`; `live` until it is cancelled or fires. Both
+    drop `fn`, which refers back to the owner that holds the timer, so an
+    ended flow or handshake is freed without waiting for the cyclic GC."""
 
     __slots__ = ("due", "fn", "live")
 
@@ -122,6 +132,7 @@ class Timer:
 
     def cancel(self):
         self.live = False
+        self.fn = None
 
 
 @dataclass
@@ -133,16 +144,16 @@ class Listener:
 
 
 class Engine:
-    def __init__(self, engine_id, nic, local_ip, num_engines, rng,
+    def __init__(self, engine_id, nic, local_ip, num_engines, rng, reserved,
                  tick_us=DEFAULT_TICK_US):
         self.engine_id = engine_id
         self.local_ip = local_ip
         self.num_engines = num_engines
         self.rng = rng
         self.tick_us = tick_us
-        self.flows = {}
-        self.client_handshakes = {}
-        self.server_handshakes = {}
+        # key -> its one record: ClientHandshake, ServerHandshake or Flow
+        self.conns = {}
+        self._reserved = reserved  # the stack's flow keys of its own connects
         self.listeners = {}
         self.channels = []
         self.control_inbox = deque()
@@ -262,8 +273,8 @@ class Engine:
             if due is None or due > now:
                 break
             _, _, timer = heapq.heappop(self._timers)
-            timer.live = False
-            timer.fn(now)
+            fn, timer.fn, timer.live = timer.fn, None, False
+            fn(now)
             work += 1
 
         gate = self._control_time(now)
@@ -295,7 +306,8 @@ class Engine:
 
     def _dispatch(self, frame, now):
         """Handle one received frame. Its fate is decided from the header
-        fields and table lookups; a ParsedFrame is built only for a frame a
+        fields and the one record its key finds, whose class decides the
+        packet types it takes; a ParsedFrame is built only for a frame a
         flow or handshake takes."""
         head = wire.parse_header(frame)
         if head is None:
@@ -305,47 +317,43 @@ class Engine:
         # then the rest of ParsedFrame's fields up to its payload.
         t = head[3]
         key = (head[0], head[4], head[5])
+        rec = self.conns.get(key)
         if t in _FLOW_PKT_TYPES:
-            flow = self.flows.get(key)
-            if flow is None:
+            if type(rec) is not transport.Flow:
                 self.stats.rx_unknown_flow += 1
                 return
             pkt = ParsedFrame(*head, frame[FRAME_HEAD_LEN:])
             if t == wire.PKT_DATA:
                 if pkt.flags & wire.FLAG_ACK:
-                    flow.on_carried_ack(pkt.ack, now)
-                flow.on_data(pkt, now)
+                    rec.on_carried_ack(pkt.ack, now)
+                rec.on_data(pkt, now)
             elif t == wire.PKT_SACK:
-                flow.on_sack(pkt, now)
+                rec.on_sack(pkt, now)
             elif t == wire.PKT_FIN:
-                flow.on_fin(pkt, now)
+                rec.on_fin(pkt, now)
             else:
-                flow.on_finack(pkt, now)
+                rec.on_finack(pkt, now)
         elif t == wire.PKT_SYN:
             self.stats.syns_rx += 1
-            self._on_syn(head, frame, key, now)
+            self._on_syn(head, frame, key, rec, now)
         elif t == wire.PKT_SYNACK:
             self.stats.synacks_rx += 1
-            hs = self.client_handshakes.get(key)
-            if hs is not None:
-                hs.on_synack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
-                return
-            flow = self.flows.get(key)
-            if flow is None or flow.final_ack is None:  # no client flow
+            if type(rec) is handshake.ClientHandshake:
+                rec.on_synack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
+            elif type(rec) is transport.Flow and rec.final_ack is not None:
+                rec.on_synack(ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
+            else:  # no pending connect and no client flow
                 self.stats.unknown_synacks += 1
-            else:
-                flow.on_synack(ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
         elif t == wire.PKT_ACK:
             self.stats.acks_rx += 1
-            hs = self.server_handshakes.get(key)
-            if hs is not None:
-                hs.on_ack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
-            elif key not in self.flows:  # not a live flow's repeated final ACK
+            if type(rec) is handshake.ServerHandshake:
+                rec.on_ack(now, ParsedFrame(*head, frame[FRAME_HEAD_LEN:]))
+            elif type(rec) is not transport.Flow:  # not a repeated final ACK
                 self.stats.unknown_acks += 1
         else:
             self.stats.rx_malformed += 1  # no such packet type
 
-    def _on_syn(self, head, frame, key, now):
+    def _on_syn(self, head, frame, key, rec, now):
         if head[6] == 0:  # seq
             # Attempts count from 1: no client sends seq 0, and the server
             # handshake would file it as a duplicate of attempt 0 and never
@@ -360,12 +368,13 @@ class Engine:
             # Expected spray waste; the owning engine sees its own copy.
             self.stats.wrong_engine_syns += 1
             return
-        if key in self.flows:
+        if ((rec is not None and type(rec) is not handshake.ServerHandshake)
+                or key in self._reserved):
+            # A flow holds the key, or this host's own connect reserved it.
             self.stats.duplicate_syns += 1
             return
         pkt = ParsedFrame(*head, frame[FRAME_HEAD_LEN:])
-        hs = self.server_handshakes.get(key)
-        if hs is None:
+        if rec is None:
             info = wire.unpack_syn_payload(pkt.payload)
             if info is None:
                 self.stats.rx_malformed += 1
@@ -375,18 +384,18 @@ class Engine:
                     else handshake.MODE_NAIVE)
             handle = FlowHandle(self.local_ip, pkt.src_ip, listener.port,
                                 pkt.flow_src, listener.channel)
-            hs = handshake.ServerHandshake(self, handle, mode,
-                                           max(1, client_engines))
-            self.server_handshakes[key] = hs
-        hs.on_syn(now, pkt)
+            rec = handshake.ServerHandshake(self, handle, mode,
+                                            max(1, client_engines))
+            self.conns[key] = rec
+        rec.on_syn(now, pkt)
 
     # Channel TX.
 
     def _app_send(self, handle, payload, now):
-        # Channel.send checked the message, and a filed flow is established:
-        # establish files and settles it at once; _teardown settles, drops.
-        flow = self.flows.get(handle.key)
-        if flow is None:
+        # Channel.send queued it while the handle was established, so the
+        # record holding this handle is its flow, unless the flow has ended.
+        flow = self.conns.get(handle.key)
+        if flow is None or flow.handle is not handle:
             self.stats.app_msgs_dropped += 1
             return
         flow.send_message(payload, now)
@@ -399,28 +408,43 @@ class Engine:
             _, handle, mode = request
             self.stats.connects_requested += 1
             hs = handshake.ClientHandshake(self, handle, mode)
-            self.client_handshakes[handle.key] = hs
+            self.conns[handle.key] = hs
             hs.start(now)
         elif op == "listen":
             listener = request[1]
             self.listeners[listener.port] = listener
         elif op == "close":
-            key = request[1]
-            flow = self.flows.get(key)
-            if flow is not None:
-                flow.start_close(now)
-            elif key in self.client_handshakes:
-                self.client_handshakes[key].cancel()
+            handle = request[1]
+            rec = self.conns.get(handle.key)
+            if rec is None or rec.handle is not handle:
+                return  # it ended before the close was serviced
+            if type(rec) is transport.Flow:
+                rec.start_close(now)
+            else:  # a pending connect: no server handshake's handle is out
+                rec.cancel()
 
-    # Flow lifecycle, called by the handshake state machines.
+    # The connection table: one record per key, which leaves only by drop.
+
+    @property
+    def flows(self):
+        """A snapshot of the Flow records in `conns`, keyed as there."""
+        return {key: rec for key, rec in self.conns.items()
+                if type(rec) is transport.Flow}
 
     def establish(self, handle, tx_udp, attempts=0):
-        """File the flow a handshake just completed and settle its handle."""
+        """Replace a finished handshake with its flow; settle the handle."""
         flow = transport.Flow(self, handle, tx_udp)
-        self.flows[handle.key] = flow
+        self.conns[handle.key] = flow
         self.stats.handshakes_established += 1
         handle._settle(ESTABLISHED, attempts=attempts)
         return flow
 
-    def drop_flow(self, flow):
-        self.flows.pop(flow.key(), None)
+    def drop(self, key):
+        """Remove the record of a connection that failed or ended, and free
+        its key for the stack to hand out again."""
+        self.conns.pop(key, None)
+        # An app thread may be in Stack._alloc_flow_port meanwhile: it adds
+        # only absent keys, under the stack's lock, and discard is atomic,
+        # so at worst it skips a key freed here. No accepted connection's
+        # key is reserved (_on_syn), so this frees only a connect's own.
+        self._reserved.discard(key)

@@ -28,10 +28,12 @@ for every subsequent packet of the flow, pinning it to one engine per side.
 Each handshake holds, as its flow will, its engine and the connection's
 FlowHandle, which addresses every frame it sends. Set-up state ends at
 establishment on both sides: the client's handshake when its winning
-SYN-ACK arrives, the server's when the final ACK does. From then on the
-flow answers for its key; a client flow re-sends its final ACK when a
-retry SYN-ACK shows that the ACK was lost. SYNs and SYN-ACKs carry the
-sender's engine id, which neither side stores.
+SYN-ACK arrives, the server's when the final ACK does. The flow then
+replaces the handshake as its key's record in the engine's table; a client
+flow re-sends its final ACK when a retry SYN-ACK shows that the ACK was
+lost. A handshake that fails, is cancelled or runs out its retries leaves
+the table through Engine.drop. SYNs and SYN-ACKs carry the sender's engine
+id, which neither side stores.
 """
 
 import math
@@ -127,9 +129,10 @@ def draw_udp_pairs(rng, count, used):
 class ClientHandshake:
     """Connect-side state machine; lives on the engine that must own the flow.
 
-    It ends when its winning SYN-ACK establishes the flow: it leaves the
-    engine's table, and the flow keeps the final ACK. A retry SYN-ACK (our
-    ACK was lost) is then answered by the flow, with the same ACK bytes."""
+    It ends when its winning SYN-ACK establishes the flow: the flow takes
+    its place in the engine's table and keeps the final ACK. A retry
+    SYN-ACK (our ACK was lost) is then answered by the flow, with the same
+    ACK bytes."""
 
     def __init__(self, eng, handle, mode):
         self.eng = eng
@@ -163,7 +166,7 @@ class ClientHandshake:
     def on_timeout(self, now):
         if self.attempt >= MAX_ATTEMPTS:
             self.eng.stats.handshake_failures += 1
-            self.eng.client_handshakes.pop(self.handle.key, None)
+            self.eng.drop(self.handle.key)
             self.handle._settle(FAILED, "no port pair reached the target "
                                 "engines after %d attempts" % self.attempt,
                                 attempts=self.attempt)
@@ -176,7 +179,7 @@ class ClientHandshake:
     def cancel(self):
         """A close before establishment: stop retrying, settle CLOSED."""
         self.retry_timer.cancel()
-        self.eng.client_handshakes.pop(self.handle.key, None)
+        self.eng.drop(self.handle.key)
         self.handle._settle(CLOSED)
 
     def on_synack(self, now, pkt):
@@ -190,7 +193,6 @@ class ClientHandshake:
         tx_src, tx_dst, _ = accepted  # the server's engine id is not kept
         handle = self.handle
         self.retry_timer.cancel()
-        eng.client_handshakes.pop(handle.key, None)
         flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
                              attempts=self.attempt)
         flow.final_ack = frame(
@@ -274,7 +276,7 @@ class ServerHandshake:
         """The final ACK never arrived: answer again so a half-open peer
         recovers."""
         if self.attempts >= MAX_ATTEMPTS:
-            self.eng.server_handshakes.pop(self.handle.key, None)
+            self.eng.drop(self.handle.key)
             return
         self._spray_synacks(now)
 
@@ -284,9 +286,6 @@ class ServerHandshake:
             self.eng.stats.rx_malformed += 1
             return
         self.retry_timer.cancel()
-        # From here on the flow answers for this key; a late SYN or ACK
-        # finds it in the engine's flow table.
-        self.eng.server_handshakes.pop(self.handle.key, None)
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
         # client sends on the pair its ACK just arrived on.
         self.eng.establish(self.handle, UdpPorts(chosen[0], chosen[1]))

@@ -42,6 +42,7 @@ class Stack:
         self.engines = []
         self._attach_count = 0
         self._listen_ports = set()
+        self._reserved = set()  # the flow keys of connects not yet ended
         self._next_flow_port = EPHEMERAL_FLOW_PORT_BASE
         self._lock = threading.Lock()
         self._initialized = False
@@ -54,7 +55,7 @@ class Stack:
         for i in range(n):
             rng = Random("%s/%d/engine/%d" % (self.local_ip, self.seed, i))
             self.engines.append(Engine(i, self.nic, self.local_ip, n, rng,
-                                       tick_us=self.tick_us))
+                                       self._reserved, tick_us=self.tick_us))
         self._initialized = True
         return self
 
@@ -129,7 +130,8 @@ class Stack:
 
     def _alloc_flow_port(self, remote_ip, remote_port):
         """Next port after the last one handed out that is neither a listen
-        port nor part of a live flow or pending connect to this peer."""
+        port nor held by a connect to this peer that has not ended. Its key
+        stays reserved until the engine drops the connection."""
         for _ in range(65536):
             port = self._next_flow_port
             self._next_flow_port += 1
@@ -138,8 +140,8 @@ class Stack:
             if port in self._listen_ports:
                 continue
             key = (remote_ip, remote_port, port)
-            if not any(key in eng.flows or key in eng.client_handshakes
-                       for eng in self.engines):
+            if key not in self._reserved:
+                self._reserved.add(key)
                 return port
         raise StackError("no free flow ports")
 
@@ -151,7 +153,7 @@ class Stack:
 
     def close(self, flow):
         self._require_attached(flow.channel)
-        flow.channel._engine.submit(("close", flow.key))
+        flow.channel._engine.submit(("close", flow))
 
     def stats_rows(self):
         """One mapping per engine (NIC queue), for the bench CSV export."""

@@ -541,7 +541,7 @@ class Flow:
                       self.fin_timer):
             if timer is not None:
                 timer.cancel()
-        self.eng.drop_flow(self)
+        self.eng.drop(self.handle.key)
 
     def conservation_ok(self):
         s = self.stats

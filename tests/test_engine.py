@@ -1,5 +1,7 @@
 """Engine loop contract: iteration order, policies, shared-nothing audit."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -9,14 +11,15 @@ from hypothesis import strategies as st
 from conftest import PollApp, connect_established, echo_server, make_pair
 
 from sidenet import wire
-from sidenet.channel import CLOSED, CONNECTING, ESTABLISHED, RESET
+from sidenet.channel import CLOSED, CONNECTING, ESTABLISHED, FAILED, RESET
 from sidenet.driver import Sim
 from sidenet.engine import (CONTROL_INTERVAL_US, RX_BURST, EnginePolicy,
                             pick_engine)
 from sidenet.fabric import FabricConfig
-from sidenet.handshake import MODE_NAIVE, MODE_OPTIMIZED
+from sidenet.handshake import (MODE_NAIVE, MODE_OPTIMIZED, ClientHandshake,
+                               ServerHandshake)
 from sidenet.nic import QUEUE_DEPTH
-from sidenet.transport import RTO_BASE_US
+from sidenet.transport import RTO_BASE_US, Flow
 
 
 def test_idle_iteration_does_no_work():
@@ -101,7 +104,7 @@ def test_flow_frame_for_no_flow_counts_unknown_flow(pkt_type):
                                    pkt_type, 4242, 80), sim.now)
     assert eng.stats == replace(before,
                                 rx_unknown_flow=before.rx_unknown_flow + 1)
-    assert not eng.flows and not eng.server_handshakes
+    assert not eng.conns
 
 
 def _forged(pkt_type, flow_src=4242, flow_dst=80, seq=1, payload=b""):
@@ -162,7 +165,7 @@ def test_each_drop_is_decided_from_the_header_and_builds_no_record(
     assert eng.stats == replace(
         before, **{k: getattr(before, k) + 1 for k in bumped})
     assert built == []
-    assert not eng.flows and not eng.server_handshakes
+    assert not eng.conns
 
 
 def test_a_frame_a_handler_takes_builds_one_record(monkeypatch):
@@ -174,7 +177,7 @@ def test_a_frame_a_handler_takes_builds_one_record(monkeypatch):
     eng = server.engines[0]
     built = _count_records(monkeypatch)
     eng._dispatch(_forged(wire.PKT_SYN, payload=_SYN), sim.now)
-    assert len(built) == 1 and len(eng.server_handshakes) == 1
+    assert len(built) == 1 and len(eng.conns) == 1
     eng._dispatch(_forged(wire.PKT_ACK, payload=wire.pack_ack_payload(1, 2)),
                   sim.now)
     assert len(built) == 2 and len(eng.flows) == 1
@@ -206,10 +209,60 @@ def test_flow_port_of_a_live_flow_or_pending_connect_is_skipped():
 
     pending = client.connect(cch, "10.0.0.2", 81)  # nobody listens there
     assert sim.run_until(lambda: ("10.0.0.2", 81, pending.local_port)
-                         in ceng.client_handshakes, max_us=1000)
+                         in ceng.conns, max_us=1000)
     client._next_flow_port = pending.local_port
     again = client.connect(cch, "10.0.0.2", 81)
     assert again.local_port != pending.local_port
+
+
+def test_connects_allocated_before_they_are_serviced_get_their_own_ports():
+    """The stack reserves each flow key it hands out until the connection
+    ends: a second connect allocated before the first is serviced gets
+    another port even with the counter rewound, and both establish. A key
+    is free again once its connect is closed, fails or is cancelled."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=1)
+    a = client.connect(cch, "10.0.0.2", 80)
+    client._next_flow_port = a.local_port
+    b = client.connect(cch, "10.0.0.2", 80)
+    assert b.local_port != a.local_port
+    assert sim.run_until(lambda: CONNECTING not in (a.state, b.state),
+                         max_us=3_000_000)
+    assert a.is_established and b.is_established
+    failed = client.connect(cch, "10.0.0.2", 81)  # nobody listens there
+    cancelled = client.connect(cch, "10.0.0.2", 81)
+    sim.run_for(1_000)
+    for handle in (a, b, cancelled):
+        client.close(handle)
+    assert sim.run_until(lambda: failed.state == FAILED, max_us=3_000_000)
+    sim.drain()
+    assert (a.state, b.state, cancelled.state) == (CLOSED,) * 3
+    assert not client._reserved
+    for handle in (a, failed):
+        client._next_flow_port = handle.local_port
+        again = client.connect(cch, handle.remote_ip, handle.remote_port)
+        assert again.local_port == handle.local_port
+
+
+def test_a_stale_handle_does_not_reach_a_newer_flow_on_its_key():
+    """A close request and a queued message carry their handle, and the
+    engine acts only on the record that holds it: once a flow has ended
+    and a newer connect holds its key, a close of the old handle or a
+    message queued on it leaves the newer flow alone."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=1)
+    old = connect_established(sim, client, cch)
+    client.close(old)
+    assert sim.drain() and old.state == CLOSED
+    client._next_flow_port = old.local_port
+    new = connect_established(sim, client, cch)
+    assert new.key == old.key
+    eng = client.engines[0]
+    flow = eng.flows[new.key]
+    before = eng.stats.app_msgs_dropped
+    eng._app_send(old, b"stale", sim.now)
+    assert eng.stats.app_msgs_dropped == before + 1 and not flow.unacked
+    client.close(old)
+    sim.run_for(100_000)
+    assert new.is_established and eng.flows[new.key] is flow
 
 
 def test_round_robin_assignment_cycles():
@@ -335,11 +388,11 @@ def test_syn_with_seq_zero_is_malformed_and_leaves_no_handshake(flags):
     eng._dispatch(wire.build_frame(
         "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
         payload=wire.pack_syn_payload(1, 0), seq=0, flags=flags), sim.now)
-    assert not eng.server_handshakes
+    assert not eng.conns
     assert eng.stats == replace(before, syns_rx=before.syns_rx + 1,
                                 rx_malformed=before.rx_malformed + 1)
     sim.run_for(1_000_000)
-    assert not eng.server_handshakes
+    assert not eng.conns
     assert eng.stats.synacks_sent == 0
 
 
@@ -865,14 +918,14 @@ def _hostile_targets():
     ceng, seng = client.engines[0], server.engines[0]
     client.connect(cch, "10.0.0.2", 81)  # nobody listens there
     assert sim.run_until(lambda: any(
-        hs.handle.remote_port == 81 for hs in ceng.client_handshakes.values()),
+        hs.handle.remote_port == 81 for hs in ceng.conns.values()),
         max_us=1000)
-    (hs,) = [hs for hs in ceng.client_handshakes.values()
+    (hs,) = [hs for hs in ceng.conns.values()
              if hs.handle.remote_port == 81]
     seng._dispatch(wire.build_frame(
         "10.0.0.9", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
         payload=wire.pack_syn_payload(1, 0), seq=1), sim.now)
-    assert ("10.0.0.9", 4242, 80) in seng.server_handshakes
+    assert type(seng.conns.get(("10.0.0.9", 4242, 80))) is ServerHandshake
     port = handle.local_port
     to_client = [
         wire.build_frame("10.0.0.2", "10.0.0.1", 1, 2, wire.PKT_DATA, 80,
@@ -1024,3 +1077,29 @@ def test_queue_delivered_counts_frames_still_in_the_rx_ring():
     eng.run_iteration(sim.now)
     assert server.nic.rx_pending(0) == 8
     assert server.stats_rows()[0]["queue_delivered"] == RX_BURST + 8
+
+
+def test_an_ended_connection_leaves_no_flow_or_handshake_behind(monkeypatch):
+    """A timer drops its callback when it fires or is cancelled, so nothing
+    of a closed connection lives in a reference cycle: with the cyclic GC
+    off, both handshakes and both flows are freed by the time the sim
+    drains."""
+    refs = []
+    for cls in (ClientHandshake, ServerHandshake, Flow):
+        def tracking_init(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            refs.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", tracking_init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim, client, server, cch, sch = make_pair(seed=4, engines=2)
+        handle = connect_established(sim, client, cch)
+        client.close(handle)
+        assert sim.drain()
+        assert handle.state == CLOSED
+        assert len(refs) == 4
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()

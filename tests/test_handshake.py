@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import connect_established, make_pair
+from conftest import PollApp, connect_established, make_pair
 
 from sidenet import wire
 from sidenet.channel import CLOSED, CONNECTING, ConnectError
@@ -281,7 +281,7 @@ def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():
     target = server.engines[2]
     key = ("10.0.0.1", handle.local_port, 80)
     flow = target.flows[key]
-    assert all(not eng.server_handshakes for eng in server.engines)
+    assert all(eng.conns == eng.flows for eng in server.engines)
     (final_ack,) = acks
     before = asdict(target.stats)
     target._dispatch(final_ack, sim.now)
@@ -289,7 +289,7 @@ def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():
     changed = {k: after[k] - before[k] for k in after if after[k] != before[k]}
     assert changed == {"acks_rx": 1}
     assert target.flows[key] is flow
-    assert not target.server_handshakes
+    assert target.conns == target.flows
 
 
 def _stats_delta(eng, frame, now):
@@ -320,7 +320,7 @@ def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
     sim.fabric._tap = record_acks
     handle = connect_established(sim, client, cch)
     sim.run_for(1000)  # let the final ACK land
-    assert all(not eng.client_handshakes for eng in client.engines)
+    assert all(eng.conns == eng.flows for eng in client.engines)
     ceng, seng = client.engines[1], server.engines[2]
     flow = ceng.flows[("10.0.0.2", 80, handle.local_port)]
     server_flow = seng.flows[("10.0.0.1", handle.local_port, 80)]
@@ -343,7 +343,7 @@ def test_client_handshake_freed_at_establishment_and_retry_synack_reacked():
     sim.run_for(1000)
     assert len(acks) == 2
     assert ceng.flows[("10.0.0.2", 80, handle.local_port)] is flow
-    assert not ceng.client_handshakes
+    assert ceng.conns == ceng.flows
 
     to_server_flow = wire.build_frame(
         "10.0.0.1", "10.0.0.2", flow.tx_udp.src, flow.tx_udp.dst,
@@ -368,8 +368,32 @@ def test_close_while_connecting_cancels_the_handshake():
     assert engine_stat(client, "syns_sent") == syns
     for stack in (client, server):
         for eng in stack.engines:
-            assert not (eng.flows or eng.client_handshakes
-                        or eng.server_handshakes)
+            assert not eng.conns
+
+
+def test_syn_for_the_key_of_a_pending_connect_builds_nothing():
+    """One record per key. A connects from port 32768, then listens on that
+    port, and B connects to it from its own port 32768: B's SYNs carry the
+    key of A's pending connect, so A counts them as duplicates and builds
+    no handshake. No flow is filed under the key while A's connect is
+    pending, and A's close ends A's own connect."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    a = client.connect(cch, "10.0.0.2", 32768)  # nobody listens there
+    client.listen(cch, a.local_port)
+    b = server.connect(sch, "10.0.0.1", 32768)
+    assert a.local_port == b.local_port == 32768
+    ceng = client.engines[0]
+    filed = []
+    sim.add_app(PollApp(lambda _: filed.append(a.key in ceng.flows)))
+    sim.run_for(1_000)
+    assert ceng.stats.duplicate_syns > 0 and b.state == CONNECTING
+    client.close(a)
+    assert sim.run_until(lambda: a.state != CONNECTING, max_us=1_000)
+    assert a.state == CLOSED
+    assert filed and not any(filed)
+    # With A's connect gone, B's retry finds the key free.
+    assert sim.run_until(lambda: b.state != CONNECTING, max_us=1_000_000)
+    assert b.is_established and b.attempts == 2
 
 
 def test_retired_set_up_names_are_gone():
@@ -465,7 +489,7 @@ def test_forged_engine_count_gets_at_most_batch_cap_synacks_per_answer():
     eng = server.engines[0]
     eng._dispatch(_forged_syn(65535), sim.now)
     eng.wake = True  # dispatched from outside an iteration
-    (hs,) = eng.server_handshakes.values()
+    (hs,) = eng.conns.values()
     assert eng.stats.synacks_sent == len(hs.sprayed) == BATCH_CAP
     assert sim.run_until(lambda: eng.stats.synacks_sent > BATCH_CAP,
                          max_us=2 * RETRY_TIMEOUT_US)
@@ -477,13 +501,13 @@ def test_malformed_final_ack_is_counted_and_leaves_the_handshake_pending():
     sim.run_for(100)
     eng = server.engines[0]
     eng._dispatch(_forged_syn(1), sim.now)
-    (key, hs), = eng.server_handshakes.items()
+    (key, hs), = eng.conns.items()
     short_ack = wire.build_frame(
         "10.0.0.9", "10.0.0.2", 5001, 6001, wire.PKT_ACK, 4242, 80,
         payload=b"\x01", seq=1)
     assert _stats_delta(eng, short_ack, sim.now) == {"acks_rx": 1,
                                                      "rx_malformed": 1}
-    assert eng.server_handshakes == {key: hs}
+    assert eng.conns == {key: hs}
     assert hs.retry_timer.live
     assert not eng.flows
 
@@ -497,14 +521,14 @@ def test_malformed_synack_is_counted_and_leaves_the_connect_pending():
         wire.parse_frame(frame).pkt_type == wire.PKT_SYN)
     handle = client.connect(cch, "10.0.0.2", 80)
     eng = client.engines[0]
-    assert sim.run_until(lambda: eng.client_handshakes, max_us=1000)
-    (key, hs), = eng.client_handshakes.items()
+    assert sim.run_until(lambda: eng.conns, max_us=1000)
+    (key, hs), = eng.conns.items()
     short_synack = wire.build_frame(
         "10.0.0.2", "10.0.0.1", 6001, 5001, wire.PKT_SYNACK, 80,
         handle.local_port, payload=b"\x01", seq=1)
     assert _stats_delta(eng, short_synack, sim.now) == {"synacks_rx": 1,
                                                         "rx_malformed": 1}
-    assert eng.client_handshakes == {key: hs}
+    assert eng.conns == {key: hs}
     assert hs.retry_timer.live
     assert not eng.flows and handle.state == CONNECTING
     sim.fabric._tap = None
@@ -521,7 +545,7 @@ def test_malformed_synack_on_an_established_flow_is_counted_not_reacked():
     handle = connect_established(sim, client, cch)
     sim.run_for(1000)  # let the final ACK land
     eng = client.engines[0]
-    assert handle.key in eng.flows and not eng.client_handshakes
+    assert handle.key in eng.flows and eng.conns == eng.flows
     short_synack = wire.build_frame(
         "10.0.0.2", "10.0.0.1", 6001, 5001, wire.PKT_SYNACK, 80,
         handle.local_port, payload=b"\x01", seq=2)

@@ -1,7 +1,8 @@
 """Source audit: no state in the package that is written but never read,
 no exception class that is never raised, no function or class that nothing
 in the package uses unless it is listed with its reason, no engine wake
-flag set and no RX ring read where the wake contract does not put one."""
+flag set and no RX ring read where the wake contract does not put one, and
+no connection record or reserved flow key touched outside its owners."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,17 @@ USED_OUTSIDE_THE_PACKAGE = {
 # The engine's own recompute, then the application's one doorbell (the
 # wake contract in engine.py).
 WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine._ring"}
+# The engine's one connection table: every record is filed, looked up,
+# replaced and dropped by an Engine method, and by no other module.
+CONN_TABLE_SCOPES = {"Engine.__init__", "Engine._dispatch", "Engine._on_syn",
+                     "Engine._app_send", "Engine._process_control",
+                     "Engine.flows", "Engine.establish", "Engine.drop"}
+# The flow keys a stack reserves for its own connects: made and handed to
+# the engines at init, added to under the stack's lock by the allocator,
+# read by the SYN path and freed by drop.
+RESERVED_KEY_SCOPES = {"Stack.__init__", "Stack.init",
+                       "Stack._alloc_flow_port", "Engine.__init__",
+                       "Engine._on_syn", "Engine.drop"}
 # The binding, the iteration that drains the ring, and the three places
 # that apply the readiness rule (`_next_allowed if _rx_ring else ready_at`).
 RX_RING_READERS = {"Engine.__init__", "Engine.run_iteration",
@@ -139,3 +151,17 @@ def test_only_the_iteration_and_the_drivers_poll_the_rx_ring():
     where the readiness rule polls it. A cached value that counted frames
     would need the driver to decide when frames could move it."""
     assert _scopes_touching("_rx_ring") == RX_RING_READERS
+
+
+def test_only_engine_methods_touch_the_connection_table():
+    """`conns` holds each key's one record. Only the engine files, finds,
+    replaces and drops records, so no module can change a connection's
+    stage behind the engine's back."""
+    assert _scopes_touching("conns") == CONN_TABLE_SCOPES
+
+
+def test_only_the_allocator_and_the_engines_touch_the_reserved_keys():
+    """`_reserved` crosses threads: the application's connect adds to it
+    and the engine's drop discards from it (the comment in Engine.drop
+    says why that is safe). No other scope may use it."""
+    assert _scopes_touching("_reserved") == RESERVED_KEY_SCOPES

@@ -14,7 +14,7 @@ from sidenet.driver import ThreadedRuntime
 from sidenet.engine import CHANNEL_MSG_BURST, CONTROL_INTERVAL_US
 from sidenet.fabric import FabricConfig
 from sidenet.nic import Nic
-from sidenet.stack import Stack
+from sidenet.stack import EPHEMERAL_FLOW_PORT_BASE, Stack
 
 FLOWS = 100
 MESSAGES_PER_FLOW = 20
@@ -76,6 +76,55 @@ def test_stress_every_frame_and_control_request_is_handed_over():
                    for stack in (client, server) for e in stack.engines)
     assert rt.fabric.stats.sent == accepted
     assert rt.fabric.conservation_ok()
+
+
+def test_stress_connects_from_many_threads_never_share_a_flow_key():
+    """Four application threads, preempted often, connect and close on one
+    client stack while the runner ends connections and frees their keys.
+    Every fourth connect rewinds the port counter, so freed keys are handed
+    out again. A key handed to two live connects would leave one of them
+    unable to establish; every connect establishes, and once all are
+    closed no key stays reserved."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=9, base_delay_us=50), seed=9)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    channels = [client.attach() for _ in range(4)]
+    handles, errors = [], []
+
+    def churn(cch):
+        try:
+            for i in range(12):
+                if i % 4 == 0:
+                    with client._lock:
+                        client._next_flow_port = EPHEMERAL_FLOW_PORT_BASE
+                handle = client.connect(cch, "10.0.0.2", 80, blocking=True,
+                                        timeout=30)
+                handles.append(handle)
+                if i % 2:
+                    client.close(handle)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    with _preempt_often():
+        rt.start()
+        try:
+            threads = [threading.Thread(target=churn, args=(cch,))
+                       for cch in channels]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(90)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            for handle in handles:
+                client.close(handle)
+            assert _wait_for(lambda: not client._reserved, 60)
+        finally:
+            rt.stop()
+    assert len(handles) == 48
+    assert all(handle.state == CLOSED for handle in handles)
 
 
 def test_faulty_fabric_delivers_every_message_whole_once_in_order():

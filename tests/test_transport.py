@@ -27,6 +27,7 @@ class StubEngine:
         self.stats = EngineStats()
         self.outbox = []
         self.timers = []
+        self.conns = {}
         self.dropped = []
 
     def emit(self, frame):
@@ -37,8 +38,8 @@ class StubEngine:
         self.timers.append(timer)
         return timer
 
-    def drop_flow(self, flow):
-        self.dropped.append(flow)
+    def drop(self, key):
+        self.dropped.append(self.conns.pop(key))
 
     def fire_due(self, now):
         for timer in list(self.timers):
@@ -57,6 +58,7 @@ def make_flow(ip="10.0.0.1", peer="10.0.0.2"):
     handle = FlowHandle(ip, peer, 7000, 80, ch)
     handle._settle(ESTABLISHED)
     flow = Flow(eng, handle, UdpPorts(40001, 40002))
+    eng.conns[handle.key] = flow
     return flow, eng, ch
 
 
