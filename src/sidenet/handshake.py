@@ -25,6 +25,15 @@ engine count costs the listener at most that many SYN-ACKs per answer.
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
 
+Both sides retry until MAX_ATTEMPTS. The client re-sprays its SYNs every
+RETRY_TIMEOUT_US (300 ms), doubling the batch each time. The server, which
+sees a missed SYN-ACK spray and a lost final ACK alike as an ACK that does
+not arrive, answers again on the RTO ladder a lost FIN uses: 10, 20, 40,
+80 and 160 ms after its first five answers, then every 300 ms. Either loss
+thus costs one ladder step, not a client retry, and a SYN that nothing
+follows up (no ACK, no retried SYN) leaves the server's table 1.21 s after
+the first answer.
+
 Each handshake holds, as its flow will, its engine and the connection's
 FlowHandle, which addresses every frame it sends. Set-up state ends at
 establishment on both sides: the client's handshake when its winning
@@ -41,6 +50,7 @@ from dataclasses import dataclass
 
 from . import wire
 from .channel import CLOSED, FAILED, frame
+from .transport import RTO_BASE_US
 
 MODE_NAIVE = "naive"
 MODE_OPTIMIZED = "optimized"
@@ -247,8 +257,9 @@ class ServerHandshake:
 
     def _spray_synacks(self, now):
         """One answer to the accepted SYN, first or retry, then re-arm the
-        retry timer. Naive mode answers on the reversed accepted pair,
-        optimized mode with a fresh spray."""
+        retry timer on the RTO ladder: 10 ms after the first answer,
+        doubling to RETRY_TIMEOUT_US. Naive mode answers on the reversed
+        accepted pair, optimized mode with a fresh spray."""
         self.attempts += 1
         if self.mode == MODE_NAIVE:
             pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
@@ -258,8 +269,12 @@ class ServerHandshake:
         self._emit_synacks(pairs)
         if self.retry_timer is not None:
             self.retry_timer.cancel()
-        self.retry_timer = self.eng.arm_timer(now + RETRY_TIMEOUT_US,
-                                              self.on_timeout)
+        # Each new client attempt is answered too, so a peer that forges
+        # rising SYN seqs can push `attempts` past MAX_ATTEMPTS: clamp the
+        # shift.
+        step = min(self.attempts, MAX_ATTEMPTS) - 1
+        wait = min(RTO_BASE_US << step, RETRY_TIMEOUT_US)
+        self.retry_timer = self.eng.arm_timer(now + wait, self.on_timeout)
 
     def _emit_synacks(self, pairs):
         """One SYN-ACK per UDP (src, dst) pair, all carrying the accepted
@@ -273,8 +288,10 @@ class ServerHandshake:
         eng.stats.synacks_sent += len(pairs)
 
     def on_timeout(self, now):
-        """The final ACK never arrived: answer again so a half-open peer
-        recovers."""
+        """The final ACK has not arrived: answer again, because the last
+        spray may have missed the client's engine or the client's ACK may
+        have been lost. After MAX_ATTEMPTS answers the handshake leaves the
+        table."""
         if self.attempts >= MAX_ATTEMPTS:
             self.eng.drop(self.handle.key)
             return

@@ -265,8 +265,8 @@ PINNED_CSV_SHA256 = {
         "ab326071af3321c84a40b17d0b7d3358e20fcc4a93f97cf679ed86b2fdced41a",
         "fe09e2d89024329ee9dd55afa9e99fe49a46cc193476a1620ae7942d8d66e9b7"),
     "conn_setup_8x8": (
-        "56b84b455cfe1c91913c82801e2d578fe4519dffaee39c7656c1ffe1b124fd62",
-        "9faf0d93f62a174282b7cad6350425a061ba593ed49ad05ad01701ae60dfd543"),
+        "7c81b058f0165282c68ed131101b346f777751dea6fdbf785cfab68ca2d51a70",
+        "dfe19ccd219c12579b545a15e42a89609500165d37b83875e48703dfec576eb4"),
 }
 
 

@@ -17,6 +17,7 @@ from sidenet.handshake import (BATCH_CAP, EPHEMERAL_HI, EPHEMERAL_LO,
                                RETRY_TIMEOUT_US, draw_udp_pairs,
                                optimized_batch_size)
 from sidenet.stack import Stack
+from sidenet.transport import RTO_BASE_US
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sidenet"
 
@@ -261,6 +262,51 @@ def test_lost_handshake_ack_recovers_via_synack_retry(mode):
     assert ok and sch.recv().payload == b"ping"
 
 
+@pytest.mark.parametrize("engines,seed", [(8, 3), (4, 4)])
+def test_missed_synack_spray_costs_a_server_ladder_step_not_a_retry(
+        engines, seed):
+    """Every SYN-ACK of the server's first answer is lost, as when its whole
+    spray misses the client's engine. The server answers again 10 ms later,
+    then 20 and 40 ms after that, so the connect needs no second client
+    attempt (300 ms). At 8x8, seed 3 the second answer's spray misses too."""
+    sim, client, server, cch, sch = make_pair(seed=seed, engines=engines)
+
+    def drop_first_answer(frame):
+        pkt = wire.parse_frame(frame)
+        return pkt.pkt_type == wire.PKT_SYNACK and pkt.seq == 1
+
+    sim.fabric._tap = drop_first_answer
+    start = sim.now
+    handle = connect_established(sim, client, cch,
+                                 max_us=3 * RETRY_TIMEOUT_US)
+    assert handle.attempts == 1
+    assert sim.now - start <= 7 * RTO_BASE_US + 1000  # 3 steps, a few RTTs
+
+
+def test_lost_final_ack_delays_the_first_message_one_ladder_step():
+    """The final ACK is lost and the client sends at once. The server counts
+    the DATA as for no flow until its 10 ms re-answer draws the ACK again;
+    the client's 10 ms RTO resend then lands on the new flow."""
+    sim, client, server, cch, sch = make_pair(seed=12, engines=1)
+    state = {"dropped": False}
+
+    def drop_first_ack(frame):
+        if state["dropped"] or wire.parse_frame(frame).pkt_type != wire.PKT_ACK:
+            return False
+        state["dropped"] = True
+        return True
+
+    sim.fabric._tap = drop_first_ack
+    handle = connect_established(sim, client, cch)
+    sent_at = sim.now
+    client.send(cch, handle, b"first")
+    assert sim.run_until(lambda: sch.rx_pending() > 0,
+                         max_us=2 * RETRY_TIMEOUT_US)
+    assert state["dropped"]
+    assert sim.now - sent_at <= 2 * RTO_BASE_US
+    assert sch.recv().payload == b"first"
+
+
 def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():
     """Once the final ACK establishes the flow, the server keeps no handshake
     state; a replay of that ACK is counted as received and nothing else."""
@@ -494,6 +540,28 @@ def test_forged_engine_count_gets_at_most_batch_cap_synacks_per_answer():
     assert sim.run_until(lambda: eng.stats.synacks_sent > BATCH_CAP,
                          max_us=2 * RETRY_TIMEOUT_US)
     assert eng.stats.synacks_sent == len(hs.sprayed) == 2 * BATCH_CAP
+
+
+def test_forged_syn_gets_max_attempts_answers_then_its_record_is_freed():
+    """A SYN from a host that never ACKs is answered MAX_ATTEMPTS times,
+    each answer a spray sized from its engine count, as before the ladder.
+    The answers come 10, 20, 40, 80 and 160 ms apart, then 300 ms, so the
+    half-open record leaves the table 1.21 s after the SYN."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    start = sim.now
+    eng._dispatch(_forged_syn(8), sim.now)
+    eng.wake = True  # dispatched from outside an iteration
+    (key, hs), = eng.conns.items()
+    assert sim.run_until(lambda: key not in eng.conns,
+                         max_us=5 * RETRY_TIMEOUT_US)
+    assert sim.now - start == 1_210_000
+    assert hs.attempts == MAX_ATTEMPTS
+    assert eng.stats.synacks_sent == MAX_ATTEMPTS * optimized_batch_size(8)
+    sim.run_for(3 * RETRY_TIMEOUT_US)
+    assert eng.stats.synacks_sent == MAX_ATTEMPTS * optimized_batch_size(8)
+    assert not eng.conns
 
 
 def test_malformed_final_ack_is_counted_and_leaves_the_handshake_pending():
