@@ -11,7 +11,8 @@ queued on its control inbox.
 
 Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
-replicated.
+replicated, nor is `peer_pairs`, the UDP pair by which each engine's own
+connects last reached each listener (handshake.py).
 
 Each engine keeps one record per connection in one table, `conns`, keyed
 (peer_ip, peer_port, local_port): a ClientHandshake or ServerHandshake
@@ -154,6 +155,10 @@ class Engine:
         # key -> its one record: ClientHandshake, ServerHandshake or Flow
         self.conns = {}
         self._reserved = reserved  # the stack's flow keys of its own connects
+        # (peer_ip, peer_port) -> the UDP (src, dst) pair of the last connect
+        # there that established; filed and read by ClientHandshake, capped
+        # at handshake.PAIR_TABLE_CAP peers.
+        self.peer_pairs = {}
         self.listeners = {}
         self.channels = []
         self.control_inbox = deque()

@@ -25,24 +25,37 @@ engine count costs the listener at most that many SYN-ACKs per answer.
 Whichever pairs win are exchanged in the SYN-ACK and ACK payloads and used
 for every subsequent packet of the flow, pinning it to one engine per side.
 
+The NIC's steering never changes, so a UDP pair that once reached a
+listener's engine reaches it again. Each engine keeps, in `peer_pairs`, the
+pair its last established connect to each (peer_ip, peer_port) sent on:
+the accepted pair its winning SYN-ACK carried, which is the flow's TX pair.
+The table holds at most PAIR_TABLE_CAP peers and forgets the one filed
+longest ago. A connect that finds its peer there sends one SYN, in either
+mode, on that pair; only if no SYN-ACK answers within 2 * RTO_BASE_US (the
+server's first re-answer comes at 10 ms) does it spray its first batch,
+still as attempt 1. A naive server answers that SYN on the reversed pair,
+which reached the client's engine the first time; an optimized one
+answers with its usual spray.
+
 Both sides retry until MAX_ATTEMPTS. The client re-sprays its SYNs every
-RETRY_TIMEOUT_US (300 ms), doubling the batch each time. The server, which
-sees a missed SYN-ACK spray and a lost final ACK alike as an ACK that does
-not arrive, answers again on the RTO ladder a lost FIN uses: 10, 20, 40,
-80 and 160 ms after its first five answers, then every 300 ms. Either loss
-thus costs one ladder step, not a client retry, and a SYN that nothing
-follows up (no ACK, no retried SYN) leaves the server's table 1.21 s after
-the first answer.
+RETRY_TIMEOUT_US (300 ms) after its first spray, doubling the batch each
+time. The server, which sees a missed SYN-ACK spray and a lost final ACK
+alike as an ACK that does not arrive, answers again on the RTO ladder a
+lost FIN uses: 10, 20, 40, 80 and 160 ms after its first five answers,
+then every 300 ms. Either loss thus costs one ladder step, not a client
+retry, and a SYN that nothing follows up (no ACK, no retried SYN) leaves
+the server's table 1.21 s after the first answer.
 
 Each handshake holds, as its flow will, its engine and the connection's
 FlowHandle, which addresses every frame it sends. Set-up state ends at
 establishment on both sides: the client's handshake when its winning
 SYN-ACK arrives, the server's when the final ACK does. The flow then
 replaces the handshake as its key's record in the engine's table; a client
-flow re-sends its final ACK when a retry SYN-ACK shows that the ACK was
-lost. A handshake that fails, is cancelled or runs out its retries leaves
-the table through Engine.drop. SYNs and SYN-ACKs carry the sender's engine
-id, which neither side stores.
+flow re-sends its final ACK when a SYN-ACK of a later answer than the one
+it was established on shows that the ACK was lost, and discards the rest
+of that answer's spray. A handshake that fails, is cancelled or runs out
+its retries leaves the table through Engine.drop. SYNs and SYN-ACKs carry
+the sender's engine id, which neither side stores.
 """
 
 import math
@@ -59,6 +72,7 @@ DEFAULT_TARGET_P = 0.95
 RETRY_TIMEOUT_US = 300_000
 MAX_ATTEMPTS = 8
 BATCH_CAP = 4096
+PAIR_TABLE_CAP = 1024  # listeners whose winning UDP pair an engine keeps
 EPHEMERAL_LO = 32768
 EPHEMERAL_HI = 60999
 _EPHEMERAL_SPAN = EPHEMERAL_HI - EPHEMERAL_LO + 1
@@ -140,9 +154,9 @@ class ClientHandshake:
     """Connect-side state machine; lives on the engine that must own the flow.
 
     It ends when its winning SYN-ACK establishes the flow: the flow takes
-    its place in the engine's table and keeps the final ACK. A retry
-    SYN-ACK (our ACK was lost) is then answered by the flow, with the same
-    ACK bytes."""
+    its place in the engine's table and keeps the final ACK. A SYN-ACK of a
+    later answer (our ACK was lost) is then answered by the flow, with the
+    same ACK bytes."""
 
     def __init__(self, eng, handle, mode):
         self.eng = eng
@@ -154,6 +168,19 @@ class ClientHandshake:
         self.retry_timer = None
 
     def start(self, now):
+        """Send one SYN on the UDP pair this engine's last connect to the
+        same listener established on, if it knows one; the first spray
+        follows only if no SYN-ACK answers within 2 * RTO_BASE_US. With no
+        known pair, spray at once."""
+        pair = self.eng.peer_pairs.get(self.handle.key[:2])
+        if pair is None:
+            self._first_spray(now)
+            return
+        self._emit_syns([pair])
+        self.retry_timer = self.eng.arm_timer(now + 2 * RTO_BASE_US,
+                                              self._first_spray)
+
+    def _first_spray(self, now):
         """Spray the first batch, sized from this host's engine count."""
         if self.mode == MODE_OPTIMIZED:
             self.batch_size = optimized_batch_size(self.eng.num_engines)
@@ -162,16 +189,21 @@ class ClientHandshake:
         self._spray(now)
 
     def _spray(self, now):
+        eng = self.eng
+        self._emit_syns(draw_udp_pairs(eng.rng, self.batch_size,
+                                       self.sprayed))
+        self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
+                                         self.on_timeout)
+
+    def _emit_syns(self, pairs):
+        """One SYN of the current attempt per UDP (src, dst) pair."""
         eng, handle = self.eng, self.handle
         flags = wire.FLAG_OPTIMIZED if self.mode == MODE_OPTIMIZED else 0
         payload = wire.pack_syn_payload(eng.num_engines, eng.engine_id)
-        pairs = draw_udp_pairs(eng.rng, self.batch_size, self.sprayed)
         for src, dst in pairs:
             eng.emit(frame(handle, src, dst, wire.PKT_SYN, payload,
                            seq=self.attempt, flags=flags))
         eng.stats.syns_sent += len(pairs)
-        self.retry_timer = eng.arm_timer(now + RETRY_TIMEOUT_US,
-                                         self.on_timeout)
 
     def on_timeout(self, now):
         if self.attempt >= MAX_ATTEMPTS:
@@ -203,8 +235,16 @@ class ClientHandshake:
         tx_src, tx_dst, _ = accepted  # the server's engine id is not kept
         handle = self.handle
         self.retry_timer.cancel()
+        # Re-filing moves the peer to the newest end, so the cap drops the
+        # peer filed longest ago.
+        pairs, peer = eng.peer_pairs, handle.key[:2]
+        pairs.pop(peer, None)
+        pairs[peer] = (tx_src, tx_dst)
+        if len(pairs) > PAIR_TABLE_CAP:
+            del pairs[next(iter(pairs))]
         flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
                              attempts=self.attempt)
+        flow.synack_seq = pkt.seq
         flow.final_ack = frame(
             handle, tx_src, tx_dst, wire.PKT_ACK,
             wire.pack_ack_payload(pkt.udp_src, pkt.udp_dst), seq=self.attempt)

@@ -107,6 +107,7 @@ class Flow:
         self.reap_timer = None
         self.fin_timer = None
         self.final_ack = None  # a client flow's last handshake frame
+        self.synack_seq = 0  # the seq of the SYN-ACK that established it
 
         # Sender state.
         self.next_tx_seq = 0
@@ -142,12 +143,13 @@ class Flow:
 
     def on_synack(self, pkt):
         """A SYN-ACK for this client flow. One whose payload does not unpack
-        is counted malformed. A retry (seq >= 2) means the peer never got
-        the final ACK: send it again. Leftovers of the batch the handshake
-        already answered are discarded."""
+        is counted malformed. A later answer (seq above the one that
+        established the flow) means the peer never got the final ACK: send
+        it again. Leftovers of the answer the handshake won on, or of an
+        earlier one, are discarded."""
         if wire.unpack_synack_payload(pkt.payload) is None:
             self.eng.stats.rx_malformed += 1
-        elif pkt.seq >= 2:
+        elif pkt.seq > self.synack_seq:
             self.eng.emit(self.final_ack)
             self.eng.stats.acks_sent += 1
         else:

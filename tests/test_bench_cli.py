@@ -266,7 +266,7 @@ PINNED_CSV_SHA256 = {
         "fe09e2d89024329ee9dd55afa9e99fe49a46cc193476a1620ae7942d8d66e9b7"),
     "conn_setup_8x8": (
         "7c81b058f0165282c68ed131101b346f777751dea6fdbf785cfab68ca2d51a70",
-        "dfe19ccd219c12579b545a15e42a89609500165d37b83875e48703dfec576eb4"),
+        "c1487ba86140acd78f0472de1c039a6853ad7404f6c1d538b53e97240048825a"),
 }
 
 

@@ -10,12 +10,13 @@ import pytest
 
 from conftest import PollApp, connect_established, make_pair
 
-from sidenet import wire
+from sidenet import handshake, wire
 from sidenet.channel import CLOSED, CONNECTING, ConnectError
 from sidenet.handshake import (BATCH_CAP, EPHEMERAL_HI, EPHEMERAL_LO,
                                MAX_ATTEMPTS, MODE_NAIVE, MODE_OPTIMIZED,
                                RETRY_TIMEOUT_US, draw_udp_pairs,
                                optimized_batch_size)
+from sidenet.engine import EnginePolicy
 from sidenet.stack import Stack
 from sidenet.transport import RTO_BASE_US
 
@@ -206,6 +207,39 @@ def _owner_engine(stack, key):
     return owners[0]
 
 
+def test_spray_steers_connects_to_fresh_ports_on_every_listener_engine():
+    """Connects from one engine to many ports, each connected once, so none
+    finds a known UDP pair and each sprays. Every winning pair must steer
+    to its listener's engine, and every server flow's pair back to the
+    client's."""
+    sim, client, server, cch, sch = make_pair(seed=14, engines=8,
+                                              client_engine=2,
+                                              base_delay_us=5)
+    schs = [server.attach(EnginePolicy.pinned(i)) for i in range(8)]
+    ports = range(2000, 2048)
+    for port in ports:
+        server.listen(schs[port % 8], port)
+    handles = [connect_established(sim, client, cch, port=port)
+               for port in ports]
+    sim.run_for(2000)  # let the final ACKs land so the server side settles
+    assert (engine_stat(client, "syns_sent")
+            >= len(ports) * optimized_batch_size(8))
+    client_eng = client.engines[2]
+    assert len(client_eng.peer_pairs) == len(ports)
+    for handle in handles:
+        owner = handle.remote_port % 8
+        server_key = ("10.0.0.1", handle.local_port, handle.remote_port)
+        assert _owner_engine(server, server_key) == owner
+        flow = client_eng.flows[handle.key]
+        assert sim.fabric.steer("10.0.0.2", _fake_frame(
+            "10.0.0.1", "10.0.0.2", flow.tx_udp.src,
+            flow.tx_udp.dst)) == owner
+        server_flow = server.engines[owner].flows[server_key]
+        assert sim.fabric.steer("10.0.0.1", _fake_frame(
+            "10.0.0.2", "10.0.0.1", server_flow.tx_udp.src,
+            server_flow.tx_udp.dst)) == 2
+
+
 def test_flow_count_unaffected_by_engine_count():
     """Decoupled flow ports: many flows coexist at n=8 between two hosts."""
     sim, client, server, cch, sch = make_pair(seed=11, engines=8,
@@ -225,9 +259,9 @@ def test_flow_count_unaffected_by_engine_count():
 
 @pytest.mark.parametrize("mode", [MODE_NAIVE, MODE_OPTIMIZED])
 def test_lost_handshake_ack_recovers_via_synack_retry(mode):
-    """Drop the first ACK; the server's 300 ms retry SYN-ACK (seq 2) must
-    complete the flow. Naive mode sends that retry on the reverse of the
-    accepted SYN's UDP pair; optimized mode sends a fresh spray."""
+    """Drop the first ACK; the server's 10 ms re-answer SYN-ACK (seq 2) must
+    complete the flow. Naive mode sends that re-answer on the reverse of
+    the accepted SYN's UDP pair; optimized mode sends a fresh spray."""
     sim, client, server, cch, sch = make_pair(seed=12, engines=1)
     state = {"dropped": 0}
     syns, retries = [], []
@@ -248,7 +282,7 @@ def test_lost_handshake_ack_recovers_via_synack_retry(mode):
     sim.fabric._tap = ack_killer
     handle = connect_established(sim, client, cch, mode=mode)
     assert state["dropped"] == 1
-    # Client side is up; server side completes after the 300 ms retry.
+    # Client side is up; server side completes after the 10 ms re-answer.
     ok = sim.run_until(lambda: any(server.engines[0].flows.values()),
                        max_us=3 * RETRY_TIMEOUT_US)
     assert ok
@@ -305,6 +339,90 @@ def test_lost_final_ack_delays_the_first_message_one_ladder_step():
     assert state["dropped"]
     assert sim.now - sent_at <= 2 * RTO_BASE_US
     assert sch.recv().payload == b"first"
+
+
+def test_stragglers_of_the_winning_answer_draw_no_final_ack():
+    """Every SYN-ACK of the server's first answer is lost, so the connect
+    wins on the 10 ms re-answer (seq 2). The rest of that answer's spray
+    that reaches the client's engine carries the same seq and proves no
+    ACK was lost: the flow discards it and sends one final ACK in all."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=8)
+    sim.fabric._tap = lambda frame: (
+        wire.parse_frame(frame).pkt_type == wire.PKT_SYNACK
+        and wire.parse_frame(frame).seq == 1)
+    connect_established(sim, client, cch)
+    sim.run_for(RETRY_TIMEOUT_US)
+    assert engine_stat(client, "acks_sent") == 1
+    assert engine_stat(client, "synacks_discarded") > 0
+    assert engine_stat(server, "handshakes_established") == 1
+
+
+@pytest.mark.parametrize("mode", [MODE_NAIVE, MODE_OPTIMIZED])
+def test_repeat_connect_sends_one_syn_on_the_known_pair(mode):
+    """A second connect from the same engine to the same listener sends one
+    SYN, on the UDP pair the first connect's flow sends on, and needs no
+    second attempt. A naive server answers it with one SYN-ACK on the
+    reversed pair, which reached the client's engine the first time."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=8)
+    first = connect_established(sim, client, cch, mode=mode)
+    sim.run_for(RETRY_TIMEOUT_US)  # let the first set-up's stragglers land
+    eng = client.engines[0]
+    first_pair = eng.flows[first.key].tx_udp
+    syns = engine_stat(client, "syns_sent")
+    synacks = engine_stat(server, "synacks_sent")
+    second = connect_established(sim, client, cch, mode=mode)
+    assert engine_stat(client, "syns_sent") - syns == 1
+    assert second.attempts == 1
+    assert eng.flows[second.key].tx_udp == first_pair
+    if mode == MODE_NAIVE:
+        assert engine_stat(server, "synacks_sent") - synacks == 1
+    assert eng.peer_pairs == {("10.0.0.2", 80):
+                              (first_pair.src, first_pair.dst)}
+
+
+def test_lost_syn_on_the_known_pair_falls_back_to_the_spray_as_attempt_one():
+    """The one SYN of a repeat connect is lost. After 2 * RTO_BASE_US
+    without a SYN-ACK the connect sprays its first batch, still as
+    attempt 1, and connects long before the 300 ms retry."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=8)
+    connect_established(sim, client, cch)
+    sim.run_for(RETRY_TIMEOUT_US)
+    state = {"dropped": False}
+
+    def drop_next_syn(frame):
+        if state["dropped"]:
+            return False
+        state["dropped"] = wire.parse_frame(frame).pkt_type == wire.PKT_SYN
+        return state["dropped"]
+
+    sim.fabric._tap = drop_next_syn
+    syns = engine_stat(client, "syns_sent")
+    start = sim.now
+    handle = connect_established(sim, client, cch)
+    assert state["dropped"]
+    assert handle.attempts == 1
+    assert engine_stat(client, "syns_sent") - syns == (
+        1 + optimized_batch_size(8))
+    assert 2 * RTO_BASE_US <= sim.now - start <= 4 * RTO_BASE_US
+    assert engine_stat(client, "handshake_retries") == 0
+
+
+def test_pair_table_keeps_its_cap_and_drops_the_oldest_entry(monkeypatch):
+    """Past PAIR_TABLE_CAP listeners the engine forgets the one whose pair
+    it filed longest ago; a connect that re-files a pair makes it the
+    newest."""
+    monkeypatch.setattr(handshake, "PAIR_TABLE_CAP", 3)
+    sim, client, server, cch, sch = make_pair(seed=1, engines=2)
+    for port in (81, 82, 83, 84):
+        server.listen(sch, port)
+    eng = client.engines[0]
+    for port in (80, 81, 82, 80, 83):
+        connect_established(sim, client, cch, port=port)
+    assert list(eng.peer_pairs) == [("10.0.0.2", 82), ("10.0.0.2", 80),
+                                    ("10.0.0.2", 83)]
+    connect_established(sim, client, cch, port=84)
+    assert list(eng.peer_pairs) == [("10.0.0.2", 80), ("10.0.0.2", 83),
+                                    ("10.0.0.2", 84)]
 
 
 def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():

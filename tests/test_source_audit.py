@@ -2,7 +2,8 @@
 no exception class that is never raised, no function or class that nothing
 in the package uses unless it is listed with its reason, no engine wake
 flag set and no RX ring read where the wake contract does not put one, and
-no connection record or reserved flow key touched outside its owners."""
+no connection record, reserved flow key or known UDP pair touched outside
+its owners."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,11 @@ CONN_TABLE_SCOPES = {"Engine.__init__", "Engine._dispatch", "Engine._on_syn",
 RESERVED_KEY_SCOPES = {"Stack.__init__", "Stack.init",
                        "Stack._alloc_flow_port", "Engine.__init__",
                        "Engine._on_syn", "Engine.drop"}
+# Each engine's table of the UDP pairs that reached listeners: made at
+# init, then read and written only by the engine's own client handshakes,
+# so it stays engine-local.
+PAIR_TABLE_SCOPES = {"Engine.__init__", "ClientHandshake.start",
+                     "ClientHandshake.on_synack"}
 # The binding, the iteration that drains the ring, and the three places
 # that apply the readiness rule (`_next_allowed if _rx_ring else ready_at`).
 RX_RING_READERS = {"Engine.__init__", "Engine.run_iteration",
@@ -165,3 +171,10 @@ def test_only_the_allocator_and_the_engines_touch_the_reserved_keys():
     and the engine's drop discards from it (the comment in Engine.drop
     says why that is safe). No other scope may use it."""
     assert _scopes_touching("_reserved") == RESERVED_KEY_SCOPES
+
+
+def test_only_the_engine_and_its_client_handshakes_touch_the_pair_table():
+    """`peer_pairs` is engine-local: the engine makes it and its client
+    handshakes read and refile it, so no other engine, thread or module
+    shares what one engine learned about steering."""
+    assert _scopes_touching("peer_pairs") == PAIR_TABLE_SCOPES
