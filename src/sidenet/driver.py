@@ -175,6 +175,7 @@ class ThreadedRuntime(_Driver):
         self._bell = threading.Event()
         self._running = False
         self._runner = threading.Thread(target=self._run, daemon=True)
+        self.error = None  # the exception that stopped the runner, if any
 
     def start(self):
         self._running = True
@@ -183,18 +184,29 @@ class ThreadedRuntime(_Driver):
 
     def _run(self):
         clock, fabric, bell = self.clock, self.fabric, self._bell
-        while self._running:
-            now = clock.now
-            if self._run_engines(now) + fabric.collect_tx():
-                continue
-            t = self._next_instant(now)
-            if t is None or t > now:
-                # A doorbell sets wake before it rings, so none is lost.
-                bell.wait(None if t is None else (t - clock.now) / 1e6)
-                bell.clear()
+        try:
+            while self._running:
+                now = clock.now
+                if self._run_engines(now) + fabric.collect_tx():
+                    continue
+                t = self._next_instant(now)
+                if t is None or t > now:
+                    # A doorbell sets wake before it rings, so none is lost.
+                    bell.wait(None if t is None else (t - clock.now) / 1e6)
+                    bell.clear()
+        except Exception as exc:
+            # Nothing runs the engines again: keep the cause for stop() and
+            # fail every connect, pending or later, naming it.
+            self.error = exc
+            for eng in self._engines:
+                eng.fail_connects(exc)
 
     def stop(self):
+        """Stop the runner; re-raise the exception that stopped it, if one
+        did."""
         self._running = False
         self._bell.set()
         if self._runner.is_alive():
             self._runner.join(timeout=2.0)
+        if self.error is not None:
+            raise self.error

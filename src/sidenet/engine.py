@@ -12,7 +12,8 @@ queued on its control inbox.
 Listener registrations are replicated to every engine, because connection
 setup intentionally sprays SYNs across all queues; flow state is never
 replicated, nor is `peer_pairs`, the UDP pair by which each engine's own
-connects last reached each listener (handshake.py).
+connects last reached each listener, nor `peer_rtts`, the round-trip
+estimate its accepted set-ups measured per peer (handshake.py).
 
 Each engine keeps one record per connection in one table, `conns`, keyed
 (peer_ip, peer_port, local_port): a ClientHandshake or ServerHandshake
@@ -57,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import handshake, transport, wire
-from .channel import ESTABLISHED, FlowHandle
+from .channel import ESTABLISHED, FAILED, FlowHandle
 from .nic import QUEUE_DEPTH
 from .wire import FRAME_HEAD_LEN, ParsedFrame
 
@@ -159,6 +160,10 @@ class Engine:
         # there that established; filed and read by ClientHandshake, capped
         # at handshake.PAIR_TABLE_CAP peers.
         self.peer_pairs = {}
+        # peer_ip -> (srtt, rttvar) in us, the RFC 6298 estimate that this
+        # engine's ServerHandshakes file from set-ups they answered once and
+        # start their re-answer ladder from; capped as `peer_pairs` is.
+        self.peer_rtts = {}
         self.listeners = {}
         self.channels = []
         self.control_inbox = deque()
@@ -171,6 +176,7 @@ class Engine:
         self.ready_at = None  # exact while not `wake`; counts no RX frame
         self.wake = True
         self.bell = None  # the live runner's Event, set by the doorbell
+        self.stopped_by = None  # the exception that ended the live runner
         queue = nic._bind(engine_id)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
@@ -184,9 +190,28 @@ class Engine:
 
     def submit(self, request):
         """Queue a connect, listen or close request for the next 50 us grid
-        point."""
+        point. Once the live runner has stopped on an exception, a connect
+        fails here instead."""
         self.control_inbox.append(request)
         self._ring()
+        if self.stopped_by is not None:
+            self.fail_connects(self.stopped_by)
+
+    def fail_connects(self, cause):
+        """Settle FAILED, naming `cause`, every connect this engine holds:
+        queued on its control inbox or still in its handshake. The live
+        runner calls it when `cause` stops it, as no iteration will run
+        these again; `stopped_by` then fails each later connect at submit.
+        The runner sets it before it looks, and submit queues before it
+        reads it, so a connect that races the runner is failed by one."""
+        self.stopped_by = cause
+        error = "the live runner stopped: %r" % (cause,)
+        for request in list(self.control_inbox):
+            if request[0] == "connect":
+                request[1]._settle(FAILED, error)
+        for rec in list(self.conns.values()):
+            if type(rec) is handshake.ClientHandshake:
+                rec.handle._settle(FAILED, error)
 
     # Scheduling interface used by the drivers.
 

@@ -31,20 +31,31 @@ pair its last established connect to each (peer_ip, peer_port) sent on:
 the accepted pair its winning SYN-ACK carried, which is the flow's TX pair.
 The table holds at most PAIR_TABLE_CAP peers and forgets the one filed
 longest ago. A connect that finds its peer there sends one SYN, in either
-mode, on that pair; only if no SYN-ACK answers within 2 * RTO_BASE_US (the
-server's first re-answer comes at 10 ms) does it spray its first batch,
-still as attempt 1. A naive server answers that SYN on the reversed pair,
-which reached the client's engine the first time; an optimized one
-answers with its usual spray.
+mode, on that pair; only if no SYN-ACK answers within 2 * RTO_BASE_US
+does it spray its first batch, still as attempt 1. By then the server has
+answered again: RTO_BASE_US after its first answer, or one measured
+timeout after it (below), which is shorter for a peer whose round trips
+stay well under 10 ms. A naive server answers that SYN on the
+reversed pair, which reached the client's engine the first time; an
+optimized one answers with its usual spray.
 
 Both sides retry until MAX_ATTEMPTS. The client re-sprays its SYNs every
 RETRY_TIMEOUT_US (300 ms) after its first spray, doubling the batch each
 time. The server, which sees a missed SYN-ACK spray and a lost final ACK
-alike as an ACK that does not arrive, answers again on the RTO ladder a
-lost FIN uses: 10, 20, 40, 80 and 160 ms after its first five answers,
-then every 300 ms. Either loss thus costs one ladder step, not a client
-retry, and a SYN that nothing follows up (no ACK, no retried SYN) leaves
-the server's table 1.21 s after the first answer.
+alike as an ACK that does not arrive, answers again on a doubling ladder
+capped at 300 ms. The ladder starts from the peer's measured timeout:
+each engine keeps, in `peer_rtts`, an RFC 6298 estimate (SRTT, RTTVAR)
+per peer IP, filed from the time between the first answer and the final
+ACK of every set-up it answered once (Karn's rule: after a re-answer the
+ACK does not say which answer it acknowledges). For a timed peer the
+first re-answer comes max(2 * SRTT, SRTT + 4 * RTTVAR) after the first
+answer, about two round trips; for any other it comes after RTO_BASE_US,
+so 10, 20, 40, 80 and 160 ms after its first five answers, then every
+300 ms. Either loss thus costs one ladder step, not a client retry, and a
+SYN that nothing follows up (no ACK, no retried SYN) leaves the server's
+table after the summed ladder: 1.21 s after the first answer for an
+untimed peer. The estimate table holds at most PAIR_TABLE_CAP peers, as
+`peer_pairs` does, and forgets the one timed longest ago.
 
 Each handshake holds, as its flow will, its engine and the connection's
 FlowHandle, which addresses every frame it sends. Set-up state ends at
@@ -72,7 +83,7 @@ DEFAULT_TARGET_P = 0.95
 RETRY_TIMEOUT_US = 300_000
 MAX_ATTEMPTS = 8
 BATCH_CAP = 4096
-PAIR_TABLE_CAP = 1024  # listeners whose winning UDP pair an engine keeps
+PAIR_TABLE_CAP = 1024  # peers an engine keeps a UDP pair or an RTT for
 EPHEMERAL_LO = 32768
 EPHEMERAL_HI = 60999
 _EPHEMERAL_SPAN = EPHEMERAL_HI - EPHEMERAL_LO + 1
@@ -124,6 +135,24 @@ def optimized_batch_total(n, p=DEFAULT_TARGET_P):
         _check_args(n, p)
         return 1
     return math.floor(2.0 * optimized_batch_exact(n, p))
+
+
+def rtt_update(estimate, r):
+    """The RFC 6298 estimate (srtt, rttvar), in integer microseconds, after
+    the round trip `r`; `estimate` is None before the first sample."""
+    if estimate is None:
+        return r, r // 2
+    srtt, rttvar = estimate
+    return (7 * srtt + r) // 8, (3 * rttvar + abs(srtt - r)) // 4
+
+
+def file_newest(table, key, value):
+    """File `value` under `key` as the table's newest entry. Past
+    PAIR_TABLE_CAP keys the table drops the one filed longest ago."""
+    table.pop(key, None)
+    table[key] = value
+    if len(table) > PAIR_TABLE_CAP:
+        del table[next(iter(table))]
 
 
 def draw_udp_pairs(rng, count, used):
@@ -235,13 +264,7 @@ class ClientHandshake:
         tx_src, tx_dst, _ = accepted  # the server's engine id is not kept
         handle = self.handle
         self.retry_timer.cancel()
-        # Re-filing moves the peer to the newest end, so the cap drops the
-        # peer filed longest ago.
-        pairs, peer = eng.peer_pairs, handle.key[:2]
-        pairs.pop(peer, None)
-        pairs[peer] = (tx_src, tx_dst)
-        if len(pairs) > PAIR_TABLE_CAP:
-            del pairs[next(iter(pairs))]
+        file_newest(eng.peer_pairs, handle.key[:2], (tx_src, tx_dst))
         flow = eng.establish(handle, UdpPorts(tx_src, tx_dst),
                              attempts=self.attempt)
         flow.synack_seq = pkt.seq
@@ -268,6 +291,16 @@ class ServerHandshake:
         self.sprayed = set()
         self.last_client_attempt = 0
         self.retry_timer = None
+        self.answered_at = None
+        # The re-answer ladder starts from RFC 6298's timeout for a peer
+        # this engine has timed, floored at 2 * SRTT where the RFC floors
+        # at a second (and at 1 us, so no timer is due as it is armed).
+        estimate = eng.peer_rtts.get(handle.remote_ip)
+        if estimate is None:
+            self.ladder_base = RTO_BASE_US
+        else:
+            srtt, rttvar = estimate
+            self.ladder_base = max(2 * srtt, srtt + 4 * rttvar, 1)
 
     def on_syn(self, now, pkt):
         pair = UdpPorts(pkt.udp_src, pkt.udp_dst)
@@ -297,10 +330,12 @@ class ServerHandshake:
 
     def _spray_synacks(self, now):
         """One answer to the accepted SYN, first or retry, then re-arm the
-        retry timer on the RTO ladder: 10 ms after the first answer,
-        doubling to RETRY_TIMEOUT_US. Naive mode answers on the reversed
-        accepted pair, optimized mode with a fresh spray."""
+        retry timer on the ladder: `ladder_base` after the first answer
+        (the peer's measured timeout, or RTO_BASE_US for a peer not yet
+        timed), doubling to RETRY_TIMEOUT_US. Naive mode answers on the
+        reversed accepted pair, optimized mode with a fresh spray."""
         self.attempts += 1
+        self.answered_at = now
         if self.mode == MODE_NAIVE:
             pairs = [(self.accepted_pair.dst, self.accepted_pair.src)]
         else:
@@ -313,7 +348,7 @@ class ServerHandshake:
         # rising SYN seqs can push `attempts` past MAX_ATTEMPTS: clamp the
         # shift.
         step = min(self.attempts, MAX_ATTEMPTS) - 1
-        wait = min(RTO_BASE_US << step, RETRY_TIMEOUT_US)
+        wait = min(self.ladder_base << step, RETRY_TIMEOUT_US)
         self.retry_timer = self.eng.arm_timer(now + wait, self.on_timeout)
 
     def _emit_synacks(self, pairs):
@@ -343,6 +378,13 @@ class ServerHandshake:
             self.eng.stats.rx_malformed += 1
             return
         self.retry_timer.cancel()
+        if self.attempts == 1:
+            # Karn's rule: after a re-answer the ACK does not say which
+            # answer it acknowledges, so only a set-up answered once is
+            # timed. In naive mode an ACK to a later SYN's answer reads high.
+            rtts, peer = self.eng.peer_rtts, self.handle.remote_ip
+            file_newest(rtts, peer,
+                        rtt_update(rtts.get(peer), now - self.answered_at))
         # Our TX direction uses the SYN-ACK pair the client confirmed; the
         # client sends on the pair its ACK just arrived on.
         self.eng.establish(self.handle, UdpPorts(chosen[0], chosen[1]))

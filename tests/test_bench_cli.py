@@ -265,7 +265,7 @@ PINNED_CSV_SHA256 = {
         "ab326071af3321c84a40b17d0b7d3358e20fcc4a93f97cf679ed86b2fdced41a",
         "fe09e2d89024329ee9dd55afa9e99fe49a46cc193476a1620ae7942d8d66e9b7"),
     "conn_setup_8x8": (
-        "7c81b058f0165282c68ed131101b346f777751dea6fdbf785cfab68ca2d51a70",
+        "ba3c03cb534e4d637f70b87cd4e3465fb15e54e5623f326a4b7c968ec466480c",
         "c1487ba86140acd78f0472de1c039a6853ad7404f6c1d538b53e97240048825a"),
 }
 

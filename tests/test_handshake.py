@@ -7,6 +7,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import PollApp, connect_established, make_pair
 
@@ -15,7 +17,7 @@ from sidenet.channel import CLOSED, CONNECTING, ConnectError
 from sidenet.handshake import (BATCH_CAP, EPHEMERAL_HI, EPHEMERAL_LO,
                                MAX_ATTEMPTS, MODE_NAIVE, MODE_OPTIMIZED,
                                RETRY_TIMEOUT_US, draw_udp_pairs,
-                               optimized_batch_size)
+                               optimized_batch_size, rtt_update)
 from sidenet.engine import EnginePolicy
 from sidenet.stack import Stack
 from sidenet.transport import RTO_BASE_US
@@ -423,6 +425,136 @@ def test_pair_table_keeps_its_cap_and_drops_the_oldest_entry(monkeypatch):
     connect_established(sim, client, cch, port=84)
     assert list(eng.peer_pairs) == [("10.0.0.2", 80), ("10.0.0.2", 83),
                                     ("10.0.0.2", 84)]
+
+
+def _drop_first_answer(frame):
+    pkt = wire.parse_frame(frame)
+    return pkt.pkt_type == wire.PKT_SYNACK and pkt.seq == 1
+
+
+def test_missed_spray_to_a_timed_peer_costs_two_round_trips_not_10_ms():
+    """Once a set-up has timed the client, a connect to a second listener
+    on the same server engine (so the client knows no pair and sprays)
+    loses every SYN-ACK of the first answer. The server answers again one
+    measured timeout later, not RTO_BASE_US, so the connect needs no second
+    attempt and completes well within RTO_BASE_US."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=8,
+                                              server_engine=3,
+                                              client_engine=5)
+    server.listen(sch, 81)
+    connect_established(sim, client, cch)
+    sim.run_for(1000)  # the final ACK lands and files the estimate
+    seng = server.engines[3]
+    assert list(seng.peer_rtts) == ["10.0.0.1"]
+    sim.fabric._tap = _drop_first_answer
+    start = sim.now
+    handle = connect_established(sim, client, cch, port=81)
+    assert handle.attempts == 1
+    assert sim.now - start < RTO_BASE_US // 10
+
+
+@pytest.mark.parametrize("lost", ["synack spray", "final ack"])
+def test_a_re_answered_set_up_files_no_rtt_sample(lost):
+    """Karn's rule: after a re-answer the final ACK does not say which
+    answer it acknowledges, so the set-up files no estimate, whether the
+    first spray missed or the first final ACK was lost. A later set-up
+    answered once files one."""
+    sim, client, server, cch, sch = make_pair(seed=3, engines=8)
+    state = {"dropped": False}
+
+    def drop_once(frame):
+        pkt = wire.parse_frame(frame)
+        if lost == "synack spray":
+            return pkt.pkt_type == wire.PKT_SYNACK and pkt.seq == 1
+        if state["dropped"] or pkt.pkt_type != wire.PKT_ACK:
+            return False
+        state["dropped"] = True
+        return True
+
+    sim.fabric._tap = drop_once
+    connect_established(sim, client, cch)
+    seng = server.engines[0]
+    assert sim.run_until(lambda: seng.flows, max_us=RETRY_TIMEOUT_US)
+    assert engine_stat(server, "synacks_sent") > optimized_batch_size(8)
+    assert seng.peer_rtts == {}
+    sim.fabric._tap = None
+    connect_established(sim, client, cch)
+    sim.run_for(1000)
+    assert list(seng.peer_rtts) == ["10.0.0.1"]
+
+
+def test_forged_syn_from_a_timed_peer_still_gets_max_attempts_answers():
+    """A forged SYN from the IP of a peer the server has timed is answered
+    MAX_ATTEMPTS times, each answer the full spray, on the ladder that
+    starts from that peer's measured timeout; the half-open record leaves
+    the table after the summed ladder, well within 300 ms, not 1.21 s."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    connect_established(sim, client, cch)
+    sim.run_for(1000)
+    eng = server.engines[0]
+    srtt, rttvar = eng.peer_rtts["10.0.0.1"]
+    base = max(2 * srtt, srtt + 4 * rttvar)
+    ladder = sum(min(base << step, RETRY_TIMEOUT_US)
+                 for step in range(MAX_ATTEMPTS))
+    assert ladder < RETRY_TIMEOUT_US
+    synacks = eng.stats.synacks_sent
+    forged = wire.build_frame(
+        "10.0.0.1", "10.0.0.2", 5000, 6000, wire.PKT_SYN, 4242, 80,
+        payload=wire.pack_syn_payload(8, 0), seq=1, flags=wire.FLAG_OPTIMIZED)
+    start = sim.now
+    eng._dispatch(forged, sim.now)
+    eng.wake = True  # dispatched from outside an iteration
+    key = ("10.0.0.1", 4242, 80)
+    hs = eng.conns[key]
+    assert sim.run_until(lambda: key not in eng.conns,
+                         max_us=5 * RETRY_TIMEOUT_US)
+    assert sim.now - start == ladder
+    assert hs.attempts == MAX_ATTEMPTS
+    assert (eng.stats.synacks_sent - synacks
+            == MAX_ATTEMPTS * optimized_batch_size(8))
+
+
+def test_rtt_table_keeps_its_cap_and_drops_the_peer_timed_longest_ago(
+        monkeypatch):
+    """Past PAIR_TABLE_CAP peers the server engine forgets the one whose
+    estimate it filed longest ago; a new sample makes a peer the newest."""
+    monkeypatch.setattr(handshake, "PAIR_TABLE_CAP", 3)
+    sim, client, server, cch, sch = make_pair(seed=1, engines=1)
+    clients = {"10.0.0.1": (client, cch)}
+    for ip in ("10.0.0.3", "10.0.0.4", "10.0.0.5"):
+        stack = sim.add_stack(ip, 1)
+        clients[ip] = (stack, stack.attach())
+    seng = server.engines[0]
+    for ip in ("10.0.0.1", "10.0.0.3", "10.0.0.4", "10.0.0.1"):
+        connect_established(sim, *clients[ip])
+        sim.run_for(1000)
+    assert list(seng.peer_rtts) == ["10.0.0.3", "10.0.0.4", "10.0.0.1"]
+    connect_established(sim, *clients["10.0.0.5"])
+    sim.run_for(1000)
+    assert list(seng.peer_rtts) == ["10.0.0.4", "10.0.0.1", "10.0.0.5"]
+
+
+@given(samples=st.lists(st.integers(0, 2 * RETRY_TIMEOUT_US), min_size=1,
+                        max_size=20))
+def test_first_re_answer_wait_is_an_integer_at_least_two_srtt(samples):
+    """Whatever round trips a peer was timed at, the server's first wait
+    for the final ACK is a whole number of microseconds, at least 2 * SRTT
+    (a spread-free estimate re-answers no ACK that is merely on time) and
+    at most RETRY_TIMEOUT_US; SRTT stays within the samples."""
+    estimate = None
+    for r in samples:
+        estimate = rtt_update(estimate, r)
+    srtt, rttvar = estimate
+    assert min(samples) <= srtt <= max(samples) and rttvar >= 0
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    eng.peer_rtts["10.0.0.9"] = estimate
+    eng._dispatch(_forged_syn(8), sim.now)
+    (hs,) = eng.conns.values()
+    wait = hs.retry_timer.due - sim.now
+    assert type(wait) is int
+    assert min(2 * srtt, RETRY_TIMEOUT_US) <= wait <= RETRY_TIMEOUT_US
 
 
 def test_server_handshake_freed_at_establishment_and_repeat_ack_silent():

@@ -2,8 +2,8 @@
 no exception class that is never raised, no function or class that nothing
 in the package uses unless it is listed with its reason, no engine wake
 flag set and no RX ring read where the wake contract does not put one, and
-no connection record, reserved flow key or known UDP pair touched outside
-its owners."""
+no connection record, reserved flow key, known UDP pair or round-trip
+estimate touched outside its owners."""
 
 import ast
 from pathlib import Path
@@ -34,7 +34,8 @@ WAKE_STORES = {"Engine.__init__", "Engine._refresh", "Engine._ring"}
 # replaced and dropped by an Engine method, and by no other module.
 CONN_TABLE_SCOPES = {"Engine.__init__", "Engine._dispatch", "Engine._on_syn",
                      "Engine._app_send", "Engine._process_control",
-                     "Engine.flows", "Engine.establish", "Engine.drop"}
+                     "Engine.flows", "Engine.establish", "Engine.drop",
+                     "Engine.fail_connects"}
 # The flow keys a stack reserves for its own connects: made and handed to
 # the engines at init, added to under the stack's lock by the allocator,
 # read by the SYN path and freed by drop.
@@ -46,6 +47,10 @@ RESERVED_KEY_SCOPES = {"Stack.__init__", "Stack.init",
 # so it stays engine-local.
 PAIR_TABLE_SCOPES = {"Engine.__init__", "ClientHandshake.start",
                      "ClientHandshake.on_synack"}
+# Each engine's RFC 6298 round-trip estimate per peer IP: made at init,
+# then read and filed only by the engine's own server handshakes.
+RTT_TABLE_SCOPES = {"Engine.__init__", "ServerHandshake.__init__",
+                    "ServerHandshake.on_ack"}
 # The binding, the iteration that drains the ring, and the three places
 # that apply the readiness rule (`_next_allowed if _rx_ring else ready_at`).
 RX_RING_READERS = {"Engine.__init__", "Engine.run_iteration",
@@ -178,3 +183,10 @@ def test_only_the_engine_and_its_client_handshakes_touch_the_pair_table():
     handshakes read and refile it, so no other engine, thread or module
     shares what one engine learned about steering."""
     assert _scopes_touching("peer_pairs") == PAIR_TABLE_SCOPES
+
+
+def test_only_the_engine_and_its_server_handshakes_touch_the_rtt_table():
+    """`peer_rtts` is engine-local: the engine makes it and its server
+    handshakes read it for their re-answer ladder and file their samples,
+    so no other engine, thread or module shares what one engine timed."""
+    assert _scopes_touching("peer_rtts") == RTT_TABLE_SCOPES

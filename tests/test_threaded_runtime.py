@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from sidenet.channel import CLOSED, ESTABLISHED, Channel, FlowHandle
+from sidenet.channel import (CLOSED, ESTABLISHED, Channel, ConnectError,
+                             FlowHandle)
 from sidenet.driver import ThreadedRuntime
 from sidenet.engine import CHANNEL_MSG_BURST, CONTROL_INTERVAL_US
 from sidenet.fabric import FabricConfig
@@ -337,3 +338,35 @@ def test_bad_port_is_refused_at_the_call_and_the_runner_lives():
         assert handle.state == ESTABLISHED and rt._runner.is_alive()
     finally:
         rt.stop()
+
+
+def test_runner_stopped_by_an_exception_fails_connects_naming_it(
+        monkeypatch):
+    """The server engine's iteration raises on the first SYN, which stops
+    the runner thread. The blocking connect pending then fails long before
+    its 2 s timeout, naming the exception, and so does a later one; stop()
+    re-raises the exception."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=7, base_delay_us=50), seed=7)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    sch = server.attach()
+    server.listen(sch, 80)
+    cch = client.attach()
+    fault = RuntimeError("injected fault")
+
+    def raise_fault(*args):
+        raise fault
+
+    monkeypatch.setattr(server.engines[0], "_on_syn", raise_fault)
+    rt.start()
+    try:
+        for _ in range(2):  # pending when the runner stops, then a later one
+            start = time.monotonic()
+            with pytest.raises(ConnectError, match="injected fault"):
+                client.connect(cch, "10.0.0.2", 80, blocking=True, timeout=2)
+            assert time.monotonic() - start < 1.0
+        assert rt.error is fault
+    finally:
+        with pytest.raises(RuntimeError, match="injected fault"):
+            rt.stop()
+    assert not rt._runner.is_alive()
