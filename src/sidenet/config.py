@@ -1,11 +1,11 @@
 """Scenario files: a small TOML-style format parsed with line diagnostics.
 
 Sections are `[name]` headers; entries are `key = value` with integers,
-floats, booleans, and (optionally quoted) strings. Every schema complaint
-carries the offending line number. Each section, and each workload kind,
-has one table of its keys (type, default, allowed values); parsing checks
-every given key against it and the harness fills in the missing ones from
-it. docs/bench.md lists the same tables.
+floats and (optionally quoted) strings. Every schema complaint carries the
+offending line number. Each section, and each workload kind, has one table
+of its keys (type, default, allowed values); parsing checks every given key
+against it and the harness fills in the missing ones from it. docs/bench.md
+lists the same tables.
 """
 
 import math
@@ -38,9 +38,6 @@ def _parse_value(raw, line):
         if len(raw) < 2 or not raw.endswith(quote):
             raise ConfigError("unterminated string", line)
         return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(raw, 0)
     except ValueError:
@@ -104,8 +101,6 @@ class Key:
     def check(self, name, value, line):
         if self.type is float and type(value) is int:
             value = float(value)
-        elif self.type is str:
-            value = str(value)
         if type(value) is not self.type:
             raise ConfigError("%r must be %s, got %r"
                               % (name, self.type.__name__, value), line)

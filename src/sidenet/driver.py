@@ -26,6 +26,8 @@ from .engine import DEFAULT_TICK_US
 from .fabric import Fabric, FabricConfig
 from .stack import Stack
 
+_MAX_PASSES = 100_000_000  # ends a run_until that spins at one instant
+
 
 class _Driver:
     """The stacks over one fabric, and the moves of a scheduling pass."""
@@ -123,10 +125,10 @@ class Sim(_Driver):
             self.fabric.advance_to(t if until is None else min(t, until))
         return True
 
-    def run_until(self, cond, max_us=10_000_000, max_passes=100_000_000):
+    def run_until(self, cond, max_us=10_000_000):
         """Step until cond() holds; False if the sim went idle or timed out."""
         deadline = self.clock.now + max_us
-        for _ in range(max_passes):
+        for _ in range(_MAX_PASSES):
             if cond():
                 return True
             if self.clock.now > deadline:
@@ -176,6 +178,16 @@ class ThreadedRuntime(_Driver):
         self._running = False
         self._runner = threading.Thread(target=self._run, daemon=True)
         self.error = None  # the exception that stopped the runner, if any
+
+    def add_stack(self, ip, engines):
+        stack = super().add_stack(ip, engines)
+        # Once the runner has stopped, the new stack's connects fail at once.
+        # The runner sets `error` before it fails the engines in `_engines`,
+        # which this stack has joined: one side or both fail it, alike.
+        if self.error is not None:
+            for eng in stack.engines:
+                eng.fail_connects(self.error)
+        return stack
 
     def start(self):
         self._running = True

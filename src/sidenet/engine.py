@@ -121,19 +121,18 @@ class EngineStats:
 
 
 class Timer:
-    """A callback due at `due`; `live` until it is cancelled or fires. Both
-    drop `fn`, which refers back to the owner that holds the timer, so an
-    ended flow or handshake is freed without waiting for the cyclic GC."""
+    """A callback `fn` due at `due`, live while `fn` is set. A cancel or the
+    fire clears it, which also drops the reference back to the owner that
+    holds the timer, so an ended flow or handshake is freed without waiting
+    for the cyclic GC."""
 
-    __slots__ = ("due", "fn", "live")
+    __slots__ = ("due", "fn")
 
     def __init__(self, due, fn):
         self.due = due
         self.fn = fn
-        self.live = True
 
     def cancel(self):
-        self.live = False
         self.fn = None
 
 
@@ -227,13 +226,9 @@ class Engine:
 
     def _next_timer_due(self):
         timers = self._timers
-        while timers:
-            due, _, timer = timers[0]
-            if not timer.live:
-                heapq.heappop(timers)
-                continue
-            return due
-        return None
+        while timers and timers[0][2].fn is None:  # cancelled
+            heapq.heappop(timers)
+        return timers[0][0] if timers else None
 
     def _refresh(self, now):
         """Recompute `ready_at`: `now` if frames wait in the TX backlog or
@@ -303,7 +298,7 @@ class Engine:
             if due is None or due > now:
                 break
             _, _, timer = heapq.heappop(self._timers)
-            fn, timer.fn, timer.live = timer.fn, None, False
+            fn, timer.fn = timer.fn, None
             fn(now)
             work += 1
 

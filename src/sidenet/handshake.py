@@ -182,17 +182,20 @@ def draw_udp_pairs(rng, count, used):
 class ClientHandshake:
     """Connect-side state machine; lives on the engine that must own the flow.
 
-    It ends when its winning SYN-ACK establishes the flow: the flow takes
-    its place in the engine's table and keeps the final ACK. A SYN-ACK of a
-    later answer (our ACK was lost) is then answered by the flow, with the
-    same ACK bytes."""
+    Its first spray is sized from its mode and this host's engine count;
+    each retry doubles `batch_size`. It ends when its winning SYN-ACK
+    establishes the flow: the flow takes its place in the engine's table
+    and keeps the final ACK. A SYN-ACK of a later answer (our ACK was lost)
+    is then answered by the flow, with the same ACK bytes."""
 
     def __init__(self, eng, handle, mode):
         self.eng = eng
         self.handle = handle
         self.mode = mode
         self.attempt = 1
-        self.batch_size = 0
+        self.batch_size = (optimized_batch_size(eng.num_engines)
+                           if mode == MODE_OPTIMIZED
+                           else naive_batch_size(eng.num_engines))
         self.sprayed = set()
         self.retry_timer = None
 
@@ -203,19 +206,11 @@ class ClientHandshake:
         known pair, spray at once."""
         pair = self.eng.peer_pairs.get(self.handle.key[:2])
         if pair is None:
-            self._first_spray(now)
+            self._spray(now)
             return
         self._emit_syns([pair])
         self.retry_timer = self.eng.arm_timer(now + 2 * RTO_BASE_US,
-                                              self._first_spray)
-
-    def _first_spray(self, now):
-        """Spray the first batch, sized from this host's engine count."""
-        if self.mode == MODE_OPTIMIZED:
-            self.batch_size = optimized_batch_size(self.eng.num_engines)
-        else:
-            self.batch_size = naive_batch_size(self.eng.num_engines)
-        self._spray(now)
+                                              self._spray)
 
     def _spray(self, now):
         eng = self.eng

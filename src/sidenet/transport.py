@@ -195,7 +195,8 @@ class Flow:
         handle, udp = self.handle, self.tx_udp
         horizon = self.acked_upto + RECEIVE_WINDOW
         timer = self.ack_timer
-        carry = timer is not None and timer.live and not self.rx_buffer
+        carry = (timer is not None and timer.fn is not None
+                 and not self.rx_buffer)
         seq = self.snd_nxt
         while pending and len(unacked) < SEND_WINDOW and seq < horizon:
             first, msg_id, base, msg_len, block = pending[0]
@@ -222,7 +223,7 @@ class Flow:
         self.stats.frags_sent_unique += seq - self.snd_nxt
         self.snd_nxt = seq
         if self.unacked and (self.loss_timer is None
-                             or not self.loss_timer.live):
+                             or self.loss_timer.fn is None):
             self._arm_loss_timer(now)
 
     def on_sack(self, pkt, now):
@@ -440,7 +441,7 @@ class Flow:
         due = (now if urgent or self.frames_since_ack >= ACK_EVERY_FRAMES
                else now + ACK_DELAY_US)
         timer = self.ack_timer
-        if timer is None or not timer.live or timer.due > due:
+        if timer is None or timer.fn is None or timer.due > due:
             if timer is not None:
                 timer.cancel()
             self.ack_timer = self.eng.arm_timer(due, self._emit_sack)

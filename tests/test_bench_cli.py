@@ -47,6 +47,11 @@ def test_scenario_parses():
     assert sc.fabric["loss"] == 0.0
 
 
+def test_unquoted_string_value_parses():
+    sc = parse_scenario(GOOD_ECHO.replace('ip = "10.0.0.1"', "ip = 10.0.0.1"))
+    assert sc == parse_scenario(GOOD_ECHO)
+
+
 @pytest.mark.parametrize("mutation, fragment", [
     ("kind = \"echo\"", "kind = \"warp\""),
     ("engines = 1", "engines = 0"),
@@ -59,6 +64,7 @@ def test_scenario_parses():
     ("inflight = 2", 'mode = "polling"'),  # a receive mode, not a handshake
     ('ip = "10.0.0.1"', 'ip = "banana"'),
     ('ip = "10.0.0.1"', 'ip = "10.0.0.300"'),
+    ("count = 200", "count = true"),  # no boolean values: a bare string
 ])
 def test_schema_violations_carry_line_numbers(mutation, fragment):
     _assert_rejected_at(GOOD_ECHO.replace(mutation, fragment, 1), fragment)
@@ -326,8 +332,6 @@ def test_small_isolation_replays_pinned_bytes():
 def _doc_literal(value):
     if value is REQUIRED:
         return "required"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, str):
         return '"%s"' % value
     return str(value)

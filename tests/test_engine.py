@@ -19,7 +19,8 @@ from sidenet.fabric import FabricConfig
 from sidenet.handshake import (MODE_NAIVE, MODE_OPTIMIZED, ClientHandshake,
                                ServerHandshake)
 from sidenet.nic import QUEUE_DEPTH
-from sidenet.transport import RTO_BASE_US, Flow
+from sidenet.stack import EPHEMERAL_FLOW_PORT_BASE
+from sidenet.transport import IDLE_REAP_US, RTO_BASE_US, RTO_CAP_US, Flow
 
 
 def test_idle_iteration_does_no_work():
@@ -215,6 +216,18 @@ def test_flow_port_of_a_live_flow_or_pending_connect_is_skipped():
     assert again.local_port != pending.local_port
 
 
+def test_flow_port_counter_wraps_to_the_base_and_skips_a_listen_port():
+    """After port 65535 the counter starts again at 32768, and passes over
+    a port this stack listens on."""
+    sim, client, server, cch, sch = make_pair(seed=21, engines=1)
+    client.listen(cch, EPHEMERAL_FLOW_PORT_BASE)
+    client._next_flow_port = 65535
+    last = connect_established(sim, client, cch)
+    wrapped = connect_established(sim, client, cch)
+    assert (last.local_port, wrapped.local_port) == (
+        65535, EPHEMERAL_FLOW_PORT_BASE + 1)
+
+
 def test_connects_allocated_before_they_are_serviced_get_their_own_ports():
     """The stack reserves each flow key it hands out until the connection
     ends: a second connect allocated before the first is serviced gets
@@ -348,10 +361,10 @@ def test_timer_wheel_fires_overdue_timer_exactly_once():
     fired = []
     timer = eng.arm_timer(300_000, lambda now: fired.append(now))
     sim.fabric.advance_to(300_001)
-    assert timer.live
+    assert timer.fn is not None
     eng.run_iteration(sim.now)
     assert fired == [300_001]
-    assert not timer.live
+    assert timer.fn is None
     eng.run_iteration(sim.now + eng.tick_us)
     assert fired == [300_001]
 
@@ -394,6 +407,20 @@ def test_syn_with_seq_zero_is_malformed_and_leaves_no_handshake(flags):
     sim.run_for(1_000_000)
     assert not eng.conns
     assert eng.stats.synacks_sent == 0
+
+
+def test_syn_too_short_for_its_payload_is_malformed_and_files_nothing():
+    """A SYN on the listener's own engine whose payload is too short to
+    carry the client's engine count and id is counted malformed, and no
+    handshake is filed for it."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+    before = replace(eng.stats)
+    eng._dispatch(_forged(wire.PKT_SYN, payload=_SYN[:3]), sim.now)
+    assert eng.stats == replace(before, syns_rx=before.syns_rx + 1,
+                                rx_malformed=before.rx_malformed + 1)
+    assert not eng.conns
 
 
 def test_every_flow_frame_steers_to_the_owning_engines():
@@ -715,7 +742,7 @@ def test_fin_close_leaves_nothing_behind():
     engines = client.engines + server.engines
     assert not any(eng.flows for eng in engines)
     assert [eng.stats.rx_unknown_flow for eng in engines] == [0, 0]
-    assert not [t for eng in engines for _, _, t in eng._timers if t.live]
+    assert not [t for eng in engines for _, _, t in eng._timers if t.fn]
     assert sim.now - closed_at <= 1000
 
 
@@ -768,6 +795,40 @@ def test_lost_fin_is_sent_again():
     assert len(fins) == 2 and fins[1] - fins[0] == RTO_BASE_US
     assert handle.state == CLOSED
     assert not any(eng.flows for eng in client.engines + server.engines)
+
+
+def test_close_reaper_ends_a_flow_whose_finack_never_comes():
+    """With every FIN-ACK lost, the closer sends its FIN 9 times, RTO_BASE_US
+    apart at first and doubling to RTO_CAP_US. The reaper ends its flow
+    IDLE_REAP_US after the close, within one tick: the handle settles
+    closed, and none of the flow's timers is left live."""
+    sim, client, server, cch, sch = make_pair(seed=15, engines=1)
+    handle = connect_established(sim, client, cch)
+    eng = client.engines[0]
+    flow = eng.flows[handle.key]
+    fins = []
+
+    def drop_finacks(frame):
+        pkt_type = wire.parse_frame(frame).pkt_type
+        if pkt_type == wire.PKT_FIN:
+            fins.append(sim.now)
+        return pkt_type == wire.PKT_FINACK
+
+    sim.fabric._tap = drop_finacks
+    client.close(handle)
+    assert sim.run_until(lambda: handle.key not in eng.conns,
+                         max_us=2 * IDLE_REAP_US)
+    closed_at = fins[0]  # nothing was unacked: the close sent the FIN
+    gaps = [min(RTO_BASE_US << i, RTO_CAP_US) for i in range(8)]
+    assert [t - closed_at for t in fins] == [
+        sum(gaps[:i]) for i in range(9)]
+    assert fins[-1] - closed_at == 2_270_000
+    assert 0 <= sim.now - (closed_at + IDLE_REAP_US) < eng.tick_us
+    assert handle.state == CLOSED
+    assert all(t.fn is None for t in (flow.loss_timer, flow.ack_timer,
+                                      flow.reap_timer, flow.fin_timer)
+               if t is not None)
+    assert sim.drain() and len(fins) == 9
 
 
 def test_stray_finack_is_a_protocol_error_and_ends_nothing():

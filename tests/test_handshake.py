@@ -775,6 +775,28 @@ def _forged_syn(client_engines):
         flags=wire.FLAG_OPTIMIZED)
 
 
+def test_naive_syn_repeated_on_an_answered_pair_draws_no_second_synack():
+    """A naive server answers each UDP pair once: the same SYN again counts
+    one duplicate_syns and sends nothing, while a SYN on a new pair is
+    answered on that pair reversed."""
+    sim, client, server, cch, sch = make_pair(seed=5, engines=1)
+    sim.run_for(100)  # the listen request reaches the engine
+    eng = server.engines[0]
+
+    def naive_syn(udp_src):
+        return wire.build_frame(
+            "10.0.0.9", "10.0.0.2", udp_src, 6000, wire.PKT_SYN, 4242, 80,
+            payload=wire.pack_syn_payload(1, 0), seq=1)
+
+    answered = {"syns_rx": 1, "synacks_sent": 1, "frames_tx": 1}
+    assert _stats_delta(eng, naive_syn(5000), sim.now) == answered
+    assert _stats_delta(eng, naive_syn(5000), sim.now) == {
+        "syns_rx": 1, "duplicate_syns": 1}
+    assert _stats_delta(eng, naive_syn(5001), sim.now) == answered
+    synack = wire.parse_frame(eng._tx_ring[-1])
+    assert (synack.udp_src, synack.udp_dst) == (6000, 5001)
+
+
 def test_forged_engine_count_gets_at_most_batch_cap_synacks_per_answer():
     """A SYN claiming 65,535 engines would size a spray of 240,914
     SYN-ACKs. The server caps each answer, first and retry, at BATCH_CAP,
@@ -826,7 +848,7 @@ def test_malformed_final_ack_is_counted_and_leaves_the_handshake_pending():
     assert _stats_delta(eng, short_ack, sim.now) == {"acks_rx": 1,
                                                      "rx_malformed": 1}
     assert eng.conns == {key: hs}
-    assert hs.retry_timer.live
+    assert hs.retry_timer.fn is not None
     assert not eng.flows
 
 
@@ -847,7 +869,7 @@ def test_malformed_synack_is_counted_and_leaves_the_connect_pending():
     assert _stats_delta(eng, short_synack, sim.now) == {"synacks_rx": 1,
                                                         "rx_malformed": 1}
     assert eng.conns == {key: hs}
-    assert hs.retry_timer.live
+    assert hs.retry_timer.fn is not None
     assert not eng.flows and handle.state == CONNECTING
     sim.fabric._tap = None
     assert sim.run_until(lambda: handle.state != CONNECTING,

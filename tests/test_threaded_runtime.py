@@ -340,24 +340,31 @@ def test_bad_port_is_refused_at_the_call_and_the_runner_lives():
         rt.stop()
 
 
-def test_runner_stopped_by_an_exception_fails_connects_naming_it(
-        monkeypatch):
-    """The server engine's iteration raises on the first SYN, which stops
-    the runner thread. The blocking connect pending then fails long before
-    its 2 s timeout, naming the exception, and so does a later one; stop()
-    re-raises the exception."""
-    rt = ThreadedRuntime(FabricConfig(rng_seed=7, base_delay_us=50), seed=7)
+def _runtime_whose_server_raises(monkeypatch, seed):
+    """A runtime whose server, listening on port 80, raises on the first
+    SYN, which stops the runner thread. Returns the runtime, the client
+    stack and its channel, and the exception."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=seed, base_delay_us=50),
+                         seed=seed)
     server = rt.add_stack("10.0.0.2", 1)
     client = rt.add_stack("10.0.0.1", 1)
-    sch = server.attach()
-    server.listen(sch, 80)
-    cch = client.attach()
+    server.listen(server.attach(), 80)
     fault = RuntimeError("injected fault")
 
     def raise_fault(*args):
         raise fault
 
     monkeypatch.setattr(server.engines[0], "_on_syn", raise_fault)
+    return rt, client, client.attach(), fault
+
+
+def test_runner_stopped_by_an_exception_fails_connects_naming_it(
+        monkeypatch):
+    """The server engine's iteration raises on the first SYN, which stops
+    the runner thread. The blocking connect pending then fails long before
+    its 2 s timeout, naming the exception, and so does a later one; stop()
+    re-raises the exception."""
+    rt, client, cch, fault = _runtime_whose_server_raises(monkeypatch, 7)
     rt.start()
     try:
         for _ in range(2):  # pending when the runner stops, then a later one
@@ -370,3 +377,52 @@ def test_runner_stopped_by_an_exception_fails_connects_naming_it(
         with pytest.raises(RuntimeError, match="injected fault"):
             rt.stop()
     assert not rt._runner.is_alive()
+
+
+def test_stack_added_after_the_runner_stopped_fails_its_connects_at_once(
+        monkeypatch):
+    """Once an exception has stopped the runner, a stack added afterwards
+    is told too: its blocking connect fails long before its 5 s timeout,
+    naming the exception."""
+    rt, client, cch, fault = _runtime_whose_server_raises(monkeypatch, 7)
+    rt.start()
+    try:
+        with pytest.raises(ConnectError, match="injected fault"):
+            client.connect(cch, "10.0.0.2", 80, blocking=True, timeout=2)
+        assert rt.error is fault
+        late = rt.add_stack("10.0.0.3", 1)
+        lch = late.attach()
+        start = time.monotonic()
+        with pytest.raises(ConnectError, match="injected fault"):
+            late.connect(lch, "10.0.0.2", 80, blocking=True, timeout=5)
+        assert time.monotonic() - start < 1.0
+    finally:
+        with pytest.raises(RuntimeError, match="injected fault"):
+            rt.stop()
+
+
+def test_stress_stacks_added_while_the_runner_stops_are_all_told(
+        monkeypatch):
+    """Stacks added from another thread while an exception stops the
+    runner are each told, by the runner or by add_stack, however the two
+    interleave: every engine of every stack holds the exception."""
+    rt, client, cch, fault = _runtime_whose_server_raises(monkeypatch, 8)
+
+    def add_stacks():
+        for i in range(200):
+            rt.add_stack("10.1.0.%d" % (i + 1), 1)
+
+    adder = threading.Thread(target=add_stacks)
+    rt.start()
+    try:
+        with _preempt_often():
+            adder.start()
+            client.connect(cch, "10.0.0.2", 80)  # its SYN stops the runner
+            adder.join(timeout=10)
+        assert not adder.is_alive()
+        assert _wait_for(lambda: rt.error is fault, 5)
+        assert len(rt._engines) == 202
+        assert all(eng.stopped_by is fault for eng in rt._engines)
+    finally:
+        with pytest.raises(RuntimeError, match="injected fault"):
+            rt.stop()

@@ -43,12 +43,12 @@ class StubEngine:
 
     def fire_due(self, now):
         for timer in list(self.timers):
-            if timer.live and timer.due <= now:
-                timer.live = False
-                timer.fn(now)
+            if timer.fn is not None and timer.due <= now:
+                fn, timer.fn = timer.fn, None
+                fn(now)
 
     def next_timer(self):
-        live = [t.due for t in self.timers if t.live]
+        live = [t.due for t in self.timers if t.fn is not None]
         return min(live) if live else None
 
 
@@ -313,7 +313,7 @@ def test_reply_carries_the_due_ack_in_place_of_a_sack():
     first, second = emitted_data(eng)
     assert first.flags & wire.FLAG_ACK and first.ack == 1
     assert not second.flags & wire.FLAG_ACK and second.ack == 0
-    assert flow.frames_since_ack == 0 and not flow.ack_timer.live
+    assert flow.frames_since_ack == 0 and flow.ack_timer.fn is None
     eng.fire_due(100 + ACK_DELAY_US)
     assert emitted_sacks(eng) == []
 
@@ -544,8 +544,8 @@ def test_rack_resends_from_on_sack_reset_the_flow_and_leave_no_timer():
         1 + MAX_FRAGMENT_RETRANSMITS)
     assert list(flow.unacked) == [0, MAX_FRAGMENT_RETRANSMITS + 1]
     assert eng.dropped == [flow]
-    assert not any(t.live for t in (flow.loss_timer, flow.ack_timer,
-                                    flow.reap_timer))
+    assert all(t.fn is None for t in (flow.loss_timer, flow.ack_timer,
+                                      flow.reap_timer))
     assert eng.next_timer() is None
 
 
