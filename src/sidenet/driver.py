@@ -178,15 +178,16 @@ class ThreadedRuntime(_Driver):
         self._running = False
         self._runner = threading.Thread(target=self._run, daemon=True)
         self.error = None  # the exception that stopped the runner, if any
+        self._stopped_by = None  # `error`, or a cause naming stop()
 
     def add_stack(self, ip, engines):
         stack = super().add_stack(ip, engines)
         # Once the runner has stopped, the new stack's connects fail at once.
-        # The runner sets `error` before it fails the engines in `_engines`,
-        # which this stack has joined: one side or both fail it, alike.
-        if self.error is not None:
+        # The runner sets `_stopped_by` before it fails the engines in
+        # `_engines`, which this stack has joined: one side or both fail it.
+        if self._stopped_by is not None:
             for eng in stack.engines:
-                eng.fail_connects(self.error)
+                eng.fail_connects(self._stopped_by)
         return stack
 
     def start(self):
@@ -207,18 +208,22 @@ class ThreadedRuntime(_Driver):
                     bell.wait(None if t is None else (t - clock.now) / 1e6)
                     bell.clear()
         except Exception as exc:
-            # Nothing runs the engines again: keep the cause for stop() and
-            # fail every connect, pending or later, naming it.
-            self.error = exc
-            for eng in self._engines:
-                eng.fail_connects(exc)
+            self.error = exc  # kept for stop() to re-raise
+        # Nothing runs the engines again: fail every connect, pending or
+        # later, naming `error`, or stop() if the runner ended cleanly.
+        cause = self._stopped_by = self.error or RuntimeError(
+            "ThreadedRuntime.stop() was called")
+        for eng in self._engines:
+            eng.fail_connects(cause)
 
     def stop(self):
-        """Stop the runner; re-raise the exception that stopped it, if one
-        did."""
+        """Stop the runner, failing every pending and later connect; re-raise
+        the exception that stopped the runner, if one did."""
         self._running = False
         self._bell.set()
         if self._runner.is_alive():
             self._runner.join(timeout=2.0)
+        elif self._stopped_by is None:
+            self._run()  # never started: only its exit path runs, here
         if self.error is not None:
             raise self.error

@@ -175,7 +175,7 @@ class Engine:
         self.ready_at = None  # exact while not `wake`; counts no RX frame
         self.wake = True
         self.bell = None  # the live runner's Event, set by the doorbell
-        self.stopped_by = None  # the exception that ended the live runner
+        self.stopped_by = None  # what ended the live runner: a fault, stop()
         queue = nic._bind(engine_id)
         self._tx_ring = queue.tx
         self._rx_ring = queue.rx
@@ -189,8 +189,8 @@ class Engine:
 
     def submit(self, request):
         """Queue a connect, listen or close request for the next 50 us grid
-        point. Once the live runner has stopped on an exception, a connect
-        fails here instead."""
+        point. Once the live runner has stopped, a connect fails here
+        instead."""
         self.control_inbox.append(request)
         self._ring()
         if self.stopped_by is not None:

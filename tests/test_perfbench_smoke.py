@@ -19,7 +19,20 @@ import sidenet
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Dependencies first: each module imports the ones before it by name.
 MODULES = ("inputs", "speed", "tracing", "workloads", "run")
-SMOKE_OPS = {"rpc_small": 300, "conn_churn": 30, "bulk_lossy": 3}
+# conn_churn runs enough ops that most of its connects are repeats, which
+# send one SYN on the pair their engine learned.
+SMOKE_OPS = {"rpc_small": 300, "conn_churn": 300, "bulk_lossy": 3}
+# The benchmark's digest of each smoke run at seed 1. A change that must not
+# alter behaviour leaves these alone; a protocol change updates them and
+# says why in CHANGES.md.
+SMOKE_DIGESTS = {
+    "rpc_small":
+        "a959f975af7f6423312b40a812dfa3338f778ad9b1a7399932e940479982bc4e",
+    "conn_churn":
+        "03a991e871413a4260cf894c4ad40a2fae5daef606ee53808c17c81d3cbc2339",
+    "bulk_lossy":
+        "90cdcf75d0b71521a21c8291c7bc6e34bfea045c1f550dc44449161062a1f4c4",
+}
 
 
 @pytest.fixture
@@ -49,7 +62,7 @@ def test_workload_runs_a_few_checked_ops(perfbench, name):
     assert w.finished >= SMOKE_OPS[name]
     assert w.failed == 0
     digest, exact = perfbench.run.exact_metrics(w, start_now, start_sent)
-    assert len(digest) == 64
+    assert digest == SMOKE_DIGESTS[name]
     assert exact["success_ratio"] == 1.0
     assert exact["frames_per_op"] > 0
     assert after["ops"] - before["ops"] == w.finished

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from sidenet.channel import (CLOSED, ESTABLISHED, Channel, ConnectError,
-                             FlowHandle)
+from sidenet.channel import (CLOSED, ESTABLISHED, FAILED, Channel,
+                             ConnectError, FlowHandle)
 from sidenet.driver import ThreadedRuntime
 from sidenet.engine import CHANNEL_MSG_BURST, CONTROL_INTERVAL_US
 from sidenet.fabric import FabricConfig
@@ -377,6 +377,36 @@ def test_runner_stopped_by_an_exception_fails_connects_naming_it(
         with pytest.raises(RuntimeError, match="injected fault"):
             rt.stop()
     assert not rt._runner.is_alive()
+
+
+def test_clean_stop_fails_pending_and_later_connects_naming_it():
+    """After a clean stop() nothing runs the engines again: a connect still
+    in its handshake settles failed, and a later 5 s blocking connect fails
+    within 1 s; both name stop(), which raises nothing. A runtime that never
+    started fails a queued connect at stop() too."""
+    rt = ThreadedRuntime(FabricConfig(rng_seed=9, base_delay_us=50), seed=9)
+    server = rt.add_stack("10.0.0.2", 1)
+    client = rt.add_stack("10.0.0.1", 1)
+    server.listen(server.attach(), 80)
+    cch = client.attach()
+    rt.start()
+    try:
+        pending = client.connect(cch, "10.0.0.3", 80)  # no such host: retries
+        assert _wait_for(lambda: client.engines[0].conns, 5)
+    finally:
+        rt.stop()
+    assert rt.error is None and not rt._runner.is_alive()
+    assert pending.state == FAILED and "stop()" in pending.error
+    start = time.monotonic()
+    with pytest.raises(ConnectError, match=r"stop\(\)"):
+        client.connect(cch, "10.0.0.2", 80, blocking=True, timeout=5)
+    assert time.monotonic() - start < 1.0
+
+    idle = ThreadedRuntime(seed=9)
+    stack = idle.add_stack("10.0.0.1", 1)
+    queued = stack.connect(stack.attach(), "10.0.0.2", 80)
+    idle.stop()
+    assert queued.state == FAILED and "stop()" in queued.error
 
 
 def test_stack_added_after_the_runner_stopped_fails_its_connects_at_once(
